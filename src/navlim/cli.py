@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 identity failure, 2 configuration error,
 3 numerical failure. The environment variable NAVLIM_SEED supplies the
-default seed; an explicit --seed always wins.
+default seed (an integer, else exit 2); an explicit --seed always wins.
 """
 
 import argparse
@@ -24,6 +24,7 @@ from . import navinfo, simkit
 from .blockfim import block_diag
 from .geom2d import Eigen2, eigen2, info_ellipse, r_dir
 from .models import (
+    GeometryError,
     MobilityModel,
     RangeModel,
     Scenario,
@@ -51,10 +52,11 @@ EXIT_NUMERICAL = 3
 
 
 def _default_seed() -> int:
+    text = os.environ.get("NAVLIM_SEED", "0")
     try:
-        return int(os.environ.get("NAVLIM_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise ConfigError(f"NAVLIM_SEED must be an integer, got {text!r}")
 
 
 def _parse_range(text: str) -> list[int]:
@@ -295,10 +297,13 @@ def cmd_ellipse(args) -> int:
     carry = [np.zeros((2, 2)) for _ in range(na)]
     s_prev = None
     for n in range(t):
-        s_n = navinfo.spatial_step_matrix(scenario, n)
-        if n > 0:
-            k_blocks = navinfo.temporal_step_blocks(scenario, n)
-            carry = navinfo.distributed_carry_over(s_prev, carry, k_blocks)
+        try:
+            s_n = navinfo.spatial_step_matrix(scenario, n)
+            if n > 0:
+                k_blocks = navinfo.temporal_step_blocks(scenario, n)
+                carry = navinfo.distributed_carry_over(s_prev, carry, k_blocks)
+        except GeometryError as exc:
+            raise ConfigError(f"invalid scenario geometry: {exc}")
         after = navinfo.individual_efims(s_n + block_diag(carry))
         for k in range(na):
             rows.append(_ellipse_row(k, n, "carry_over", carry[k]))

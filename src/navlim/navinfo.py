@@ -44,6 +44,20 @@ from .models import (
 # deliberate 1e12 pinning prior must not swallow ordinary m^-2 eigenvalues.
 _SPEB_NULL_FACTOR = 4.0 * np.finfo(float).eps
 
+# Smallest eigenvalue, after scaling to unit diagonal, of the time-collapsed
+# EFIM sum_{n,m} J_nm (the summed ranging and prior information: velocity
+# links cancel in the sum) above which the block-tridiagonal sweep runs.
+# Singular sums sit at round-off (~1e-16), where the sweep's Cholesky
+# factors can still succeed and return a finite bound for an unobservable
+# agent. The dense path's null cutoff grows with the dimension and starts to
+# report +inf near 1e-9 at dim 960, so 1e-6 keeps both paths agreeing on
+# which bounds are infinite with a wide margin.
+_COLLAPSED_MIN_EIG = 1e-6
+
+# Joint EFIMs of at most this dimension stay on the dense path: one eigh is
+# no slower than the sweep's per-step calls there (measured crossover 36-48).
+_SWEEP_MIN_DIM = 40
+
 # Squared eigenvector mass on a position block below which a null direction
 # is considered not to touch that block.
 NULL_SUPPORT_TOL = 1e-12
@@ -282,11 +296,32 @@ def _check_chain(chain: ChainBlocks, num_agents: int, num_steps: int, agent: int
 
 def marginal_efim(j: JointEfim, keep: Iterable[tuple[int, int]]) -> JointEfim:
     """Reduce the joint EFIM onto a subset of (agent, step) coordinates,
-    preserving their inverse-information block."""
+    preserving their inverse-information block.
+
+    When `keep` is every agent over a contiguous step window and `j` is in
+    the block-tridiagonal domain (see `_tridiagonal_blocks`), the steps
+    outside the window are eliminated by forward and backward Schur sweeps
+    in O(T * Na^3); the window's interior blocks are copied unchanged. Every
+    other input takes the dense Schur complement, O((Na * T)^3).
+    """
     keep_set = set(keep)
     unknown = keep_set.difference(j.coords)
     if unknown:
         raise ValueError(f"unknown coordinates: {sorted(unknown)}")
+    if keep_set:
+        lo = min(n for _, n in keep_set)
+        hi = max(n for _, n in keep_set)
+        na = sum(1 for _, n in j.coords if n == lo)
+        if len(keep_set) == na * (hi - lo + 1):
+            window = _sweep_window(j, lo, hi)
+            if window is not None:
+                return JointEfim(position_coords(na, hi + 1, lo), window)
+    return _dense_marginal_efim(j, keep_set)
+
+
+def _dense_marginal_efim(j: JointEfim, keep_set: set[tuple[int, int]]) -> JointEfim:
+    """Dense Schur complement of `j` onto `keep_set`: the reference the
+    sweep is checked against."""
     layout = BlockLayout(
         (ParamId(ParamKind.POSITION, agent=k, time=n), 2) for (k, n) in j.coords
     )
@@ -299,6 +334,93 @@ def marginal_efim(j: JointEfim, keep: Iterable[tuple[int, int]]) -> JointEfim:
     reduced = schur_complement(full, kept_ids)
     kept_coords = tuple((c.agent, c.time) for c in reduced.layout.ids)
     return JointEfim(kept_coords, reduced.data)
+
+
+def _tridiagonal_blocks(j: JointEfim) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """(first step, D, B) of a joint EFIM the block-tridiagonal sweep may
+    run on, else None. D[n] is the symmetrized diagonal block of step n and
+    B[n] the block between steps n and n+1, each 2Na x 2Na.
+
+    The domain, all visible from the input: the coords are in time-major
+    `position_coords` order; the matrix is bitwise zero beyond adjacent
+    steps; every inter-step block is negative definite; and the
+    time-collapsed matrix sum_{n,m} J_nm has a scaled smallest eigenvalue
+    above _COLLAPSED_MIN_EIG. For an EFIM of per-step information plus
+    links between consecutive steps these hold exactly when J is positive
+    definite: a null vector of such a J shifts every step by the same u,
+    and u is then a null vector of the collapsed matrix. The sweep's
+    Cholesky factors confirm it. Matrices of at most _SWEEP_MIN_DIM rows
+    stay dense.
+    """
+    coords = j.coords
+    if 2 * len(coords) <= _SWEEP_MIN_DIM:
+        return None
+    start = coords[0][1]
+    na = sum(1 for _, n in coords if n == start)
+    steps = len(coords) // na
+    if coords != position_coords(na, start + steps, start):
+        return None
+    b = 2 * na
+    for n in range(steps):
+        row = j.matrix[n * b : (n + 1) * b]
+        if row[:, : max(n - 1, 0) * b].any() or row[:, (n + 2) * b :].any():
+            return None
+    blocks = j.matrix.reshape(steps, b, steps, b)
+    idx = np.arange(steps)
+    d = blocks[idx, :, idx, :]
+    d = 0.5 * (d + d.transpose(0, 2, 1))
+    upper = 0.5 * (
+        blocks[idx[:-1], :, idx[1:], :] + blocks[idx[1:], :, idx[:-1], :].transpose(0, 2, 1)
+    )
+    links = upper.sum(axis=0)
+    collapsed = d.sum(axis=0) + links + links.T
+    diag = np.diag(collapsed)
+    if not (diag > 0.0).all():
+        return None
+    scale = np.sqrt(diag)
+    try:
+        np.linalg.cholesky(-0.5 * (upper + upper.transpose(0, 2, 1)))
+    except np.linalg.LinAlgError:
+        return None
+    min_eig = np.linalg.eigvalsh(collapsed / scale[:, None] / scale[None, :])[0]
+    if not min_eig > _COLLAPSED_MIN_EIG:
+        return None
+    return start, d, upper
+
+
+def _schur_carry(d: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
+    """Information the first `count` steps of a block-tridiagonal chain pass
+    on to step `count`: B^T F^-1 B with F the running Schur complement of
+    the last eliminated step, in Cholesky form (F = L L^T, so the term is
+    X^T X with X = L^-1 B). This is the carry-over recursion; run on the
+    reversed chain with transposed links it is the backward sweep. Raises
+    LinAlgError when some F is not positive definite."""
+    carry = np.zeros_like(d[0])
+    for n in range(count):
+        x = np.linalg.solve(np.linalg.cholesky(d[n] - carry), b[n])
+        carry = x.T @ x
+    return carry
+
+
+def _sweep_window(j: JointEfim, lo: int, hi: int) -> np.ndarray | None:
+    """Marginal EFIM of all agents over steps lo..hi by forward and backward
+    Schur sweeps, or None when `j` is outside the sweep's domain."""
+    found = _tridiagonal_blocks(j)
+    if found is None:
+        return None
+    start, d, b = found
+    lo, hi = lo - start, hi - start
+    try:
+        head = _schur_carry(d, b, lo)
+        tail = _schur_carry(d[::-1], b[::-1].transpose(0, 2, 1), len(d) - 1 - hi)
+    except np.linalg.LinAlgError:
+        return None
+    size = d.shape[1]
+    rows = slice(lo * size, (hi + 1) * size)
+    out = j.matrix[rows, rows].copy()
+    out[:size, :size] -= head
+    out[-size:, -size:] -= tail
+    return 0.5 * (out + out.T)
 
 
 def carry_over_step(
@@ -548,9 +670,21 @@ def speb_with_rank(j: JointEfim, agent: int, step: int) -> tuple[float, int]:
     EFIM. A singular EFIM yields +inf for positions its null space touches
     (no exception: unanchored scenarios are legitimate); the second value
     reports how many null directions the matrix has.
+
+    Inside the block-tridiagonal domain (see `_tridiagonal_blocks`: a
+    positive definite, time-banded EFIM in `position_coords` order) the
+    bound and the null count are read from the step's marginal 2Na x 2Na
+    EFIM, D_n - B_{n-1}^T F_{n-1}^-1 B_{n-1} - B_n G_{n+1}^-1 B_n^T, built
+    by forward and backward Schur sweeps in O(T * Na^3). Every other input,
+    singular or not banded, takes one dense eigendecomposition of the whole
+    matrix, O((Na * T)^3).
     """
-    w, v, scale, cutoff = _scaled_eigh(j.matrix)
-    value = _block_speb(w, v, scale, j.rows(agent, step), cutoff)
+    matrix, rows = j.matrix, j.rows(agent, step)
+    window = _sweep_window(j, step, step)
+    if window is not None:
+        matrix, rows = window, slice(2 * agent, 2 * agent + 2)
+    w, v, scale, cutoff = _scaled_eigh(matrix)
+    value = _block_speb(w, v, scale, rows, cutoff)
     return value, int((w <= cutoff).sum())
 
 

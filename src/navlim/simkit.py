@@ -235,8 +235,12 @@ def _temporal_blocks(displacements: np.ndarray, cfg: ScenarioConfig) -> np.ndarr
     return 0.5 * (blocks + blocks.transpose(0, 2, 1))
 
 
-def _trial_spebs(scenario: Scenario, cfg: ScenarioConfig, modes) -> dict[str, np.ndarray]:
-    """Final-step network SPEBs for every horizon 1..T and mode."""
+def _trial_spebs(
+    scenario: Scenario, cfg: ScenarioConfig, modes, final_only: bool = False
+) -> dict[str, np.ndarray]:
+    """Final-step network SPEBs for every horizon 1..T and mode; with
+    `final_only`, one row for the full horizon T (the carry-over still runs
+    through every step)."""
     geom = scenario.geometry
     na, t = geom.num_agents, geom.num_steps
     positions = geom.paths
@@ -255,20 +259,23 @@ def _trial_spebs(scenario: Scenario, cfg: ScenarioConfig, modes) -> dict[str, np
         for n in range(1, t)
     ]
 
+    first = t - 1 if final_only else 0
     out: dict[str, np.ndarray] = {}
     for mode in modes:
-        spebs = np.empty((t, na))
+        spebs = np.empty((t - first, na))
         if mode is CoopMode.SPATIAL_ONLY:
-            for n in range(t):
-                spebs[n] = navinfo.block_spebs(s_full[n])
+            for n in range(first, t):
+                spebs[n - first] = navinfo.block_spebs(s_full[n])
         else:
             s_steps = s_full if mode is CoopMode.JOINT else s_anchor
             carry = np.zeros((2 * na, 2 * na))
-            spebs[0] = navinfo.block_spebs(s_steps[0])
+            if first == 0:
+                spebs[0] = navinfo.block_spebs(s_steps[0])
             for n in range(1, t):
                 k_full = block_diag(list(k_blocks[n - 1]))
                 carry = navinfo.carry_over_step(k_full, s_steps[n - 1], carry)
-                spebs[n] = navinfo.block_spebs(s_steps[n] + carry)
+                if n >= first:
+                    spebs[n - first] = navinfo.block_spebs(s_steps[n] + carry)
         out[mode.value] = spebs
     return out
 
@@ -291,7 +298,10 @@ def _truncated(scenario: Scenario, num_steps: int) -> Scenario:
 
 
 def _audit_recursion(cfg: ScenarioConfig) -> None:
-    """Check recursion-vs-marginalization agreement on one small joint trial."""
+    """Check recursion-vs-marginalization agreement on one small joint trial.
+
+    The reference is the dense Schur complement, never `marginal_efim`'s
+    block-tridiagonal sweep, which is the recursion itself."""
     if cfg.num_agents == 0:
         return
     small = replace(
@@ -307,7 +317,7 @@ def _audit_recursion(cfg: ScenarioConfig) -> None:
     for horizon in range(1, small.num_steps + 1):
         sub = _truncated(scenario, horizon)
         full = navinfo.assemble_position_efim(sub)
-        final = navinfo.marginal_efim(full, [(k, horizon - 1) for k in range(na)])
+        final = navinfo._dense_marginal_efim(full, {(k, horizon - 1) for k in range(na)})
         direct = navinfo.block_spebs(final.matrix)
         rel = np.abs(direct - spebs[horizon - 1]) / np.maximum(np.abs(direct), 1e-30)
         if not (rel < AUDIT_TOL).all():
@@ -409,7 +419,7 @@ def sweep_nodes(
         for trial in range(trials):
             try:
                 scenario = generate_scenario(cfg_n, (count, trial))
-                spebs = _trial_spebs(scenario, cfg_n, modes)
+                spebs = _trial_spebs(scenario, cfg_n, modes, final_only=True)
             except _TRIAL_FAILURES:
                 failed += 1
                 continue

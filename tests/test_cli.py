@@ -184,6 +184,17 @@ def test_env_seed_default_and_flag_wins(tmp_path, monkeypatch):
     ).read_bytes()
 
 
+def test_env_seed_not_an_integer_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NAVLIM_SEED", "abc")
+    args = ["sweep-time", "--trials", "2", "--steps", "1..2", "--agents", "2", "--anchors", "2"]
+    assert cli.main(args + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "NAVLIM_SEED" in err and "'abc'" in err
+    assert not (tmp_path / "sweep_time.csv").exists()
+    assert cli.main(args + ["--seed", "21", "--out-dir", str(tmp_path)]) == 0
+
+
 def test_svg_emission_leaves_csv_identical(tmp_path):
     args = [
         "sweep-time",
@@ -380,3 +391,20 @@ def test_scenario_bad_values_exit_2(tmp_path, patch):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
     assert cli.main(["ellipse", "--scenario", str(path), "--out-dir", str(tmp_path)]) == 2
+
+
+def test_ellipse_coincident_nodes_exit_2(tmp_path, capsys):
+    spec = {
+        "area": [10, 10],
+        "anchors": [[1.0, 1.0]],
+        "agents": [[[1.0, 1.0], [2.0, 2.0]]],
+        "T": 2,
+        "intensities": {"lambda_kk": 1, "nu_kk": 1, "xi_kk": 0, "lambda_kj": 1},
+    }
+    path = tmp_path / "coincident.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["ellipse", "--scenario", str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "coincide" in err
+    assert not (tmp_path / "ellipses.csv").exists()

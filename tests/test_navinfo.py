@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from navlim import navinfo
-from navlim.blockfim import ChainBlocks, block_diag, eliminate_block
+from navlim.blockfim import ChainBlocks, SingularBlockError, block_diag, eliminate_block
 from navlim.geom2d import Eigen2, r_dir
 from navlim.models import (
     MobilityModel,
@@ -681,3 +683,145 @@ def test_spatial_step_matrix_consistent_with_assembler():
     scenario = simple_scenario(seed=51, num_agents=2, num_anchors=1, num_steps=1)
     j = assemble_position_efim(scenario)
     np.testing.assert_allclose(spatial_step_matrix(scenario, 0), j.matrix)
+
+
+# ---------------------------------------------------------------------------
+# block-tridiagonal sweep against the dense path
+
+
+def dense_speb_with_rank(j, agent, step):
+    """The dense bound: one eigendecomposition of the whole matrix."""
+    w, v, scale, cutoff = navinfo._scaled_eigh(j.matrix)
+    value = navinfo._block_speb(w, v, scale, j.rows(agent, step), cutoff)
+    return value, int((w <= cutoff).sum())
+
+
+def assert_bounds_agree(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    np.testing.assert_array_equal(np.isposinf(got), np.isposinf(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-9, atol=0.0)
+
+
+@st.composite
+def banded_efims(draw):
+    """Joint EFIMs of generated scenarios: full or radius connectivity,
+    optionally anchor-only pairs and a 1e12 pinning prior, over a window
+    start_step..T-1 whose history enters as the recursion's carry."""
+    na = draw(st.integers(1, 12))
+    t = draw(st.integers(1, 40))
+    cfg = ScenarioConfig(
+        num_agents=na,
+        num_anchors=draw(st.integers(1, 4)),
+        num_steps=t,
+        connectivity=draw(st.one_of(st.none(), st.floats(8.0, 20.0))),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    scenario = generate_scenario(cfg)
+    if draw(st.booleans()):
+        scenario = replace(
+            scenario,
+            pairs=tuple(tuple(p for p in step if p[1] >= na) for step in scenario.pairs),
+        )
+    if draw(st.booleans()):
+        scenario = replace(
+            scenario, priors=tuple((na - 1, n, 1e12 * np.eye(2)) for n in range(t))
+        )
+    start = draw(st.integers(0, t - 1))
+    carry = np.zeros((2 * na, 2 * na))
+    for n in range(1, start + 1):
+        k_full = block_diag(temporal_step_blocks(scenario, n))
+        carry = carry_over_step(k_full, spatial_step_matrix(scenario, n - 1), carry)
+    j = assemble_position_efim(scenario, start_step=start, carry=carry if start else None)
+    lo = draw(st.integers(start, t - 1))
+    hi = draw(st.integers(lo, t - 1))
+    return j, na, lo, hi
+
+
+@settings(max_examples=25, deadline=None)
+@given(banded_efims())
+def test_sweep_matches_dense_path(case):
+    j, na, lo, hi = case
+    keep = {(k, n) for k in range(na) for n in range(lo, hi + 1)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(navinfo, "_SWEEP_MIN_DIM", 0)  # sweep at every size
+        try:
+            want = navinfo._dense_marginal_efim(j, keep)
+        except SingularBlockError:
+            with pytest.raises(SingularBlockError):
+                marginal_efim(j, keep)
+        else:
+            got = marginal_efim(j, keep)
+            assert got.coords == want.coords
+            assert_bounds_agree(block_spebs(got.matrix), block_spebs(want.matrix))
+        for step in {j.coords[0][1], lo, hi}:
+            for k in range(na):
+                value, null_dim = speb_with_rank(j, k, step)
+                want_value, want_null = dense_speb_with_rank(j, k, step)
+                assert_bounds_agree([value], [want_value])
+                assert null_dim == want_null
+
+
+def test_sweep_runs_at_full_size_without_dense_solves(monkeypatch):
+    cfg = ScenarioConfig(num_agents=12, num_anchors=4, num_steps=40, connectivity=10.0, seed=3)
+    j = assemble_position_efim(generate_scenario(cfg, (0,)))
+    last = [(k, 39) for k in range(12)]
+    want_final = block_spebs(navinfo._dense_marginal_efim(j, set(last)).matrix)
+    want_mid = [dense_speb_with_rank(j, k, 20) for k in range(12)]
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense Schur complement called")
+
+    sizes = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(navinfo, "schur_complement", no_dense)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert_bounds_agree(block_spebs(marginal_efim(j, last).matrix), want_final)
+    for k in range(12):
+        assert speb_with_rank(j, k, 20) == pytest.approx(want_mid[k], rel=1e-9)
+    assert max(sizes) == 24
+
+
+def singular_or_unbanded_efim(kind):
+    if kind == "anchorless":
+        return assemble_position_efim(
+            simple_scenario(seed=60, num_agents=5, num_anchors=0, num_steps=10)
+        )
+    if kind == "single-range":
+        # agent 3 ranges once, to one anchor: its track can slide along the normal
+        scenario = simple_scenario(seed=61, num_agents=4, num_anchors=3, num_steps=8)
+        pairs = tuple(
+            tuple(p for p in step if 3 not in p or (n == 0 and p == (3, 4)))
+            for n, step in enumerate(scenario.pairs)
+        )
+        return assemble_position_efim(replace(scenario, pairs=pairs))
+    # eliminated parameter chains couple every pair of steps
+    rng = np.random.default_rng(62)
+    intra = {k: ChainBlocks(**random_chain(rng, steps=8, state_dim=2)[0]) for k in range(3)}
+    return bayesian_efim(3, 8, mobility=MobilityModel(np.eye(2)), intra_chains=intra).total
+
+
+@pytest.mark.parametrize("kind", ["anchorless", "single-range", "bayesian-chains"])
+def test_singular_and_unbanded_inputs_keep_the_dense_path(kind):
+    j = singular_or_unbanded_efim(kind)
+    assert 2 * len(j.coords) > navinfo._SWEEP_MIN_DIM
+    assert navinfo._tridiagonal_blocks(j) is None
+    for k, n in j.coords:
+        assert speb_with_rank(j, k, n) == dense_speb_with_rank(j, k, n)
+    steps = sorted({n for _, n in j.coords})
+    na = len(j.coords) // len(steps)
+    keep = {(k, n) for k in range(na) for n in steps[-2:]}
+    try:
+        want = navinfo._dense_marginal_efim(j, keep)
+    except SingularBlockError:
+        with pytest.raises(SingularBlockError):
+            marginal_efim(j, keep)
+    else:
+        got = marginal_efim(j, keep)
+        assert got.coords == want.coords
+        assert got.matrix.tobytes() == want.matrix.tobytes()
