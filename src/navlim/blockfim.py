@@ -28,7 +28,34 @@ LEAK_TOL = 1e-8
 
 
 class SingularBlockError(Exception):
-    """An eliminated block is singular beyond the pseudo-inverse tolerance."""
+    """An eliminated block is singular beyond the pseudo-inverse tolerance.
+
+    `members` holds the stack index of every failing matrix, () for a
+    single matrix."""
+
+    def __init__(self, message: str, members: tuple[tuple[int, ...], ...] = ((),)):
+        super().__init__(message)
+        self.members = members
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh over a stack of matrices. A LinAlgError names the
+    matrices that failed in `members`, as SingularBlockError does."""
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        exc.members = tuple(
+            idx for idx in np.ndindex(a.shape[:-2]) if not _eigh_converges(a[idx])
+        )
+        raise
+
+
+def _eigh_converges(m: np.ndarray) -> bool:
+    try:
+        np.linalg.eigh(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 class ParamKind(Enum):
@@ -199,29 +226,50 @@ def _reduce(
     exactly. Discarding a null direction is only legal when no
     cross-information enters it (the reduction is then independent of the
     generalized inverse chosen); otherwise `SingularBlockError` is raised.
+
+    Leading axes stack independent reductions (a 2-D call is a stack of
+    one); a failure names the matrices it came from in `members`.
     """
-    nuisance = 0.5 * (nuisance + nuisance.T)
-    if nuisance.size == 0:
+    nuisance = 0.5 * (nuisance + _t(nuisance))
+    if nuisance.shape[-1] == 0:
         return target.copy()
-    diag = np.clip(np.diag(nuisance), 0.0, None)
+    diag = np.clip(np.diagonal(nuisance, axis1=-2, axis2=-1), 0.0, None)
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    w, v = np.linalg.eigh(nuisance / scale[:, None] / scale[None, :])
-    cutoff = PINV_RCOND * np.abs(w).max(initial=0.0)
+    w, v = _eigh(nuisance / scale[..., :, None] / scale[..., None, :])
+    cutoff = PINV_RCOND * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
     null = np.abs(w) <= cutoff
+    v_descaled = v / scale[..., :, None]
     if null.any():
-        null_basis = v[:, null] / scale[:, None]
-        norms = np.linalg.norm(null_basis, axis=0)
-        null_basis = null_basis / np.where(norms > 0.0, norms, 1.0)
-        ref = max(1.0, float(np.linalg.norm(cross)), float(np.linalg.norm(cross_back)))
-        leak = max(
-            float(np.linalg.norm(cross @ null_basis)),
-            float(np.linalg.norm(null_basis.T @ cross_back)),
+        lead = null.shape[:-1]
+        cross_b = np.broadcast_to(cross, (*lead, *cross.shape[-2:]))
+        back_b = np.broadcast_to(cross_back, (*lead, *cross_back.shape[-2:]))
+        leaking = tuple(
+            idx
+            for idx in np.ndindex(lead)
+            if null[idx].any() and _leaks(cross_b[idx], back_b[idx], v_descaled[idx][:, null[idx]])
         )
-        if leak > LEAK_TOL * ref:
-            raise SingularBlockError(f"singular nuisance block in {context}")
+        if leaking:
+            raise SingularBlockError(f"singular nuisance block in {context}", leaking)
     inv_w = np.where(null, 0.0, 1.0) / np.where(null, 1.0, w)
-    v_descaled = v / scale[:, None]
-    return target - (cross @ v_descaled) @ ((inv_w[:, None] * v_descaled.T) @ cross_back)
+    return target - (cross @ v_descaled) @ ((inv_w[..., :, None] * _t(v_descaled)) @ cross_back)
+
+
+def _leaks(cross: np.ndarray, cross_back: np.ndarray, null_basis: np.ndarray) -> bool:
+    """Whether cross-information enters the (unnormalized) null directions
+    beyond round-off."""
+    norms = np.linalg.norm(null_basis, axis=0)
+    null_basis = null_basis / np.where(norms > 0.0, norms, 1.0)
+    ref = max(1.0, float(np.linalg.norm(cross)), float(np.linalg.norm(cross_back)))
+    leak = max(
+        float(np.linalg.norm(cross @ null_basis)),
+        float(np.linalg.norm(null_basis.T @ cross_back)),
+    )
+    return leak > LEAK_TOL * ref
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes."""
+    return np.swapaxes(a, -1, -2)
 
 
 def eliminate_block(
@@ -233,13 +281,13 @@ def eliminate_block(
     """One-shot nuisance reduction: target - cross @ nuisance^-1 @ cross_back.
 
     `cross_back` defaults to cross.T (the symmetric case). Scalar inputs
-    return a float.
+    return a float; leading axes stack independent reductions.
     """
     scalar = np.ndim(target) == 0
     a = np.atleast_2d(np.asarray(target, dtype=float))
     b = np.atleast_2d(np.asarray(cross, dtype=float))
     c = np.atleast_2d(np.asarray(nuisance, dtype=float))
-    bt = b.T if cross_back is None else np.atleast_2d(np.asarray(cross_back, dtype=float))
+    bt = _t(b) if cross_back is None else np.atleast_2d(np.asarray(cross_back, dtype=float))
     out = _reduce(a, b, c, bt, "eliminate_block")
     return float(out[0, 0]) if scalar else out
 

@@ -10,15 +10,19 @@ mobility prior contributes the classic tridiagonal inverse-covariance stripe.
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from . import blockfim
-from .geom2d import r_dir, rotation
 
 # Displacements below this (meters) count as zero: the step direction is
 # undefined there.
 ZERO_DISPLACEMENT = 1e-12
+
+# Relative distance from the radius below which `radius_pairs` re-checks a
+# pair with the per-pair norm (row norms agree with it to about 1e-16).
+_RADIUS_TIE = 1e-12
 
 
 class GeometryError(ValueError):
@@ -105,12 +109,17 @@ class RangeModel:
             return self.intensity
         return range_intensity_from_sigmas(self.sigma_range, self.sigma_bias)
 
-    def intensity_at(self, k: int, j: int, n: int) -> float:
-        if self.table is not None:
-            key = (min(k, j), max(k, j), n)
-            if key in self.table:
-                return self.table[key]
-        return self.base_intensity()
+    def intensity_at(self, k, j, n) -> np.ndarray:
+        """Intensities of pairs (k, j) at steps n; the indices broadcast."""
+        k, j, n = np.broadcast_arrays(k, j, n)
+        out = np.full(k.shape, self.base_intensity(), dtype=float)
+        if self.table:
+            lo, hi = np.minimum(k, j), np.maximum(k, j)
+            for idx, key in enumerate(zip(lo.flat, hi.flat, n.flat)):
+                value = self.table.get(tuple(map(int, key)))
+                if value is not None:
+                    out.flat[idx] = value
+        return out
 
 
 @dataclass(frozen=True)
@@ -134,10 +143,18 @@ class VelocityModel:
             for along, across, couple in self.table.values():
                 _check_intensity_triple(along, across, couple)
 
-    def coeffs_at(self, k: int, n: int) -> tuple[float, float, float]:
-        if self.table is not None and (k, n) in self.table:
-            return self.table[(k, n)]
-        return (self.along, self.across, self.couple)
+    def coeffs_at(self, k, n) -> np.ndarray:
+        """(along, across, couple) of agents k at steps n, stacked on a last
+        axis of length 3; the indices broadcast."""
+        k, n = np.broadcast_arrays(k, n)
+        out = np.empty((*k.shape, 3))
+        out[...] = (self.along, self.across, self.couple)
+        if self.table:
+            for idx, key in enumerate(zip(k.flat, n.flat)):
+                value = self.table.get(tuple(map(int, key)))
+                if value is not None:
+                    out.reshape(-1, 3)[idx] = value
+        return out
 
 
 def _check_intensity_triple(along: float, across: float, couple: float) -> None:
@@ -246,15 +263,17 @@ def full_pairs(geometry: ScenarioGeometry) -> tuple[tuple[tuple[int, int], ...],
 
 def radius_pairs(geometry: ScenarioGeometry, radius: float) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Pairs within the ranging radius, evaluated per step."""
-    out = []
-    for n in range(geometry.num_steps):
-        step_pairs = []
-        for k in range(geometry.num_agents):
-            for j in range(k + 1, geometry.num_nodes):
-                if geometry.pair_distance(k, j, n) <= radius:
-                    step_pairs.append((k, j))
-        out.append(tuple(step_pairs))
-    return tuple(out)
+    k, j = np.triu_indices(geometry.num_nodes, 1)
+    k, j = k[k < geometry.num_agents], j[k < geometry.num_agents]
+    dist = np.linalg.norm(geometry.paths[j] - geometry.paths[k], axis=-1)
+    # The row norm may differ from the per-pair `pair_distance` in the last
+    # bit; pairs that close to the radius are decided by `pair_distance`.
+    near = np.abs(dist - radius) <= _RADIUS_TIE * radius
+    inside = dist <= radius
+    for p, n in zip(*np.nonzero(near)):
+        inside[p, n] = geometry.pair_distance(k[p], j[p], n) <= radius
+    pairs = list(zip(k.tolist(), j.tolist()))
+    return tuple(tuple(compress(pairs, column)) for column in inside.T.tolist())
 
 
 @dataclass(frozen=True)
@@ -276,12 +295,16 @@ class Scenario:
     def __post_init__(self):
         if len(self.pairs) != self.geometry.num_steps:
             raise ValueError("pairs must list every step")
-        for n, step_pairs in enumerate(self.pairs):
-            for k, j in step_pairs:
-                if not (0 <= k < j < self.geometry.num_nodes):
-                    raise ValueError(f"bad pair ({k}, {j}) at step {n}")
-                if k >= self.geometry.num_agents:
-                    raise ValueError(f"pair ({k}, {j}) has no agent side")
+        k, j, n = index = _pair_index(self.pairs)
+        object.__setattr__(self, "_pair_index", index)
+        bad = ~((0 <= k) & (k < j) & (j < self.geometry.num_nodes))
+        no_agent = k >= self.geometry.num_agents
+        first = np.flatnonzero(bad | no_agent)
+        if first.size:
+            i = first[0]
+            if bad[i]:
+                raise ValueError(f"bad pair ({k[i]}, {j[i]}) at step {n[i]}")
+            raise ValueError(f"pair ({k[i]}, {j[i]}) has no agent side")
         for k, n, block in self.priors:
             if not (0 <= k < self.geometry.num_agents):
                 raise ValueError(f"prior on unknown agent {k}")
@@ -290,40 +313,89 @@ class Scenario:
             if np.asarray(block).shape != (2, 2):
                 raise ValueError("prior blocks must be 2x2")
 
+    def pair_index(self, first: int, stop: int):
+        """(k, j, n) index arrays of the pairs measured at steps
+        first..stop-1, in `pairs` order."""
+        k, j, n = self._pair_index
+        window = (first <= n) & (n < stop)
+        return k[window], j[window], n[window]
+
+
+def _pair_index(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, j, n) index arrays of a per-step pair listing, in listing order.
+    Steps sharing one listing object (as `full_pairs` builds them) convert
+    it once."""
+    converted: dict[int, np.ndarray] = {}
+    for step_pairs in pairs:
+        if id(step_pairs) not in converted:
+            arr = np.array(step_pairs, dtype=int)
+            if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
+                raise ValueError("pairs must be (k, j) index tuples")
+            converted[id(step_pairs)] = arr.reshape(-1, 2)
+    per_step = [converted[id(step_pairs)] for step_pairs in pairs]
+    flat = np.concatenate(per_step) if per_step else np.zeros((0, 2), dtype=int)
+    steps = np.repeat(np.arange(len(per_step)), [len(a) for a in per_step])
+    return flat[:, 0], flat[:, 1], steps
+
 
 def spatial_block(
-    geometry: ScenarioGeometry, k: int, j: int, n: int, model: RangeModel
+    geometry: ScenarioGeometry, k, j, n, model: RangeModel
 ) -> np.ndarray:
-    """Rank-1 ranging information block of pair (k, j) at step n."""
+    """Rank-1 ranging information blocks lam * u u^T of pairs (k, j) at steps
+    n, u the unit vector from node k to node j.
+
+    The indices broadcast; the result has shape (..., 2, 2). A zero
+    intensity gives a zero block whatever the geometry.
+    """
+    k, j, n = np.broadcast_arrays(k, j, n)
     lam = model.intensity_at(k, j, n)
-    if lam == 0.0:
-        return np.zeros((2, 2))
-    return lam * r_dir(geometry.pair_angle(k, j, n))
+    diff = geometry.paths[j, n] - geometry.paths[k, n]
+    dist = np.linalg.norm(diff, axis=-1)
+    coincide = (lam != 0.0) & (dist <= ZERO_DISPLACEMENT)
+    if coincide.any():
+        at = tuple(a[coincide].flat[0] for a in (k, j, n))
+        raise GeometryError(
+            "undefined direction: nodes {} and {} coincide at step {}".format(*at)
+        )
+    u = diff / np.where(dist > 0.0, dist, 1.0)[..., None]
+    return lam[..., None, None] * (u[..., :, None] * u[..., None, :])
 
 
 def temporal_block(
-    geometry: ScenarioGeometry, k: int, n: int, model: VelocityModel
+    geometry: ScenarioGeometry, k, n, model: VelocityModel
 ) -> np.ndarray:
-    """Velocity information block of agent k for the step into n (n >= 1),
+    """Velocity information blocks of agents k for the steps into n (n >= 1),
     expressed in world coordinates.
 
-    The intensity triple lives in the frame of the step displacement; the
-    block is that 2x2 matrix conjugated by the step-direction rotation. A zero
-    displacement is only acceptable for isotropic intensities (along ==
-    across, couple == 0), where no direction is needed.
+    The indices broadcast; the result has shape (..., 2, 2). The intensity
+    triple lives in the frame of the step displacement (c, s): the block is
+    R L R^T with R = [[c, -s], [s, c]] and L = [[along, couple], [couple,
+    across]]. Isotropic intensities (along == across, couple == 0) give
+    exactly along * I, so a zero displacement is acceptable only there.
     """
-    along, across, couple = model.coeffs_at(k, n)
-    d = geometry.step_distance(k, n)
-    if d <= ZERO_DISPLACEMENT:
-        if couple == 0.0 and along == across:
-            return along * np.eye(2)
-        raise GeometryError(
-            f"zero displacement with direction-dependent intensities (agent {k}, step {n})"
-        )
-    rot = rotation(geometry.step_angle(k, n))
-    local = np.array([[along, couple], [couple, across]])
-    out = rot @ local @ rot.T
-    return 0.5 * (out + out.T)
+    k, n = np.broadcast_arrays(k, n)
+    if (n < 1).any():
+        raise ValueError("step displacement needs n >= 1")
+    coeffs = model.coeffs_at(k, n)
+    along, across, couple = coeffs[..., 0], coeffs[..., 1], coeffs[..., 2]
+    out = along[..., None, None] * np.eye(2)
+    turn = (couple != 0.0) | (along != across)
+    if turn.any():
+        disp = geometry.paths[k[turn], n[turn]] - geometry.paths[k[turn], n[turn] - 1]
+        dist = np.linalg.norm(disp, axis=-1)
+        still = dist <= ZERO_DISPLACEMENT
+        if still.any():
+            raise GeometryError(
+                "zero displacement with direction-dependent intensities "
+                f"(agent {k[turn][still][0]}, step {n[turn][still][0]})"
+            )
+        c, s = disp[:, 0] / dist, disp[:, 1] / dist
+        rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+        lc = coeffs[turn]
+        local = np.stack([lc[:, [0, 2]], lc[:, [2, 1]]], axis=1)
+        blocks = np.einsum("mij,mjk,mlk->mil", rot, local, rot)
+        out[turn] = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    return out
 
 
 def mobility_blocks(

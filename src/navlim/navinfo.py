@@ -12,11 +12,12 @@ matrix.
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .blockfim import (
+    _eigh,
     BlockLayout,
     BlockSymMatrix,
     ChainBlocks,
@@ -30,6 +31,7 @@ from .blockfim import (
 from .geom2d import Eigen2, eigen2, r_cross, r_dir, unit_vector
 from .models import (
     MobilityModel,
+    RangeModel,
     Scenario,
     mobility_blocks,
     range_intensity_via_reduction,
@@ -108,6 +110,84 @@ def _scatter(matrix: np.ndarray, ri: slice, ci: slice, block: np.ndarray) -> Non
         matrix[ci, ri] += block.T
 
 
+def _spatial_matrices(
+    scenario: Scenario,
+    first: int,
+    stop: int,
+    model: RangeModel | None = None,
+    anchors_only: bool = False,
+) -> np.ndarray:
+    """Network ranging matrices of steps first..stop-1, priors included,
+    shape (steps, 2*Na, 2*Na).
+
+    Every pair's `spatial_block` lands on its agent's diagonal; agent-peer
+    blocks then land on the peer's diagonal and, negated, between the two.
+    A diagonal block sums the pairs its agent opens before those it closes,
+    each in pair order: the sweep CSVs depend on that order to the last
+    bit. `model` replaces the scenario's range model; `anchors_only` keeps
+    agent-anchor pairs only.
+    """
+    geom = scenario.geometry
+    na, steps = geom.num_agents, stop - first
+    model = scenario.range_model if model is None else model
+    out = np.zeros((steps, na, na, 2, 2))
+    if model is not None:
+        k, peer, n = scenario.pair_index(first, stop)
+        if anchors_only:
+            anchor = peer >= na
+            k, peer, n = k[anchor], peer[anchor], n[anchor]
+        blocks = spatial_block(geom, k, peer, n, model)
+        agent_peer = peer < na
+        ap_n, ap_k, ap_peer, ap_blocks = (a[agent_peer] for a in (n, k, peer, blocks))
+        np.add.at(
+            out,
+            (
+                np.concatenate([n, ap_n, ap_n, ap_n]) - first,
+                np.concatenate([k, ap_peer, ap_k, ap_peer]),
+                np.concatenate([k, ap_peer, ap_peer, ap_k]),
+            ),
+            np.concatenate([blocks, ap_blocks, -ap_blocks, -ap_blocks.transpose(0, 2, 1)]),
+        )
+    for k, n, blk in scenario.priors:
+        if first <= n < stop:
+            out[n - first, k, k] += np.asarray(blk, dtype=float)
+    return out.transpose(0, 1, 3, 2, 4).reshape(steps, 2 * na, 2 * na)
+
+
+def _temporal_matrices(scenario: Scenario, first: int, stop: int) -> np.ndarray:
+    """Block-diagonal network velocity matrices of the transitions into steps
+    first..stop-1 (first >= 1), shape (steps, 2*Na, 2*Na); zero without a
+    velocity model."""
+    na, steps = scenario.geometry.num_agents, stop - first
+    out = np.zeros((steps, na, na, 2, 2))
+    if scenario.velocity_model is not None and steps > 0:
+        agents = np.arange(na)
+        out[:, agents, agents] = temporal_block(
+            scenario.geometry,
+            agents[None, :],
+            np.arange(first, stop)[:, None],
+            scenario.velocity_model,
+        )
+    return out.transpose(0, 1, 3, 2, 4).reshape(steps, 2 * na, 2 * na)
+
+
+def _band_matrix(diag: np.ndarray, links: np.ndarray) -> np.ndarray:
+    """Joint matrix over consecutive steps in time-major order: diag[n] on
+    step n's diagonal block, and each links[n], a relative measurement
+    between steps n and n+1, added to both steps' diagonals and subtracted
+    between them."""
+    steps, size = diag.shape[0], diag.shape[-1]
+    d = diag.copy()
+    d[:-1] += links
+    d[1:] += links
+    out = np.zeros((steps, size, steps, size))
+    idx = np.arange(steps)
+    out[idx, :, idx, :] = d
+    out[idx[:-1], :, idx[1:], :] = -links
+    out[idx[1:], :, idx[:-1], :] = -links.transpose(0, 2, 1)
+    return out.reshape(steps * size, steps * size)
+
+
 def assemble_position_efim(
     scenario: Scenario,
     start_step: int = 0,
@@ -129,37 +209,16 @@ def assemble_position_efim(
     na, t = geom.num_agents, geom.num_steps
     if not 0 <= start_step < t:
         raise ValueError("start_step out of range")
-    coords = position_coords(na, t, start_step)
-    matrix = np.zeros((2 * len(coords), 2 * len(coords)))
-    j = JointEfim(coords, matrix)
-
-    if scenario.range_model is not None:
-        for n in range(start_step, t):
-            for k, peer in scenario.pairs[n]:
-                blk = spatial_block(geom, k, peer, n, scenario.range_model)
-                _scatter(matrix, j.rows(k, n), j.rows(k, n), blk)
-                if peer < na:
-                    _scatter(matrix, j.rows(peer, n), j.rows(peer, n), blk)
-                    _scatter(matrix, j.rows(k, n), j.rows(peer, n), -blk)
-
-    if scenario.velocity_model is not None:
-        for n in range(max(start_step + 1, 1), t):
-            for k in range(na):
-                blk = temporal_block(geom, k, n, scenario.velocity_model)
-                _scatter(matrix, j.rows(k, n - 1), j.rows(k, n - 1), blk)
-                _scatter(matrix, j.rows(k, n), j.rows(k, n), blk)
-                _scatter(matrix, j.rows(k, n - 1), j.rows(k, n), -blk)
-
-    for k, n, blk in scenario.priors:
-        if n >= start_step:
-            _scatter(matrix, j.rows(k, n), j.rows(k, n), np.asarray(blk, dtype=float))
-
+    matrix = _band_matrix(
+        _spatial_matrices(scenario, start_step, t),
+        _temporal_matrices(scenario, start_step + 1, t),
+    )
     if carry is not None:
         carry = np.asarray(carry, dtype=float)
         if carry.shape != (2 * na, 2 * na):
             raise ValueError("carry block must cover all agents of one step")
         matrix[: 2 * na, : 2 * na] += carry
-    return j
+    return JointEfim(position_coords(na, t, start_step), matrix)
 
 
 def independent_params_efim(
@@ -186,28 +245,17 @@ def independent_params_efim(
         )
     geom = scenario.geometry
     na, t = geom.num_agents, geom.num_steps
-    coords = position_coords(na, t)
-    matrix = np.zeros((2 * len(coords), 2 * len(coords)))
-    j = JointEfim(coords, matrix)
-
     model = scenario.range_model
-    if model is not None:
-        for n in range(t):
-            for k, peer in scenario.pairs[n]:
-                key = (min(k, peer), max(k, peer), n)
-                if model.table is not None and key in model.table:
-                    lam = model.table[key]
-                elif model.sigma_range is not None:
-                    lam = range_intensity_via_reduction(
-                        model.sigma_range, model.sigma_bias
-                    )
-                else:
-                    lam = model.intensity_at(k, peer, n)
-                blk = lam * r_dir(geom.pair_angle(k, peer, n)) if lam else np.zeros((2, 2))
-                _scatter(matrix, j.rows(k, n), j.rows(k, n), blk)
-                if peer < na:
-                    _scatter(matrix, j.rows(peer, n), j.rows(peer, n), blk)
-                    _scatter(matrix, j.rows(k, n), j.rows(peer, n), -blk)
+    if model is not None and model.sigma_range is not None:
+        # pairs without a table entry take the intensity of the reduction
+        model = replace(
+            model,
+            intensity=range_intensity_via_reduction(model.sigma_range, model.sigma_bias),
+            sigma_range=None,
+        )
+    s = _spatial_matrices(scenario, 0, t, model)
+    matrix = _band_matrix(s, np.zeros((max(t - 1, 0), *s.shape[1:])))
+    j = JointEfim(position_coords(na, t), matrix)
 
     for (k, n), blk in (state_info or {}).items():
         _scatter(matrix, j.rows(k, n), j.rows(k, n), np.asarray(blk, dtype=float))
@@ -216,9 +264,6 @@ def independent_params_efim(
         for k in range(na):
             for n, m, blk in mobility_blocks(scenario.mobility, t):
                 _scatter(matrix, j.rows(k, n), j.rows(k, m), blk)
-
-    for k, n, blk in scenario.priors:
-        _scatter(matrix, j.rows(k, n), j.rows(k, n), np.asarray(blk, dtype=float))
     return j
 
 
@@ -440,19 +485,21 @@ def carry_over_step(
     eigenvalues under that noise floor are returned as exact zeros; an
     uninformed past then carries exactly nothing instead of eps-scale noise
     that later stages could mistake for information.
+
+    Leading axes stack independent recursions; a 2-D call is a stack of one.
     """
     k = np.asarray(k_now, dtype=float)
     total = np.asarray(s_prev, dtype=float) + k
     if carry_prev is not None:
         total = total + np.asarray(carry_prev, dtype=float)
     out = eliminate_block(k, k, total, k)
-    out = 0.5 * (out + out.T)
-    if out.size == 0:
+    out = 0.5 * (out + np.swapaxes(out, -1, -2))
+    if out.shape[-1] == 0:
         return out
-    w, v = np.linalg.eigh(out)
-    floor = 32.0 * len(w) * np.finfo(float).eps * float(np.abs(k).max(initial=0.0))
-    w = np.where(w > floor, w, 0.0)
-    return (v * w) @ v.T
+    w, v = _eigh(out)
+    scale = np.abs(k).max(axis=(-2, -1), initial=0.0)[..., None]
+    w = np.where(w > 32.0 * w.shape[-1] * np.finfo(float).eps * scale, w, 0.0)
+    return (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def individual_efims(total: np.ndarray) -> list[np.ndarray]:
@@ -502,36 +549,17 @@ def distributed_carry_over(
 
 def spatial_step_matrix(scenario: Scenario, n: int) -> np.ndarray:
     """Network ranging matrix of one time step (2*Na x 2*Na): pair blocks on
-    both member diagonals, their negatives between agent pairs."""
-    geom = scenario.geometry
-    na = geom.num_agents
-    out = np.zeros((2 * na, 2 * na))
-    if scenario.range_model is None:
-        return out
-    for k, peer in scenario.pairs[n]:
-        blk = spatial_block(geom, k, peer, n, scenario.range_model)
-        rk = slice(2 * k, 2 * k + 2)
-        out[rk, rk] += blk
-        if peer < na:
-            rp = slice(2 * peer, 2 * peer + 2)
-            out[rp, rp] += blk
-            out[rk, rp] -= blk
-            out[rp, rk] -= blk.T
-    for k, step, blk in scenario.priors:
-        if step == n:
-            rk = slice(2 * k, 2 * k + 2)
-            out[rk, rk] += np.asarray(blk, dtype=float)
-    return out
+    both member diagonals, their negatives between agent pairs, plus the
+    step's priors."""
+    return _spatial_matrices(scenario, n, n + 1)[0]
 
 
 def temporal_step_blocks(scenario: Scenario, n: int) -> list[np.ndarray]:
     """Per-agent velocity blocks for the transition into step n (n >= 1)."""
+    na = scenario.geometry.num_agents
     if scenario.velocity_model is None:
-        return [np.zeros((2, 2)) for _ in range(scenario.geometry.num_agents)]
-    return [
-        temporal_block(scenario.geometry, k, n, scenario.velocity_model)
-        for k in range(scenario.geometry.num_agents)
-    ]
+        return [np.zeros((2, 2)) for _ in range(na)]
+    return list(temporal_block(scenario.geometry, np.arange(na), n, scenario.velocity_model))
 
 
 @dataclass(frozen=True)
@@ -641,14 +669,14 @@ def _scaled_eigh(matrix: np.ndarray):
     space but removes artificial conditioning from scale imbalance (a 1e12
     pinning prior next to ordinary m^-2 information would otherwise drown the
     small eigenvalues in round-off). Returns (eigenvalues, eigenvectors,
-    scale, null cutoff).
+    scale, null cutoff); leading axes stack independent matrices.
     """
-    matrix = 0.5 * (matrix + matrix.T)
-    diag = np.clip(np.diag(matrix), 0.0, None)
+    matrix = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
+    diag = np.clip(np.diagonal(matrix, axis1=-2, axis2=-1), 0.0, None)
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    scaled = matrix / scale[:, None] / scale[None, :]
-    w, v = np.linalg.eigh(scaled)
-    cutoff = _SPEB_NULL_FACTOR * max(len(w), 1) * float(np.abs(w).max(initial=0.0))
+    scaled = matrix / scale[..., :, None] / scale[..., None, :]
+    w, v = _eigh(scaled)
+    cutoff = _SPEB_NULL_FACTOR * max(w.shape[-1], 1) * np.abs(w).max(axis=-1, initial=0.0)
     return w, v, scale, cutoff
 
 
@@ -684,7 +712,7 @@ def speb_with_rank(j: JointEfim, agent: int, step: int) -> tuple[float, int]:
     if window is not None:
         matrix, rows = window, slice(2 * agent, 2 * agent + 2)
     w, v, scale, cutoff = _scaled_eigh(matrix)
-    value = _block_speb(w, v, scale, rows, cutoff)
+    value = _block_speb(w, v, scale, rows, float(cutoff))
     return value, int((w <= cutoff).sum())
 
 
@@ -697,11 +725,25 @@ def block_spebs(matrix: np.ndarray) -> np.ndarray:
     """Per-block SPEB of a symmetric matrix of consecutive 2x2 blocks.
 
     Used on single-step network matrices (2*Na x 2*Na): returns one value per
-    agent, +inf where the null space touches the agent.
+    agent, +inf where the null space touches the agent. Leading axes stack
+    independent matrices: (..., 2*Na, 2*Na) gives (..., Na).
     """
     matrix = np.asarray(matrix, dtype=float)
-    na = matrix.shape[0] // 2
+    lead, dim = matrix.shape[:-2], matrix.shape[-1]
+    na = dim // 2
     w, v, scale, cutoff = _scaled_eigh(matrix)
-    return np.array(
-        [_block_speb(w, v, scale, slice(2 * k, 2 * k + 2), cutoff) for k in range(na)]
-    )
+    null = w <= cutoff[..., None]
+    # mass[..., k, i]: weight of eigenvector i on agent k's block
+    mass = (
+        (v.reshape(*lead, na, 2, dim) / scale.reshape(*lead, na, 2)[..., None]) ** 2
+    ).sum(axis=-2)
+    out = (mass / np.where(null, 1.0, w)[..., None, :]).sum(axis=-1)
+    # Null directions must drop out of the sum, and a masked row sum would
+    # round differently from the sum over kept directions alone, so
+    # matrices with null directions take the per-agent path.
+    for idx in map(tuple, np.argwhere(null.any(axis=-1))):
+        out[idx] = [
+            _block_speb(w[idx], v[idx], scale[idx], slice(2 * k, 2 * k + 2), cutoff[idx])
+            for k in range(na)
+        ]
+    return out

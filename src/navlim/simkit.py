@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import navinfo
-from .blockfim import SingularBlockError, block_diag
+from .blockfim import SingularBlockError
 from .models import (
     GeometryError,
     MobilityModel,
@@ -37,6 +37,11 @@ _AUDIT_ENTROPY = 0xA0D17
 FAILURE_BUDGET = 0.01
 
 AUDIT_TOL = 1e-9
+
+# Trials per stacked carry-over recursion. A chunk's step matrices (ranging,
+# anchor-only ranging, velocity) take 24 * CHUNK_TRIALS * T * (2 * Na)^2
+# bytes; 32 runs the 25-trial benchmark calls as one chunk.
+CHUNK_TRIALS = 32
 
 
 class ConfigError(ValueError):
@@ -191,93 +196,100 @@ def scenario_hash(scenario: Scenario) -> str:
     return digest.hexdigest()
 
 
-def _spatial_matrix(
-    positions: np.ndarray, pairs: np.ndarray, intensity: float, num_agents: int
+def _recursion(
+    s_full: np.ndarray, s_anchor: np.ndarray, k: np.ndarray, modes, final_only: bool
 ) -> np.ndarray:
-    """Single-step ranging matrix over all agents, vectorized over pairs."""
-    out4 = np.zeros((num_agents, num_agents, 2, 2))
-    if pairs.size:
-        k, j = pairs[:, 0], pairs[:, 1]
-        diff = positions[j] - positions[k]
-        dist = np.linalg.norm(diff, axis=1)
-        if (dist <= 1e-12).any():
-            raise GeometryError("coincident nodes in ranging pair")
-        u = diff / dist[:, None]
-        blocks = intensity * np.einsum("pi,pj->pij", u, u)
-        np.add.at(out4, (k, k), blocks)
-        agent_peer = j < num_agents
-        if agent_peer.any():
-            ka, ja, ba = k[agent_peer], j[agent_peer], blocks[agent_peer]
-            np.add.at(out4, (ja, ja), ba)
-            np.add.at(out4, (ka, ja), -ba)
-            np.add.at(out4, (ja, ka), -ba.transpose(0, 2, 1))
-    return out4.transpose(0, 2, 1, 3).reshape(2 * num_agents, 2 * num_agents)
-
-
-def _temporal_blocks(displacements: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
-    """Per-agent velocity blocks for one transition, shape (num_agents, 2, 2)."""
-    if cfg.vel_couple == 0.0 and cfg.vel_along == cfg.vel_across:
-        # Isotropic intensities: the rotated block is the same in any frame.
-        return np.broadcast_to(
-            cfg.vel_along * np.eye(2), (len(displacements), 2, 2)
-        ).copy()
-    dist = np.linalg.norm(displacements, axis=1)
-    if (dist <= 1e-12).any():
-        raise GeometryError("zero displacement with direction-dependent intensities")
-    c, s = displacements[:, 0] / dist, displacements[:, 1] / dist
-    rot = np.stack(
-        [np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1
-    )
-    local = np.array(
-        [[cfg.vel_along, cfg.vel_couple], [cfg.vel_couple, cfg.vel_across]]
-    )
-    blocks = np.einsum("nij,jk,nlk->nil", rot, local, rot)
-    return 0.5 * (blocks + blocks.transpose(0, 2, 1))
-
-
-def _trial_spebs(
-    scenario: Scenario, cfg: ScenarioConfig, modes, final_only: bool = False
-) -> dict[str, np.ndarray]:
-    """Final-step network SPEBs for every horizon 1..T and mode; with
-    `final_only`, one row for the full horizon T (the carry-over still runs
-    through every step)."""
-    geom = scenario.geometry
-    na, t = geom.num_agents, geom.num_steps
-    positions = geom.paths
-    s_full, s_anchor = [], []
-    for n in range(t):
-        pair_arr = np.array(scenario.pairs[n], dtype=int).reshape(-1, 2)
-        anchor_arr = pair_arr[pair_arr[:, 1] >= na] if pair_arr.size else pair_arr
-        s_full.append(
-            _spatial_matrix(positions[:, n], pair_arr, cfg.range_intensity, na)
-        )
-        s_anchor.append(
-            _spatial_matrix(positions[:, n], anchor_arr, cfg.range_intensity, na)
-        )
-    k_blocks = [
-        _temporal_blocks(positions[:na, n] - positions[:na, n - 1], cfg)
-        for n in range(1, t)
-    ]
-
+    """Final-step network SPEBs, shape (trials, modes, horizons, Na), from
+    matrices stacked over trials: ranging (trials, T, 2Na, 2Na), anchor-only
+    ranging alike, and velocity (trials, T-1, 2Na, 2Na). Row n holds the
+    horizon n+1; with `final_only`, one row for the full horizon T (the
+    carry-over still runs through every step). The modes that carry
+    information over time share one stacked recursion."""
+    trials, t, size = s_full.shape[:3]
     first = t - 1 if final_only else 0
-    out: dict[str, np.ndarray] = {}
-    for mode in modes:
-        spebs = np.empty((t - first, na))
-        if mode is CoopMode.SPATIAL_ONLY:
-            for n in range(first, t):
-                spebs[n - first] = navinfo.block_spebs(s_full[n])
-        else:
-            s_steps = s_full if mode is CoopMode.JOINT else s_anchor
-            carry = np.zeros((2 * na, 2 * na))
-            if first == 0:
-                spebs[0] = navinfo.block_spebs(s_steps[0])
-            for n in range(1, t):
-                k_full = block_diag(list(k_blocks[n - 1]))
-                carry = navinfo.carry_over_step(k_full, s_steps[n - 1], carry)
-                if n >= first:
-                    spebs[n - first] = navinfo.block_spebs(s_steps[n] + carry)
-        out[mode.value] = spebs
+    sources = [s_anchor if mode is CoopMode.TEMPORAL_ONLY else s_full for mode in modes]
+    carried = np.array([mode is not CoopMode.SPATIAL_ONLY for mode in modes])
+    carry = np.zeros((trials, int(carried.sum()), size, size))
+    out = np.empty((trials, len(modes), t - first, size // 2))
+    for n in range(t):
+        s_now = np.stack([source[:, n] for source in sources], axis=1)
+        carrying = n > 0 and carried.any()
+        if carrying:
+            carry = navinfo.carry_over_step(k[:, None, n - 1], s_prev[:, carried], carry)
+        if n >= first:
+            totals = s_now.copy()
+            if carrying:
+                totals[:, carried] += carry
+            out[:, :, n - first] = navinfo.block_spebs(totals)
+        s_prev = s_now
     return out
+
+
+def _stacked_spebs(
+    scenarios: list[Scenario], modes, final_only: bool = False
+) -> list[dict[str, np.ndarray] | Exception]:
+    """Per-scenario SPEBs of `_recursion`, stacked over scenarios of equal
+    shape. A failure is charged to the scenario it came from: its entry is
+    the exception, and the others are recomputed without it, which leaves
+    their values unchanged (stacked numpy linear algebra is bitwise equal to
+    per-matrix calls)."""
+    results: list = [None] * len(scenarios)
+    live: list[int] = []
+    stacks: list[np.ndarray] = []
+    for i, scenario in enumerate(scenarios):
+        t = scenario.geometry.num_steps
+        try:
+            parts = (
+                navinfo._spatial_matrices(scenario, 0, t),
+                navinfo._spatial_matrices(scenario, 0, t, anchors_only=True),
+                navinfo._temporal_matrices(scenario, 1, t),
+            )
+        except _TRIAL_FAILURES as exc:
+            results[i] = exc
+            continue
+        if not stacks:
+            stacks = [np.empty((len(scenarios), *part.shape)) for part in parts]
+        for stack, part in zip(stacks, parts):
+            stack[len(live)] = part
+        live.append(i)
+    stacks = [stack[: len(live)] for stack in stacks]
+    while live:
+        try:
+            spebs = _recursion(*stacks, modes, final_only)
+        except _TRIAL_FAILURES as exc:
+            # every failure of the recursion names its stack members
+            dropped = sorted({member[0] for member in exc.members})
+            for pos in reversed(dropped):
+                results[live.pop(pos)] = exc
+            stacks = [np.delete(stack, dropped, axis=0) for stack in stacks]
+            continue
+        for pos, i in enumerate(live):
+            results[i] = {mode.value: spebs[pos, m] for m, mode in enumerate(modes)}
+        break
+    return results
+
+
+def _trial_spebs(scenario: Scenario, modes, final_only: bool = False) -> dict[str, np.ndarray]:
+    """`_stacked_spebs` of one scenario; a failure raises."""
+    [result] = _stacked_spebs([scenario], modes, final_only)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _run_chunk(
+    cfg: ScenarioConfig, entropies, modes, final_only: bool = False
+) -> list[dict[str, np.ndarray] | Exception]:
+    """`_stacked_spebs` of the trials drawn with the given entropy tuples."""
+    return _stacked_spebs(
+        [generate_scenario(cfg, entropy) for entropy in entropies], modes, final_only
+    )
+
+
+def _chunks(trials: int) -> list[range]:
+    return [
+        range(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)
+    ]
 
 
 def run_trial(cfg: ScenarioConfig, trial_index: int, modes=ALL_MODES) -> TrialRecord:
@@ -286,7 +298,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, modes=ALL_MODES) -> TrialRe
     return TrialRecord(
         trial_index=trial_index,
         scenario_hash=scenario_hash(scenario),
-        spebs=_trial_spebs(scenario, cfg, modes),
+        spebs=_trial_spebs(scenario, modes),
     )
 
 
@@ -312,14 +324,25 @@ def _audit_recursion(cfg: ScenarioConfig) -> None:
         connectivity=None,
     )
     scenario = generate_scenario(small, (_AUDIT_ENTROPY,))
-    spebs = _trial_spebs(scenario, small, (CoopMode.JOINT,))[CoopMode.JOINT.value]
+    spebs = _trial_spebs(scenario, (CoopMode.JOINT,))[CoopMode.JOINT.value]
     na = small.num_agents
     for horizon in range(1, small.num_steps + 1):
         sub = _truncated(scenario, horizon)
         full = navinfo.assemble_position_efim(sub)
         final = navinfo._dense_marginal_efim(full, {(k, horizon - 1) for k in range(na)})
         direct = navinfo.block_spebs(final.matrix)
-        rel = np.abs(direct - spebs[horizon - 1]) / np.maximum(np.abs(direct), 1e-30)
+        recursive = spebs[horizon - 1]
+        # Both paths report +inf for an unobservable agent (one anchor leaves
+        # the rotation about it unobserved); the other bounds must be finite
+        # and agree.
+        unbounded = np.isposinf(direct)
+        if not np.array_equal(unbounded, np.isposinf(recursive)):
+            raise AuditError(
+                f"carry-over recursion disagrees with marginalization "
+                f"(seed={cfg.seed}, horizon={horizon}, +inf bounds differ)"
+            )
+        direct, recursive = direct[~unbounded], recursive[~unbounded]
+        rel = np.abs(direct - recursive) / np.maximum(np.abs(direct), 1e-30)
         if not (rel < AUDIT_TOL).all():
             raise AuditError(
                 f"carry-over recursion disagrees with marginalization "
@@ -367,14 +390,13 @@ def sweep_time(
         return table
     per_mode: dict[str, list[np.ndarray]] = {m.value: [] for m in modes}
     failed = 0
-    for trial in range(trials):
-        try:
-            record = run_trial(cfg, trial, modes)
-        except _TRIAL_FAILURES:
-            failed += 1
-            continue
-        for mode in modes:
-            per_mode[mode.value].append(record.spebs[mode.value].mean(axis=1))
+    for chunk in _chunks(trials):
+        for spebs in _run_chunk(cfg, [(trial,) for trial in chunk], modes):
+            if isinstance(spebs, Exception):
+                failed += 1
+                continue
+            for mode in modes:
+                per_mode[mode.value].append(spebs[mode.value].mean(axis=1))
     table.failed_trials = failed
     if failed > FAILURE_BUDGET * trials:
         raise SweepNumericalError(
@@ -416,15 +438,14 @@ def sweep_nodes(
     for count in counts:
         cfg_n = replace(cfg, num_agents=count)
         per_mode: dict[str, list[float]] = {m.value: [] for m in modes}
-        for trial in range(trials):
-            try:
-                scenario = generate_scenario(cfg_n, (count, trial))
-                spebs = _trial_spebs(scenario, cfg_n, modes, final_only=True)
-            except _TRIAL_FAILURES:
-                failed += 1
-                continue
-            for mode in modes:
-                per_mode[mode.value].append(float(spebs[mode.value][-1].mean()))
+        for chunk in _chunks(trials):
+            entropies = [(count, trial) for trial in chunk]
+            for spebs in _run_chunk(cfg_n, entropies, modes, final_only=True):
+                if isinstance(spebs, Exception):
+                    failed += 1
+                    continue
+                for mode in modes:
+                    per_mode[mode.value].append(float(spebs[mode.value][-1].mean()))
         for mode in modes:
             if not per_mode[mode.value]:
                 continue

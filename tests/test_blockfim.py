@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from navlim import blockfim
 from navlim.blockfim import (
     BlockLayout,
     BlockSymMatrix,
@@ -308,3 +309,46 @@ def test_block_diag():
     out = block_diag([np.eye(2), 3.0 * np.eye(1)])
     np.testing.assert_array_equal(out, np.diag([1.0, 1.0, 3.0]))
     assert block_diag([]).shape == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# stacked reductions
+
+
+def test_eliminate_block_stack_equals_per_matrix_calls():
+    rng = np.random.default_rng(12)
+    full = np.stack([random_spd(rng, 6) for _ in range(7)])
+    a, b, c = full[:, :2, :2], full[:, :2, 2:], full[:, 2:, 2:]
+    stacked = eliminate_block(a, b, c)
+    assert stacked.shape == (7, 2, 2)
+    for i in range(7):
+        np.testing.assert_array_equal(stacked[i], eliminate_block(a[i], b[i], c[i]))
+
+
+def test_singular_leak_is_charged_to_its_own_matrix():
+    rng = np.random.default_rng(13)
+    nuisance = np.stack([random_spd(rng, 2) for _ in range(4)]).reshape(2, 2, 2, 2)
+    nuisance[1, 0] = [[0.0, 0.0], [0.0, 1.0]]  # dead direction ...
+    cross = np.ones((2, 2, 1, 2))  # ... which the cross-information enters
+    with pytest.raises(SingularBlockError) as info:
+        eliminate_block(np.ones((2, 2, 1, 1)), cross, nuisance)
+    assert info.value.members == ((1, 0),)
+    with pytest.raises(SingularBlockError) as info:
+        eliminate_block(np.ones((1, 1)), cross[1, 0], nuisance[1, 0])
+    assert info.value.members == ((),)
+
+
+def test_eigh_failure_names_the_failing_matrices(monkeypatch):
+    real = np.linalg.eigh
+
+    def fails_on_nan(a):
+        if np.isnan(a).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", fails_on_nan)
+    stack = np.stack([np.eye(3)] * 6).reshape(3, 2, 3, 3)
+    stack[2, 1, 0, 0] = stack[0, 1, 1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        blockfim._eigh(stack)
+    assert info.value.members == ((0, 1), (2, 1))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -408,3 +409,20 @@ def test_ellipse_coincident_nodes_exit_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "coincide" in err
     assert not (tmp_path / "ellipses.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-time", "--trials", "5", "--agents", "3", "--anchors", "1", "--steps", "1..4", "--seed", "1"],
+        ["sweep-time", "--trials", "5", "--agents", "3", "--anchors", "0", "--steps", "1..4", "--seed", "1"],
+        ["sweep-nodes", "--agents", "2..3", "--anchors", "1", "--steps", "3"],
+    ],
+)
+def test_sweep_audit_accepts_agreeing_infinite_bounds(tmp_path, capsys, argv):
+    # With one anchor the rotation about it is unobservable at horizon 1, so
+    # the recursion and the dense reference both report +inf there.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""

@@ -53,7 +53,9 @@ def test_spatial_block_derived_intensity():
     geom = two_node_geometry(p1=(0.0, 2.0))
     model = RangeModel(sigma_range=0.4, sigma_bias=0.3)
     blk = spatial_block(geom, 0, 1, 0, model)
-    np.testing.assert_allclose(blk, 4.0 * r_dir(math.pi / 2), rtol=1e-12)
+    # u = (0, 1) exactly, so u u^T has exact zeros where r_dir(pi / 2) has
+    # cos(pi / 2) round-off
+    np.testing.assert_allclose(blk, [[0.0, 0.0], [0.0, 4.0]], rtol=1e-12, atol=0.0)
 
 
 def test_spatial_block_coincident_nodes():
@@ -280,3 +282,114 @@ def test_scenario_validation():
         Scenario(geometry=geom, pairs=(((1, 0),),))  # k >= j
     with pytest.raises(ValueError):
         Scenario(geometry=geom, pairs=((),), priors=((5, 0, np.eye(2)),))
+
+
+def _radius_pairs_per_pair(geom, radius):
+    return tuple(
+        tuple(
+            (k, j)
+            for k in range(geom.num_agents)
+            for j in range(k + 1, geom.num_nodes)
+            if geom.pair_distance(k, j, n) <= radius
+        )
+        for n in range(geom.num_steps)
+    )
+
+
+def test_radius_pairs_matches_per_pair_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        nodes = int(rng.integers(1, 9))
+        na = int(rng.integers(0, nodes + 1))
+        paths = rng.uniform(0.0, 20.0, size=(nodes, int(rng.integers(1, 6)), 2))
+        geom = ScenarioGeometry(paths, num_agents=na)
+        radius = float(rng.uniform(0.5, 25.0))
+        assert radius_pairs(geom, radius) == _radius_pairs_per_pair(geom, radius)
+
+
+def test_radius_pairs_keeps_a_pair_exactly_at_the_radius():
+    # 3-4-5 triangles: every distance below is exact in floating point
+    paths = np.array([[[0.0, 0.0]], [[3.0, 4.0]], [[-6.0, 8.0]], [[5.0, 0.0]]])
+    geom = ScenarioGeometry(paths, num_agents=2)
+    assert radius_pairs(geom, 5.0) == (((0, 1), (0, 3), (1, 3)),)
+    assert radius_pairs(geom, np.nextafter(5.0, 0.0)) == (((1, 3),),)
+    assert radius_pairs(geom, 10.0) == _radius_pairs_per_pair(geom, 10.0)
+    assert (0, 2) in radius_pairs(geom, 10.0)[0]
+
+
+def test_scenario_validation_names_the_first_bad_pair():
+    geom = ScenarioGeometry(np.zeros((3, 2, 2)), num_agents=1)
+    with pytest.raises(ValueError, match=r"^bad pair \(0, 3\) at step 1$"):
+        Scenario(geometry=geom, pairs=(((0, 1),), ((0, 2), (0, 3), (2, 1))))
+    with pytest.raises(ValueError, match=r"^pair \(1, 2\) has no agent side$"):
+        Scenario(geometry=geom, pairs=(((0, 1), (1, 2)), ((0, 5),)))
+    with pytest.raises(ValueError, match=r"^bad pair \(2, 1\) at step 0$"):
+        Scenario(geometry=geom, pairs=(((2, 1), (1, 2)), ()))
+
+
+# ---------------------------------------------------------------------------
+# the vectorized step kernel against per-pair formulas
+
+
+def _close_blocks(got, want):
+    scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(scale, 1e-300))
+
+
+def test_spatial_block_vectorized_matches_per_pair_formula():
+    rng = np.random.default_rng(5)
+    paths = rng.uniform(-30.0, 30.0, size=(7, 4, 2))
+    geom = ScenarioGeometry(paths, num_agents=4)
+    table = {(0, 5, 2): 0.25, (1, 3, 0): 9.0}
+    for model in (
+        RangeModel(intensity=3.0),
+        RangeModel(sigma_range=0.4, sigma_bias=0.3),
+        RangeModel(intensity=2.0, table=table),
+    ):
+        k = np.array([0, 0, 1, 3, 2, 1])
+        j = np.array([5, 1, 3, 6, 4, 3])
+        n = np.array([2, 0, 0, 3, 1, 2])
+        got = spatial_block(geom, k, j, n, model)
+        assert got.shape == (6, 2, 2)
+        for i in range(6):
+            v = paths[j[i], n[i]] - paths[k[i], n[i]]
+            lam = model.intensity_at(k[i], j[i], n[i])
+            want = lam * r_dir(math.atan2(v[1], v[0]))
+            _close_blocks(got[i], want)
+            np.testing.assert_array_equal(got[i], spatial_block(geom, k[i], j[i], n[i], model))
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [(5.0, 5.0, 0.0), (4.0, 0.0, 0.0), (2.0, 1.0, 0.5), (1.0, 9.0, -2.5), (3.0, 3.0, 1.0)],
+)
+def test_temporal_block_vectorized_matches_rotation_formula(triple):
+    rng = np.random.default_rng(8)
+    paths = rng.uniform(-10.0, 10.0, size=(3, 5, 2))
+    geom = ScenarioGeometry(paths, num_agents=3)
+    model = VelocityModel(*triple, table={(1, 2): (6.0, 0.5, 1.0), (2, 4): (2.0, 2.0, 0.0)})
+    k, n = np.meshgrid(np.arange(3), np.arange(1, 5), indexing="ij")
+    got = temporal_block(geom, k, n, model)
+    assert got.shape == (3, 4, 2, 2)
+    for a in range(3):
+        for b in range(4):
+            along, across, couple = model.coeffs_at(k[a, b], n[a, b])
+            v = paths[k[a, b], n[a, b]] - paths[k[a, b], n[a, b] - 1]
+            rot = rotation(math.atan2(v[1], v[0]))
+            want = rot @ np.array([[along, couple], [couple, across]]) @ rot.T
+            _close_blocks(got[a, b], want)
+            if couple == 0.0 and along == across:
+                np.testing.assert_array_equal(got[a, b], along * np.eye(2))
+
+
+def test_model_lookups_broadcast_with_table_overrides():
+    model = RangeModel(intensity=5.0, table={(0, 1, 2): 7.0})
+    np.testing.assert_array_equal(
+        model.intensity_at(np.array([0, 1, 0]), np.array([1, 0, 1]), np.array([2, 2, 0])),
+        [7.0, 7.0, 5.0],
+    )
+    velocity = VelocityModel(1.0, 2.0, 0.5, table={(1, 3): (4.0, 4.0, 0.0)})
+    np.testing.assert_array_equal(
+        velocity.coeffs_at(np.array([1, 1]), 3), [[4.0, 4.0, 0.0], [4.0, 4.0, 0.0]]
+    )
+    np.testing.assert_array_equal(velocity.coeffs_at(0, 3), [1.0, 2.0, 0.5])

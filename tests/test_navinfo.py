@@ -231,6 +231,31 @@ def test_carry_over_is_psd_and_below_k():
         assert np.linalg.eigvalsh(k - carry).min() >= -1e-10
 
 
+def test_carry_over_and_block_spebs_stacks_equal_per_matrix_calls():
+    rng = np.random.default_rng(33)
+    scenarios = [
+        generate_scenario(ScenarioConfig(num_agents=4, num_anchors=2, num_steps=3, seed=s))
+        for s in range(6)
+    ]
+    s_prev = np.stack([spatial_step_matrix(sc, 0) for sc in scenarios]).reshape(2, 3, 8, 8)
+    k_now = np.stack(
+        [block_diag(temporal_step_blocks(sc, 1)) for sc in scenarios]
+    ).reshape(2, 3, 8, 8)
+    carry = rng.uniform(0.0, 0.1) * np.eye(8)
+    stacked = carry_over_step(k_now, s_prev, carry)
+    for idx in np.ndindex(2, 3):
+        np.testing.assert_array_equal(stacked[idx], carry_over_step(k_now[idx], s_prev[idx], carry))
+    # a matrix with null directions (agent 1 uninformed) takes the per-agent
+    # path inside the stack
+    totals = s_prev + stacked
+    totals[1, 2, 2:4, :] = totals[1, 2, :, 2:4] = 0.0
+    spebs = block_spebs(totals)
+    assert spebs.shape == (2, 3, 4)
+    assert math.isinf(spebs[1, 2, 1]) and np.isfinite(spebs[1, 2, [0, 2, 3]]).all()
+    for idx in np.ndindex(2, 3):
+        np.testing.assert_array_equal(spebs[idx], block_spebs(totals[idx]))
+
+
 def _random_spd2(rng, lo=0.1, hi=10.0):
     l1, l2 = rng.uniform(lo, hi, size=2)
     ang = rng.uniform(0, 2 * math.pi)

@@ -1,10 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import navlim.simkit as simkit
-from navlim.navinfo import assemble_position_efim, block_spebs, marginal_efim
+from navlim.blockfim import block_diag
+from navlim.models import GeometryError, RangeModel, ScenarioGeometry, VelocityModel
+from navlim.navinfo import (
+    assemble_position_efim,
+    block_spebs,
+    carry_over_step,
+    marginal_efim,
+    spatial_step_matrix,
+    temporal_step_blocks,
+)
 from navlim.simkit import (
     ALL_MODES,
     ConfigError,
@@ -204,31 +214,31 @@ def test_sweep_nodes_rows():
 def test_sweep_failure_counting_and_threshold(monkeypatch):
     cfg = small_cfg()
     calls = {"n": 0}
-    real = simkit.run_trial
+    real = simkit._run_chunk
 
-    def flaky(cfg_, trial, modes=ALL_MODES):
+    def flaky(cfg_, entropies, modes=ALL_MODES, final_only=False):
         calls["n"] += 1
-        if trial == 1:
-            raise np.linalg.LinAlgError("synthetic failure")
-        return real(cfg_, trial, modes)
+        out = real(cfg_, entropies, modes, final_only)
+        failure = np.linalg.LinAlgError("synthetic failure")
+        return [failure if entropy == (1,) else r for entropy, r in zip(entropies, out)]
 
-    monkeypatch.setattr(simkit, "run_trial", flaky)
+    monkeypatch.setattr(simkit, "_run_chunk", flaky)
     # 1 failure out of 3 trials exceeds the 1% budget
     with pytest.raises(SweepNumericalError, match="1/3"):
         sweep_time(cfg, trials=3)
-    monkeypatch.setattr(simkit, "run_trial", real)
+    monkeypatch.setattr(simkit, "_run_chunk", real)
 
 
 def test_sweep_failures_within_budget_are_counted(monkeypatch):
     cfg = small_cfg(num_steps=2)
-    real = simkit.run_trial
+    real = simkit._run_chunk
 
-    def flaky(cfg_, trial, modes=ALL_MODES):
-        if trial == 0:
-            raise np.linalg.LinAlgError("synthetic failure")
-        return real(cfg_, trial, modes)
+    def flaky(cfg_, entropies, modes=ALL_MODES, final_only=False):
+        out = real(cfg_, entropies, modes, final_only)
+        failure = np.linalg.LinAlgError("synthetic failure")
+        return [failure if entropy == (0,) else r for entropy, r in zip(entropies, out)]
 
-    monkeypatch.setattr(simkit, "run_trial", flaky)
+    monkeypatch.setattr(simkit, "_run_chunk", flaky)
     table = sweep_time(cfg, trials=200)
     assert table.failed_trials == 1
     assert all(r.trials == 199 for r in table.rows)
@@ -240,13 +250,112 @@ def test_audit_runs_and_detects_corruption(monkeypatch):
 
     real = simkit._trial_spebs
 
-    def corrupted(scenario, cfg_, modes):
-        out = real(scenario, cfg_, modes)
+    def corrupted(scenario, modes):
+        out = real(scenario, modes)
         return {key: value * 1.01 for key, value in out.items()}
 
     monkeypatch.setattr(simkit, "_trial_spebs", corrupted)
     with pytest.raises(simkit.AuditError):
         simkit._audit_recursion(cfg)
+
+
+def _coincident(scenario):
+    """The scenario with agent 0 standing on the first anchor at step 1."""
+    paths = scenario.geometry.paths.copy()
+    paths[0, 1] = paths[scenario.geometry.num_agents, 1]
+    geometry = ScenarioGeometry(paths, scenario.geometry.num_agents)
+    return replace(scenario, geometry=geometry)
+
+
+def test_chunk_failure_drops_only_its_trial():
+    cfg = small_cfg(num_agents=3, num_steps=4)
+    scenarios = [generate_scenario(cfg, (trial,)) for trial in range(5)]
+    scenarios[2] = _coincident(scenarios[2])
+    chunk = simkit._stacked_spebs(scenarios, ALL_MODES)
+    assert isinstance(chunk[2], GeometryError)
+    for i in (0, 1, 3, 4):
+        [alone] = simkit._stacked_spebs([scenarios[i]], ALL_MODES)
+        for mode in ALL_MODES:
+            assert chunk[i][mode.value].tobytes() == alone[mode.value].tobytes()
+
+
+def test_recursion_failure_drops_only_its_trial(monkeypatch):
+    # eigh raising on NaN stands in for a non-converging eigensolver; the
+    # NaN prior poisons one trial's matrices only
+    real = np.linalg.eigh
+
+    def fails_on_nan(a):
+        if np.isnan(a).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    cfg = small_cfg(num_agents=3, num_steps=4)
+    scenarios = [generate_scenario(cfg, (trial,)) for trial in range(4)]
+    scenarios[1] = replace(scenarios[1], priors=((2, 1, np.full((2, 2), np.nan)),))
+    monkeypatch.setattr(np.linalg, "eigh", fails_on_nan)
+    chunk = simkit._stacked_spebs(scenarios, ALL_MODES)
+    assert isinstance(chunk[1], np.linalg.LinAlgError)
+    for i in (0, 2, 3):
+        [alone] = simkit._stacked_spebs([scenarios[i]], ALL_MODES)
+        for mode in ALL_MODES:
+            assert chunk[i][mode.value].tobytes() == alone[mode.value].tobytes()
+
+
+def test_sweep_counts_a_coincident_trial_as_failed(monkeypatch):
+    cfg = small_cfg(num_steps=2)
+    real = simkit.generate_scenario
+
+    def with_coincident(cfg_, entropy=()):
+        scenario = real(cfg_, entropy)
+        return _coincident(scenario) if entropy == (3,) else scenario
+
+    monkeypatch.setattr(simkit, "generate_scenario", with_coincident)
+    table = sweep_time(cfg, trials=120)
+    assert table.failed_trials == 1
+    assert all(r.trials == 119 for r in table.rows)
+
+
+def test_chunking_leaves_sweep_csvs_byte_identical(tmp_path, monkeypatch):
+    cfg = small_cfg(num_agents=3, num_steps=4, connectivity=12.0)
+    trials = simkit.CHUNK_TRIALS + 3
+    persist(sweep_time(cfg, trials=trials), tmp_path / "time_default.csv")
+    persist(sweep_nodes(cfg, [1, 3], trials=trials), tmp_path / "nodes_default.csv")
+    monkeypatch.setattr(simkit, "CHUNK_TRIALS", 1)
+    persist(sweep_time(cfg, trials=trials), tmp_path / "time_single.csv")
+    persist(sweep_nodes(cfg, [1, 3], trials=trials), tmp_path / "nodes_single.csv")
+    for stem in ("time", "nodes"):
+        default = (tmp_path / f"{stem}_default.csv").read_bytes()
+        assert default == (tmp_path / f"{stem}_single.csv").read_bytes()
+
+
+def test_sweep_recursion_reads_the_scenario_models():
+    # sigma-derived base intensity, a range table entry and a velocity table
+    # entry: none of them is in ScenarioConfig
+    base = generate_scenario(small_cfg(num_agents=3, num_steps=4), (0,))
+    scenario = replace(
+        base,
+        range_model=RangeModel(sigma_range=0.3, table={(0, 3, 2): 40.0}),
+        velocity_model=VelocityModel(5.0, 2.0, 1.0, table={(1, 2): (0.5, 8.0, 0.0)}),
+    )
+    got = simkit._trial_spebs(scenario, ALL_MODES)
+    na, t = 3, 4
+    for mode in ALL_MODES:
+        ref = scenario
+        if mode is CoopMode.TEMPORAL_ONLY:
+            ref = replace(
+                scenario, pairs=tuple(tuple(p for p in step if p[1] >= na) for step in scenario.pairs)
+            )
+        s = [spatial_step_matrix(ref, n) for n in range(t)]
+        carry = np.zeros((2 * na, 2 * na))
+        want = np.empty((t, na))
+        for n in range(t):
+            if n > 0 and mode is not CoopMode.SPATIAL_ONLY:
+                k_full = block_diag(temporal_step_blocks(ref, n))
+                carry = carry_over_step(k_full, s[n - 1], carry)
+            want[n] = block_spebs(s[n] + carry)
+        np.testing.assert_array_equal(got[mode.value], want)
+    plain = simkit._trial_spebs(base, ALL_MODES)
+    assert not np.array_equal(plain[CoopMode.JOINT.value], got[CoopMode.JOINT.value])
 
 
 # ---------------------------------------------------------------------------
