@@ -32,6 +32,7 @@ from .models import (
     VelocityModel,
     full_pairs,
     radius_pairs,
+    random_walks,
 )
 from .simkit import (
     ALL_MODES,
@@ -250,12 +251,7 @@ def load_scenario(path: str) -> Scenario:
     if isinstance(agents, int):
         if agents < 0:
             raise ConfigError("agent count must be >= 0")
-        rng = np.random.default_rng([seed])
-        starts = rng.uniform((0.0, 0.0), tuple(area), size=(agents, 2))
-        steps = rng.standard_normal((agents, t - 1, 2)) @ np.linalg.cholesky(cov).T
-        paths = np.concatenate(
-            [starts[:, None, :], starts[:, None, :] + np.cumsum(steps, axis=1)], axis=1
-        )
+        paths = random_walks(np.random.default_rng([seed]), area, agents, t, cov)
     else:
         paths = _float_array(agents, "agents")
         if paths.ndim != 3 or paths.shape[1:] != (t, 2):

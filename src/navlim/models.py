@@ -187,6 +187,19 @@ class MobilityModel:
         object.__setattr__(self, "step_cov", 0.5 * (cov + cov.T))
 
 
+def random_walks(
+    rng: np.random.Generator, area, num_agents: int, num_steps: int, step_cov
+) -> np.ndarray:
+    """Agent paths (num_agents, num_steps, 2) of a Gaussian random walk:
+    starts uniform in the area (width, height) in meters, then steps of 2x2
+    covariance `step_cov` (m^2), drawn from `rng` in that order."""
+    starts = rng.uniform((0.0, 0.0), tuple(area), size=(num_agents, 2))
+    steps = rng.standard_normal((num_agents, num_steps - 1, 2)) @ np.linalg.cholesky(step_cov).T
+    return np.concatenate(
+        [starts[:, None, :], starts[:, None, :] + np.cumsum(steps, axis=1)], axis=1
+    )
+
+
 @dataclass(frozen=True)
 class ScenarioGeometry:
     """Node positions per time step: agents first, then anchors.
@@ -265,15 +278,32 @@ def radius_pairs(geometry: ScenarioGeometry, radius: float) -> tuple[tuple[tuple
     """Pairs within the ranging radius, evaluated per step."""
     k, j = np.triu_indices(geometry.num_nodes, 1)
     k, j = k[k < geometry.num_agents], j[k < geometry.num_agents]
-    dist = np.linalg.norm(geometry.paths[j] - geometry.paths[k], axis=-1)
-    # The row norm may differ from the per-pair `pair_distance` in the last
-    # bit; pairs that close to the radius are decided by `pair_distance`.
-    near = np.abs(dist - radius) <= _RADIUS_TIE * radius
-    inside = dist <= radius
-    for p, n in zip(*np.nonzero(near)):
-        inside[p, n] = geometry.pair_distance(k[p], j[p], n) <= radius
+    inside = within_radius(geometry.paths[None], geometry.num_agents, radius)[0]
     pairs = list(zip(k.tolist(), j.tolist()))
-    return tuple(tuple(compress(pairs, column)) for column in inside.T.tolist())
+    return tuple(tuple(compress(pairs, row)) for row in inside[:, k, j].tolist())
+
+
+def within_radius(paths: np.ndarray, num_agents: int, radius: float) -> np.ndarray:
+    """Whether agent a and node p != a are within the ranging radius, per
+    trial and step: shape (trials, T, agents, nodes) for paths (trials,
+    nodes, T, 2), symmetric between agents."""
+    dist = _agent_offsets(paths, num_agents)[2]
+    # These lengths may differ from the per-pair norm of `pair_distance` in
+    # the last bit; pairs that close to the radius are decided by the latter.
+    inside = dist <= radius
+    for c, n, a, p in np.argwhere(np.abs(dist - radius) <= _RADIUS_TIE * radius):
+        inside[c, n, a, p] = np.linalg.norm(paths[c, p, n] - paths[c, a, n]) <= radius
+    inside[:, :, np.arange(num_agents), np.arange(num_agents)] = False
+    return inside
+
+
+def _agent_offsets(paths: np.ndarray, num_agents: int, first: int = 0, stop: int | None = None):
+    """Offsets (dx, dy) from every agent to every node at steps first..stop-1
+    and their lengths, each of shape (trials, steps, agents, nodes)."""
+    x, y = np.moveaxis(paths[:, :, first:stop], -1, 0).swapaxes(2, 3)
+    dx = x[:, :, None, :] - x[:, :, :num_agents, None]
+    dy = y[:, :, None, :] - y[:, :, :num_agents, None]
+    return dx, dy, np.sqrt(dx * dx + dy * dy)
 
 
 @dataclass(frozen=True)
@@ -338,63 +368,87 @@ def _pair_index(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return flat[:, 0], flat[:, 1], steps
 
 
-def spatial_block(
-    geometry: ScenarioGeometry, k, j, n, model: RangeModel
-) -> np.ndarray:
-    """Rank-1 ranging information blocks lam * u u^T of pairs (k, j) at steps
-    n, u the unit vector from node k to node j.
+def spatial_block(paths: np.ndarray, weights: np.ndarray, first: int = 0) -> np.ndarray:
+    """Ranging information blocks w * u u^T from every agent to every node,
+    for a chunk of trials.
 
-    The indices broadcast; the result has shape (..., 2, 2). A zero
-    intensity gives a zero block whatever the geometry.
+    `paths` (trials, nodes, T, 2) holds node positions, agents first;
+    `weights` (trials, steps, agents, nodes) the ranging intensities of
+    steps first..first+steps-1, zero where a pair is not measured. Block
+    [c, n, a, p], of shape (2, 2), has u the unit vector from agent a to
+    node p at step first+n; given equal weights, the blocks of (a, p) and
+    (p, a) are equal bitwise. A measured pair whose nodes coincide raises GeometryError for
+    the first trial that has one, naming its first such pair (k, j), k < j,
+    in step order, then pair order; the error's `members` holds ((trial,),).
     """
-    k, j, n = np.broadcast_arrays(k, j, n)
-    lam = model.intensity_at(k, j, n)
-    diff = geometry.paths[j, n] - geometry.paths[k, n]
-    dist = np.linalg.norm(diff, axis=-1)
-    coincide = (lam != 0.0) & (dist <= ZERO_DISPLACEMENT)
+    na = weights.shape[-2]
+    dx, dy, dist = _agent_offsets(paths, na, first, first + weights.shape[1])
+    upper = np.arange(paths.shape[1]) > np.arange(na)[:, None]
+    coincide = (weights != 0.0) & (dist <= ZERO_DISPLACEMENT) & upper
     if coincide.any():
-        at = tuple(a[coincide].flat[0] for a in (k, j, n))
-        raise GeometryError(
-            "undefined direction: nodes {} and {} coincide at step {}".format(*at)
+        at = np.argwhere(coincide)[0]
+        exc = GeometryError(
+            "undefined direction: nodes {} and {} coincide at step {}".format(
+                at[2], at[3], first + at[1]
+            )
         )
-    u = diff / np.where(dist > 0.0, dist, 1.0)[..., None]
-    return lam[..., None, None] * (u[..., :, None] * u[..., None, :])
+        exc.members = ((int(at[0]),),)
+        raise exc
+    scale = np.where(dist > 0.0, dist, 1.0)
+    dx /= scale
+    dy /= scale
+    # filled one component at a time, each a contiguous array
+    blocks = np.empty((2, 2, *weights.shape))
+    np.multiply(dx * dx, weights, out=blocks[0, 0])
+    np.multiply(dx * dy, weights, out=blocks[0, 1])
+    blocks[1, 0] = blocks[0, 1]
+    np.multiply(dy * dy, weights, out=blocks[1, 1])
+    return np.moveaxis(blocks, (0, 1), (-2, -1))
 
 
-def temporal_block(
-    geometry: ScenarioGeometry, k, n, model: VelocityModel
-) -> np.ndarray:
-    """Velocity information blocks of agents k for the steps into n (n >= 1),
-    expressed in world coordinates.
+def temporal_block(paths: np.ndarray, coeffs: np.ndarray, first: int = 1) -> np.ndarray:
+    """Velocity information blocks of every agent for the transitions into
+    steps first..first+steps-1 (first >= 1), in world coordinates, for a
+    chunk of trials.
 
-    The indices broadcast; the result has shape (..., 2, 2). The intensity
-    triple lives in the frame of the step displacement (c, s): the block is
-    R L R^T with R = [[c, -s], [s, c]] and L = [[along, couple], [couple,
-    across]]. Isotropic intensities (along == across, couple == 0) give
-    exactly along * I, so a zero displacement is acceptable only there.
+    `paths` (trials, nodes, T, 2) holds node positions, agents first;
+    `coeffs` (trials, steps, agents, 3) the (along, across, couple)
+    intensities of each transition. The result has shape (trials, steps,
+    agents, 2, 2). The triple lives in the frame of the step displacement
+    (c, s): the block is R L R^T, symmetrized, with R = [[c, -s], [s, c]]
+    and L = [[along, couple], [couple, across]], in elementwise arithmetic
+    that does not depend on the chunk's shape. Isotropic intensities (along
+    == across, couple == 0) give exactly along * I, so a zero displacement
+    is acceptable only there; elsewhere it raises GeometryError for the
+    first trial that has one, with `members` ((trial,),).
     """
-    k, n = np.broadcast_arrays(k, n)
-    if (n < 1).any():
+    if first < 1:
         raise ValueError("step displacement needs n >= 1")
-    coeffs = model.coeffs_at(k, n)
-    along, across, couple = coeffs[..., 0], coeffs[..., 1], coeffs[..., 2]
+    along, across, couple = np.moveaxis(coeffs, -1, 0)
     out = along[..., None, None] * np.eye(2)
     turn = (couple != 0.0) | (along != across)
     if turn.any():
-        disp = geometry.paths[k[turn], n[turn]] - geometry.paths[k[turn], n[turn] - 1]
+        na, steps = coeffs.shape[-2], coeffs.shape[1]
+        agent_paths = paths[:, :na, first - 1 : first + steps].swapaxes(1, 2)
+        disp = (agent_paths[:, 1:] - agent_paths[:, :-1])[turn]
         dist = np.linalg.norm(disp, axis=-1)
         still = dist <= ZERO_DISPLACEMENT
         if still.any():
-            raise GeometryError(
+            trial, n, k = np.argwhere(turn)[np.argmax(still)]
+            exc = GeometryError(
                 "zero displacement with direction-dependent intensities "
-                f"(agent {k[turn][still][0]}, step {n[turn][still][0]})"
+                f"(agent {k}, step {first + n})"
             )
+            exc.members = ((int(trial),),)
+            raise exc
         c, s = disp[:, 0] / dist, disp[:, 1] / dist
-        rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
-        lc = coeffs[turn]
-        local = np.stack([lc[:, [0, 2]], lc[:, [2, 1]]], axis=1)
-        blocks = np.einsum("mij,mjk,mlk->mil", rot, local, rot)
-        out[turn] = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+        a, b, x = along[turn], across[turn], couple[turn]
+        # R L entry by entry, then (R L) R^T
+        r00, r01 = c * a - s * x, c * x - s * b
+        r10, r11 = s * a + c * x, s * x + c * b
+        b00, b11 = r00 * c - r01 * s, r10 * s + r11 * c
+        off = 0.5 * ((r00 * s + r01 * c) + (r10 * c - r11 * s))
+        out[turn] = np.stack([np.stack([b00, off], -1), np.stack([off, b11], -1)], -2)
     return out
 
 

@@ -111,64 +111,127 @@ def _scatter(matrix: np.ndarray, ri: slice, ci: slice, block: np.ndarray) -> Non
 
 
 def _spatial_matrices(
-    scenario: Scenario,
-    first: int,
-    stop: int,
-    model: RangeModel | None = None,
-    anchors_only: bool = False,
-) -> np.ndarray:
-    """Network ranging matrices of steps first..stop-1, priors included,
-    shape (steps, 2*Na, 2*Na).
+    paths: np.ndarray,
+    weights: np.ndarray,
+    first: int = 0,
+    priors: Sequence = (),
+    anchors: bool = False,
+):
+    """Network ranging matrices of a chunk of trials, priors included, shape
+    (trials, steps, 2*Na, 2*Na), from the `spatial_block` inputs of steps
+    first..first+steps-1; with `anchors`, also the matrices of the
+    agent-anchor pairs alone, as a second stack.
 
-    Every pair's `spatial_block` lands on its agent's diagonal; agent-peer
-    blocks then land on the peer's diagonal and, negated, between the two.
-    A diagonal block sums the pairs its agent opens before those it closes,
-    each in pair order: the sweep CSVs depend on that order to the last
-    bit. `model` replaces the scenario's range model; `anchors_only` keeps
-    agent-anchor pairs only.
+    An agent's diagonal block sums the blocks of its peers in the order
+    a+1, ..., nodes-1, 0, ..., a-1 (unmeasured peers add exact zeros). For a
+    sorted listing without repeats, as `full_pairs` and `radius_pairs` give,
+    that is the pairs it opens before those it closes, each in listing
+    order: the sweep CSVs depend on that order to the last bit. Agent-agent
+    blocks enter negated between the two agents, as +0.0 where unmeasured.
+    `priors` holds per trial the (agent, step, block) priors, added to the
+    diagonal in order afterwards.
     """
+    blocks = spatial_block(paths, weights, first)
+    trials, steps, na, nodes = blocks.shape[:4]
+    comp = np.moveaxis(blocks, (-2, -1), (0, 1))
+    agents = np.arange(na)
+    peers = (agents[:, None] + np.arange(1, nodes)) % nodes
+    out = [_network_matrices(comp, peers, offdiag=True)]
+    if anchors:
+        anchor_peers = np.broadcast_to(np.arange(na, nodes), (na, nodes - na))
+        out.append(_network_matrices(comp, anchor_peers))
+    for stack in out:
+        for c, trial_priors in enumerate(priors):
+            for k, n, blk in trial_priors:
+                if first <= n < first + steps:
+                    stack[c, n - first, 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += blk
+    return tuple(out) if anchors else out[0]
+
+
+def _network_matrices(comp: np.ndarray, peers: np.ndarray, offdiag: bool = False) -> np.ndarray:
+    """Network matrices (trials, steps, 2*Na, 2*Na) from the blocks of
+    `spatial_block` held component first, (2, 2, trials, steps, Na, nodes),
+    as `spatial_block` stores them: agent a's diagonal block is +0.0 plus
+    the blocks of peers[a], added in that order; with `offdiag`, the negated
+    agent-agent blocks fill the rest, else zeros."""
+    _, _, trials, steps, na, nodes = comp.shape
+    agents = np.arange(na)
+    terms = comp[..., agents[:, None], peers]
+    diag = np.zeros(terms.shape[:-1])
+    for i in range(peers.shape[1]):
+        diag += terms[..., i]
+    out = np.zeros((trials, steps, 2 * na, 2 * na))
+    grid = out.reshape(trials, steps, na, 2, na, 2)
+    for r in (0, 1):
+        for q in (0, 1):
+            if offdiag:
+                np.subtract(0.0, comp[r, q, ..., :na], out=grid[:, :, :, r, :, q])
+            grid[:, :, agents, r, agents, q] = diag[r, q]
+    return out
+
+
+def _temporal_matrices(paths: np.ndarray, coeffs: np.ndarray, first: int = 1) -> np.ndarray:
+    """Block-diagonal network velocity matrices of a chunk of trials, shape
+    (trials, steps, 2*Na, 2*Na), from the `temporal_block` inputs of the
+    transitions into steps first..first+steps-1."""
+    trials, steps, na = coeffs.shape[:3]
+    out = np.zeros((trials, steps, 2 * na, 2 * na))
+    agents = np.arange(na)
+    grid = out.reshape(trials, steps, na, 2, na, 2).swapaxes(3, 4)
+    grid[:, :, agents, agents] = temporal_block(paths, coeffs, first)
+    return out
+
+
+def _pair_weights(
+    scenario: Scenario, first: int, stop: int, model: RangeModel | None = None
+) -> np.ndarray:
+    """Ranging intensities of the scenario's pairs at steps first..stop-1 in
+    `spatial_block`'s layout (steps, Na, nodes), zero for unmeasured pairs;
+    a pair listed twice counts twice. `model` replaces the scenario's range
+    model."""
     geom = scenario.geometry
-    na, steps = geom.num_agents, stop - first
+    na, nodes, steps = geom.num_agents, geom.num_nodes, stop - first
     model = scenario.range_model if model is None else model
-    out = np.zeros((steps, na, na, 2, 2))
-    if model is not None:
-        k, peer, n = scenario.pair_index(first, stop)
-        if anchors_only:
-            anchor = peer >= na
-            k, peer, n = k[anchor], peer[anchor], n[anchor]
-        blocks = spatial_block(geom, k, peer, n, model)
-        agent_peer = peer < na
-        ap_n, ap_k, ap_peer, ap_blocks = (a[agent_peer] for a in (n, k, peer, blocks))
-        np.add.at(
-            out,
-            (
-                np.concatenate([n, ap_n, ap_n, ap_n]) - first,
-                np.concatenate([k, ap_peer, ap_k, ap_peer]),
-                np.concatenate([k, ap_peer, ap_peer, ap_k]),
-            ),
-            np.concatenate([blocks, ap_blocks, -ap_blocks, -ap_blocks.transpose(0, 2, 1)]),
-        )
-    for k, n, blk in scenario.priors:
-        if first <= n < stop:
-            out[n - first, k, k] += np.asarray(blk, dtype=float)
-    return out.transpose(0, 1, 3, 2, 4).reshape(steps, 2 * na, 2 * na)
+    if model is None:
+        return np.zeros((steps, na, nodes))
+    k, j, n = scenario.pair_index(first, stop)
+    lam = model.intensity_at(k, j, n)
+    peer = j < na
+    cells = np.ravel_multi_index(
+        (
+            np.concatenate([n, n[peer]]) - first,
+            np.concatenate([k, j[peer]]),
+            np.concatenate([j, k[peer]]),
+        ),
+        (steps, na, nodes),
+    )
+    weights = np.bincount(cells, np.concatenate([lam, lam[peer]]), steps * na * nodes)
+    return weights.reshape(steps, na, nodes)
 
 
-def _temporal_matrices(scenario: Scenario, first: int, stop: int) -> np.ndarray:
-    """Block-diagonal network velocity matrices of the transitions into steps
-    first..stop-1 (first >= 1), shape (steps, 2*Na, 2*Na); zero without a
-    velocity model."""
-    na, steps = scenario.geometry.num_agents, stop - first
-    out = np.zeros((steps, na, na, 2, 2))
-    if scenario.velocity_model is not None and steps > 0:
-        agents = np.arange(na)
-        out[:, agents, agents] = temporal_block(
-            scenario.geometry,
-            agents[None, :],
-            np.arange(first, stop)[:, None],
-            scenario.velocity_model,
-        )
-    return out.transpose(0, 1, 3, 2, 4).reshape(steps, 2 * na, 2 * na)
+def _velocity_coeffs(scenario: Scenario, first: int, stop: int) -> np.ndarray:
+    """(along, across, couple) of every agent for the transitions into steps
+    first..stop-1, shape (steps, Na, 3); zero without a velocity model."""
+    na = scenario.geometry.num_agents
+    if scenario.velocity_model is None:
+        return np.zeros((stop - first, na, 3))
+    return scenario.velocity_model.coeffs_at(np.arange(na), np.arange(first, stop)[:, None])
+
+
+def _scenario_spatial(
+    scenario: Scenario, first: int, stop: int, model: RangeModel | None = None
+) -> np.ndarray:
+    """`_spatial_matrices` of one scenario's steps first..stop-1."""
+    weights = _pair_weights(scenario, first, stop, model)
+    paths = scenario.geometry.paths[None]
+    return _spatial_matrices(paths, weights[None], first, (scenario.priors,))[0]
+
+
+def _scenario_temporal(scenario: Scenario, first: int, stop: int) -> np.ndarray:
+    """`_temporal_matrices` of one scenario's transitions into steps
+    first..stop-1."""
+    coeffs = _velocity_coeffs(scenario, first, stop)
+    return _temporal_matrices(scenario.geometry.paths[None], coeffs[None], first)[0]
 
 
 def _band_matrix(diag: np.ndarray, links: np.ndarray) -> np.ndarray:
@@ -210,8 +273,8 @@ def assemble_position_efim(
     if not 0 <= start_step < t:
         raise ValueError("start_step out of range")
     matrix = _band_matrix(
-        _spatial_matrices(scenario, start_step, t),
-        _temporal_matrices(scenario, start_step + 1, t),
+        _scenario_spatial(scenario, start_step, t),
+        _scenario_temporal(scenario, start_step + 1, t),
     )
     if carry is not None:
         carry = np.asarray(carry, dtype=float)
@@ -253,7 +316,7 @@ def independent_params_efim(
             intensity=range_intensity_via_reduction(model.sigma_range, model.sigma_bias),
             sigma_range=None,
         )
-    s = _spatial_matrices(scenario, 0, t, model)
+    s = _scenario_spatial(scenario, 0, t, model)
     matrix = _band_matrix(s, np.zeros((max(t - 1, 0), *s.shape[1:])))
     j = JointEfim(position_coords(na, t), matrix)
 
@@ -551,15 +614,13 @@ def spatial_step_matrix(scenario: Scenario, n: int) -> np.ndarray:
     """Network ranging matrix of one time step (2*Na x 2*Na): pair blocks on
     both member diagonals, their negatives between agent pairs, plus the
     step's priors."""
-    return _spatial_matrices(scenario, n, n + 1)[0]
+    return _scenario_spatial(scenario, n, n + 1)[0]
 
 
 def temporal_step_blocks(scenario: Scenario, n: int) -> list[np.ndarray]:
     """Per-agent velocity blocks for the transition into step n (n >= 1)."""
-    na = scenario.geometry.num_agents
-    if scenario.velocity_model is None:
-        return [np.zeros((2, 2)) for _ in range(na)]
-    return list(temporal_block(scenario.geometry, np.arange(na), n, scenario.velocity_model))
+    coeffs = _velocity_coeffs(scenario, n, n + 1)
+    return list(temporal_block(scenario.geometry.paths[None], coeffs[None], n)[0, 0])
 
 
 @dataclass(frozen=True)

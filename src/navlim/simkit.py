@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .models import (
     VelocityModel,
     full_pairs,
     radius_pairs,
+    random_walks,
+    within_radius,
 )
 
 # Entropy word mixed into the audit trial's seed so it never collides with a
@@ -38,9 +41,12 @@ FAILURE_BUDGET = 0.01
 
 AUDIT_TOL = 1e-9
 
-# Trials per stacked carry-over recursion. A chunk's step matrices (ranging,
-# anchor-only ranging, velocity) take 24 * CHUNK_TRIALS * T * (2 * Na)^2
-# bytes; 32 runs the 25-trial benchmark calls as one chunk.
+# Trials per stacked step kernel and carry-over recursion. A chunk's step
+# matrices (ranging, anchor-only ranging, velocity) take
+# 24 * CHUNK_TRIALS * T * (2 * Na)^2 bytes, and the ranging kernel's agent x
+# node blocks and their copy in summation order, its largest intermediates,
+# 32 * CHUNK_TRIALS * T * Na * nodes bytes each; 32 runs the 25-trial
+# benchmark calls as one chunk.
 CHUNK_TRIALS = 32
 
 
@@ -159,22 +165,20 @@ class TrialRecord:
     spebs: dict[str, np.ndarray]
 
 
-def generate_scenario(cfg: ScenarioConfig, extra_entropy: tuple[int, ...] = ()) -> Scenario:
-    """Draw a scenario. Draw order is fixed (anchors, agent starts, walk
-    steps) so identical seeds give identical scenarios."""
+def _draw_paths(cfg: ScenarioConfig, extra_entropy: tuple[int, ...] = ()) -> np.ndarray:
+    """Node paths (nodes, T, 2), agents first, of the trial with the given
+    entropy. Draw order is fixed (anchors, agent starts, walk steps) so
+    identical seeds give identical paths."""
     rng = np.random.default_rng([cfg.seed, *extra_entropy])
-    w, h = cfg.area
-    anchors = rng.uniform((0.0, 0.0), (w, h), size=(cfg.num_anchors, 2))
-    starts = rng.uniform((0.0, 0.0), (w, h), size=(cfg.num_agents, 2))
-    chol = np.linalg.cholesky(cfg.step_cov_matrix())
-    steps = rng.standard_normal((cfg.num_agents, cfg.num_steps - 1, 2)) @ chol.T
-    agent_paths = np.concatenate(
-        [starts[:, None, :], starts[:, None, :] + np.cumsum(steps, axis=1)], axis=1
-    )
-    anchor_paths = np.repeat(anchors[:, None, :], cfg.num_steps, axis=1)
-    geometry = ScenarioGeometry(
-        np.concatenate([agent_paths, anchor_paths], axis=0), cfg.num_agents
-    )
+    anchors = rng.uniform((0.0, 0.0), cfg.area, size=(cfg.num_anchors, 2))
+    agents = random_walks(rng, cfg.area, cfg.num_agents, cfg.num_steps, cfg.step_cov_matrix())
+    return np.concatenate([agents, np.repeat(anchors[:, None, :], cfg.num_steps, axis=1)])
+
+
+def generate_scenario(cfg: ScenarioConfig, extra_entropy: tuple[int, ...] = ()) -> Scenario:
+    """Draw a scenario (see `_draw_paths`): full or radius pairs, the
+    configured range, velocity and mobility models."""
+    geometry = ScenarioGeometry(_draw_paths(cfg, extra_entropy), cfg.num_agents)
     if cfg.connectivity is None:
         pairs = full_pairs(geometry)
     else:
@@ -225,43 +229,80 @@ def _recursion(
     return out
 
 
+class _Chunk(NamedTuple):
+    """Trials of one shape, stacked for the step kernels: node paths
+    (trials, nodes, T, 2), ranging intensities (trials, T, Na, nodes) with
+    zeros for unmeasured pairs, velocity intensities (trials, T-1, Na, 3),
+    and each trial's priors."""
+
+    paths: np.ndarray
+    weights: np.ndarray
+    coeffs: np.ndarray
+    priors: tuple
+
+    def without(self, positions) -> "_Chunk":
+        keep = np.delete(np.arange(len(self.paths)), positions)
+        return _Chunk(
+            self.paths[keep],
+            self.weights[keep],
+            self.coeffs[keep],
+            tuple(self.priors[i] for i in keep),
+        )
+
+
+def _scenario_chunk(scenarios: list[Scenario]) -> _Chunk:
+    """The chunk of scenarios of equal shape."""
+    t = scenarios[0].geometry.num_steps
+    return _Chunk(
+        np.stack([s.geometry.paths for s in scenarios]),
+        np.stack([navinfo._pair_weights(s, 0, t) for s in scenarios]),
+        np.stack([navinfo._velocity_coeffs(s, 1, t) for s in scenarios]),
+        tuple(s.priors for s in scenarios),
+    )
+
+
+def _drawn_chunk(cfg: ScenarioConfig, entropies) -> _Chunk:
+    """The chunk of the trials drawn with the given entropy tuples: the
+    scenarios `generate_scenario` would give, without building them."""
+    paths = np.stack([_draw_paths(cfg, entropy) for entropy in entropies])
+    na, t = cfg.num_agents, cfg.num_steps
+    if cfg.connectivity is None:
+        measured = np.arange(paths.shape[1]) != np.arange(na)[:, None]
+    else:
+        measured = within_radius(paths, na, cfg.connectivity)
+    weights = np.where(measured, cfg.range_intensity, 0.0)
+    trials = len(paths)
+    return _Chunk(
+        paths,
+        np.broadcast_to(weights, (trials, t, *weights.shape[-2:])),
+        np.broadcast_to((cfg.vel_along, cfg.vel_across, cfg.vel_couple), (trials, t - 1, na, 3)),
+        ((),) * trials,
+    )
+
+
 def _stacked_spebs(
-    scenarios: list[Scenario], modes, final_only: bool = False
+    chunk: _Chunk, modes, final_only: bool = False
 ) -> list[dict[str, np.ndarray] | Exception]:
-    """Per-scenario SPEBs of `_recursion`, stacked over scenarios of equal
-    shape. A failure is charged to the scenario it came from: its entry is
-    the exception, and the others are recomputed without it, which leaves
-    their values unchanged (stacked numpy linear algebra is bitwise equal to
-    per-matrix calls)."""
-    results: list = [None] * len(scenarios)
-    live: list[int] = []
-    stacks: list[np.ndarray] = []
-    for i, scenario in enumerate(scenarios):
-        t = scenario.geometry.num_steps
-        try:
-            parts = (
-                navinfo._spatial_matrices(scenario, 0, t),
-                navinfo._spatial_matrices(scenario, 0, t, anchors_only=True),
-                navinfo._temporal_matrices(scenario, 1, t),
-            )
-        except _TRIAL_FAILURES as exc:
-            results[i] = exc
-            continue
-        if not stacks:
-            stacks = [np.empty((len(scenarios), *part.shape)) for part in parts]
-        for stack, part in zip(stacks, parts):
-            stack[len(live)] = part
-        live.append(i)
-    stacks = [stack[: len(live)] for stack in stacks]
+    """Per-trial SPEBs of `_recursion` for a chunk. A failure is charged to
+    the trial it came from: its entry is the exception, and the others are
+    recomputed without it, which leaves their values unchanged (the step
+    kernels work elementwise across trials, and stacked numpy linear
+    algebra is bitwise equal to per-matrix calls)."""
+    results: list = [None] * len(chunk.paths)
+    live = list(range(len(results)))
     while live:
         try:
-            spebs = _recursion(*stacks, modes, final_only)
+            s_full, s_anchor = navinfo._spatial_matrices(
+                chunk.paths, chunk.weights, priors=chunk.priors, anchors=True
+            )
+            k = navinfo._temporal_matrices(chunk.paths, chunk.coeffs)
+            spebs = _recursion(s_full, s_anchor, k, modes, final_only)
         except _TRIAL_FAILURES as exc:
-            # every failure of the recursion names its stack members
+            # every failure of the kernels and the recursion names its trials
             dropped = sorted({member[0] for member in exc.members})
             for pos in reversed(dropped):
                 results[live.pop(pos)] = exc
-            stacks = [np.delete(stack, dropped, axis=0) for stack in stacks]
+            chunk = chunk.without(dropped)
             continue
         for pos, i in enumerate(live):
             results[i] = {mode.value: spebs[pos, m] for m, mode in enumerate(modes)}
@@ -271,7 +312,7 @@ def _stacked_spebs(
 
 def _trial_spebs(scenario: Scenario, modes, final_only: bool = False) -> dict[str, np.ndarray]:
     """`_stacked_spebs` of one scenario; a failure raises."""
-    [result] = _stacked_spebs([scenario], modes, final_only)
+    [result] = _stacked_spebs(_scenario_chunk([scenario]), modes, final_only)
     if isinstance(result, Exception):
         raise result
     return result
@@ -281,9 +322,7 @@ def _run_chunk(
     cfg: ScenarioConfig, entropies, modes, final_only: bool = False
 ) -> list[dict[str, np.ndarray] | Exception]:
     """`_stacked_spebs` of the trials drawn with the given entropy tuples."""
-    return _stacked_spebs(
-        [generate_scenario(cfg, entropy) for entropy in entropies], modes, final_only
-    )
+    return _stacked_spebs(_drawn_chunk(cfg, entropies), modes, final_only)
 
 
 def _chunks(trials: int) -> list[range]:
@@ -324,14 +363,14 @@ def _audit_recursion(cfg: ScenarioConfig) -> None:
         connectivity=None,
     )
     scenario = generate_scenario(small, (_AUDIT_ENTROPY,))
-    spebs = _trial_spebs(scenario, (CoopMode.JOINT,))[CoopMode.JOINT.value]
-    na = small.num_agents
-    for horizon in range(1, small.num_steps + 1):
-        sub = _truncated(scenario, horizon)
-        full = navinfo.assemble_position_efim(sub)
-        final = navinfo._dense_marginal_efim(full, {(k, horizon - 1) for k in range(na)})
-        direct = navinfo.block_spebs(final.matrix)
-        recursive = spebs[horizon - 1]
+    try:
+        spebs = _trial_spebs(scenario, (CoopMode.JOINT,))[CoopMode.JOINT.value]
+        dense = [_dense_final_spebs(scenario, h) for h in range(1, small.num_steps + 1)]
+    except _TRIAL_FAILURES as exc:
+        raise AuditError(
+            f"audit trial failed (seed={cfg.seed}, entropy={_AUDIT_ENTROPY:#x}): {exc}"
+        ) from exc
+    for horizon, (direct, recursive) in enumerate(zip(dense, spebs), start=1):
         # Both paths report +inf for an unobservable agent (one anchor leaves
         # the rotation about it unobserved); the other bounds must be finite
         # and agree.
@@ -348,6 +387,15 @@ def _audit_recursion(cfg: ScenarioConfig) -> None:
                 f"carry-over recursion disagrees with marginalization "
                 f"(seed={cfg.seed}, horizon={horizon}, rel={rel.max():.3e})"
             )
+
+
+def _dense_final_spebs(scenario: Scenario, horizon: int) -> np.ndarray:
+    """Final-step SPEBs of the scenario's first `horizon` steps by dense
+    marginalization of the assembled joint EFIM."""
+    full = navinfo.assemble_position_efim(_truncated(scenario, horizon))
+    na = scenario.geometry.num_agents
+    final = navinfo._dense_marginal_efim(full, {(k, horizon - 1) for k in range(na)})
+    return navinfo.block_spebs(final.matrix)
 
 
 def _aggregate(values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -313,3 +313,111 @@ def rel_frobenius(a: np.ndarray, b: np.ndarray) -> float:
 def random_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     m = rng.standard_normal((dim, dim))
     return scale * (m @ m.T + 0.1 * np.eye(dim))
+
+
+def pair_blocks(paths: np.ndarray, k, j, n, lam) -> np.ndarray:
+    """Ranging blocks lam * u u^T of node pairs (k, j) at steps n, u the unit
+    vector from node k to node j; the index arrays and `lam` broadcast."""
+    diff = paths[j, n] - paths[k, n]
+    dist = np.linalg.norm(diff, axis=-1)
+    u = diff / np.where(dist > 0.0, dist, 1.0)[..., None]
+    return np.asarray(lam, dtype=float)[..., None, None] * (u[..., :, None] * u[..., None, :])
+
+
+def scatter_spatial_matrices(
+    scenario, first: int, stop: int, anchors_only: bool = False
+) -> np.ndarray:
+    """Network ranging matrices of steps first..stop-1 of a scenario, priors
+    included, shape (steps, 2*Na, 2*Na), by one np.add.at scatter of every
+    listed pair's block: onto its agent's diagonal, then (agent peers only)
+    onto the peer's diagonal and, negated, between the two. A diagonal block
+    thus sums the pairs its agent opens before those it closes, each in
+    listing order. `anchors_only` keeps the agent-anchor pairs."""
+    geom = scenario.geometry
+    na, steps = geom.num_agents, stop - first
+    out = np.zeros((steps, na, na, 2, 2))
+    if scenario.range_model is not None:
+        listing = [
+            (k, j, n)
+            for n in range(first, stop)
+            for k, j in scenario.pairs[n]
+            if not anchors_only or j >= na
+        ]
+        k, peer, n = (np.array([entry[i] for entry in listing], dtype=int) for i in range(3))
+        blocks = pair_blocks(geom.paths, k, peer, n, scenario.range_model.intensity_at(k, peer, n))
+        agent_peer = peer < na
+        ap_n, ap_k, ap_peer, ap_blocks = (a[agent_peer] for a in (n, k, peer, blocks))
+        np.add.at(
+            out,
+            (
+                np.concatenate([n, ap_n, ap_n, ap_n]) - first,
+                np.concatenate([k, ap_peer, ap_k, ap_peer]),
+                np.concatenate([k, ap_peer, ap_peer, ap_k]),
+            ),
+            np.concatenate([blocks, ap_blocks, -ap_blocks, -ap_blocks.transpose(0, 2, 1)]),
+        )
+    for k, n, blk in scenario.priors:
+        if first <= n < stop:
+            out[n - first, k, k] += np.asarray(blk, dtype=float)
+    return out.transpose(0, 1, 3, 2, 4).reshape(steps, 2 * na, 2 * na)
+
+
+def velocity_matrices(scenario, first: int, stop: int) -> np.ndarray:
+    """Block-diagonal network velocity matrices of the transitions into steps
+    first..stop-1 (first >= 1), one agent and step at a time in scalar
+    arithmetic: along * I for isotropic intensities, else R L R^T in the
+    frame (c, s) of the step displacement, symmetrized."""
+    geom = scenario.geometry
+    na, steps = geom.num_agents, stop - first
+    out = np.zeros((steps, na, na, 2, 2))
+    model = scenario.velocity_model
+    for n in range(first, stop):
+        for k in range(na if model is not None else 0):
+            a, b, x = (float(v) for v in model.coeffs_at(k, n))
+            if x == 0.0 and a == b:
+                out[n - first, k, k] = a * np.eye(2)
+                continue
+            dx, dy = (float(v) for v in geom.paths[k, n] - geom.paths[k, n - 1])
+            dist = float(np.linalg.norm(np.array([[dx, dy]]), axis=-1)[0])
+            c, s = dx / dist, dy / dist
+            # R L with R = [[c, -s], [s, c]], L = [[a, x], [x, b]]; then (R L) R^T
+            r00, r01 = c * a - s * x, c * x - s * b
+            r10, r11 = s * a + c * x, s * x + c * b
+            b00, b01 = r00 * c - r01 * s, r00 * s + r01 * c
+            b10, b11 = r10 * c - r11 * s, r10 * s + r11 * c
+            off = 0.5 * (b01 + b10)
+            out[n - first, k, k] = [[b00, off], [off, b11]]
+    return out.transpose(0, 1, 3, 2, 4).reshape(steps, 2 * na, 2 * na)
+
+
+def band_matrix(diag: np.ndarray, links: np.ndarray) -> np.ndarray:
+    """Joint matrix over consecutive steps, time-major: diag[n] + links[n] +
+    links[n-1] on step n's diagonal block, -links[n] between steps n and
+    n+1."""
+    steps, size = diag.shape[0], diag.shape[-1]
+    out = np.zeros((steps * size, steps * size))
+    for n in range(steps):
+        block = diag[n].copy()
+        if n < steps - 1:
+            block += links[n]
+        if n > 0:
+            block += links[n - 1]
+        rows = slice(n * size, (n + 1) * size)
+        out[rows, rows] = block
+        if n < steps - 1:
+            nxt = slice((n + 1) * size, (n + 2) * size)
+            out[rows, nxt] = -links[n]
+            out[nxt, rows] = -links[n].T
+    return out
+
+
+def inline_random_walks(seed: int, area, num_agents: int, num_steps: int, step_cov) -> np.ndarray:
+    """Agent paths of a scenario file's integer `agents`, by the formula the
+    file loader once carried inline: starts uniform in the area, then
+    Gaussian steps through the Cholesky factor of the step covariance."""
+    rng = np.random.default_rng([seed])
+    starts = rng.uniform((0.0, 0.0), tuple(area), size=(num_agents, 2))
+    steps = rng.standard_normal((num_agents, num_steps - 1, 2)) @ np.linalg.cholesky(step_cov).T
+    return np.concatenate(
+        [starts[:, None, :], starts[:, None, :] + np.cumsum(steps, axis=1)], axis=1
+    )

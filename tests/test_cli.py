@@ -1,10 +1,15 @@
+import hashlib
 import json
 import math
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from navlim import cli
+from navlim import cli, simkit
+from navlim.models import ScenarioGeometry
+from oracles import inline_random_walks
 
 
 def run_cli(args, monkeypatch=None, env=None):
@@ -426,3 +431,62 @@ def test_sweep_audit_accepts_agreeing_infinite_bounds(tmp_path, capsys, argv):
         warnings.simplefilter("error")
         assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_integer_agents_draw_the_inline_random_walk(tmp_path):
+    spec = {
+        "area": [25, 15],
+        "anchors": [[2.0, 2.0], [20.0, 3.0], [12.0, 14.0]],
+        "agents": 3,
+        "T": 4,
+        "intensities": {"lambda_kk": 5, "nu_kk": 2, "xi_kk": 1, "lambda_kj": 4},
+        "step_cov": [[1.5, 0.3], [0.3, 0.8]],
+        "seed": 11,
+    }
+    walks = inline_random_walks(11, spec["area"], 3, 4, np.array(spec["step_cov"]))
+    drawn = tmp_path / "drawn.json"
+    drawn.write_text(json.dumps(spec))
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(json.dumps(dict(spec, agents=walks.tolist())))
+    assert cli.load_scenario(str(drawn)).geometry.paths[:3].tobytes() == walks.tobytes()
+    for path in (drawn, explicit):
+        out = tmp_path / path.stem
+        assert cli.main(["ellipse", "--scenario", str(path), "--out-dir", str(out)]) == 0
+    assert (tmp_path / "drawn" / "ellipses.csv").read_bytes() == (
+        tmp_path / "explicit" / "ellipses.csv"
+    ).read_bytes()
+
+
+def test_audit_failure_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
+    real = simkit.generate_scenario
+
+    def coincident_audit(cfg, entropy=()):
+        scenario = real(cfg, entropy)
+        if entropy != (simkit._AUDIT_ENTROPY,):
+            return scenario
+        paths = scenario.geometry.paths.copy()
+        paths[0, 1] = paths[cfg.num_agents, 1]  # agent 0 on the first anchor
+        return replace(scenario, geometry=ScenarioGeometry(paths, cfg.num_agents))
+
+    monkeypatch.setattr(simkit, "generate_scenario", coincident_audit)
+    argv = ["sweep-time", "--trials", "3", "--agents", "2", "--steps", "1..3", "--seed", "5"]
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "seed=5" in err and f"entropy={simkit._AUDIT_ENTROPY:#x}" in err
+    assert "coincide" in err
+    assert not (tmp_path / "sweep_time.csv").exists()
+
+
+@pytest.mark.parametrize("seed", [7, 1112])
+@pytest.mark.parametrize("workload", ["sweep-time", "sweep-nodes"])
+def test_benchmark_sweeps_match_their_recorded_digests(tmp_path, capsys, workload, seed):
+    # the benchmark's own sweep shapes; the digests file is only read
+    from perfbench import workloads
+
+    sweep = workloads.WORKLOADS[workload]
+    recorded = json.loads(workloads.DIGESTS.read_text(encoding="utf-8"))[workload][str(seed)]
+    assert sweep.digest_argv(seed) == recorded["argv"]
+    assert cli.main(sweep.argv(seed, str(tmp_path))) == 0
+    data = (tmp_path / f"{sweep.subcommand.replace('-', '_')}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == recorded["sha256"]

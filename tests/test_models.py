@@ -34,25 +34,38 @@ def walk_geometry(points):
     return ScenarioGeometry(paths, num_agents=1)
 
 
+def pair_block(geom, k, j, n, model):
+    """`spatial_block` of the single measured pair (k, j) at step n."""
+    weights = np.zeros((1, 1, geom.num_agents, geom.num_nodes))
+    weights[0, 0, k, j] = model.intensity_at(k, j, n)
+    return spatial_block(geom.paths[None], weights, n)[0, 0, k, j]
+
+
+def velocity_block(geom, k, n, model):
+    """`temporal_block` of agent k's transition into step n."""
+    coeffs = model.coeffs_at(np.arange(geom.num_agents), n)
+    return temporal_block(geom.paths[None], coeffs[None, None], n)[0, 0, k]
+
+
 # ---------------------------------------------------------------------------
 # ranging
 
 
 def test_spatial_block_along_x():
     geom = two_node_geometry()
-    blk = spatial_block(geom, 0, 1, 0, RangeModel(intensity=5.0))
+    blk = pair_block(geom, 0, 1, 0, RangeModel(intensity=5.0))
     np.testing.assert_allclose(blk, [[5.0, 0.0], [0.0, 0.0]], atol=1e-14)
 
 
 def test_spatial_block_zero_intensity():
     geom = two_node_geometry()
-    assert not spatial_block(geom, 0, 1, 0, RangeModel(intensity=0.0)).any()
+    assert not pair_block(geom, 0, 1, 0, RangeModel(intensity=0.0)).any()
 
 
 def test_spatial_block_derived_intensity():
     geom = two_node_geometry(p1=(0.0, 2.0))
     model = RangeModel(sigma_range=0.4, sigma_bias=0.3)
-    blk = spatial_block(geom, 0, 1, 0, model)
+    blk = pair_block(geom, 0, 1, 0, model)
     # u = (0, 1) exactly, so u u^T has exact zeros where r_dir(pi / 2) has
     # cos(pi / 2) round-off
     np.testing.assert_allclose(blk, [[0.0, 0.0], [0.0, 4.0]], rtol=1e-12, atol=0.0)
@@ -61,7 +74,7 @@ def test_spatial_block_derived_intensity():
 def test_spatial_block_coincident_nodes():
     geom = two_node_geometry(p1=(0.0, 0.0))
     with pytest.raises(GeometryError, match="undefined direction"):
-        spatial_block(geom, 0, 1, 0, RangeModel(intensity=1.0))
+        pair_block(geom, 0, 1, 0, RangeModel(intensity=1.0))
 
 
 def test_range_intensity_reduction_matches_closed_form():
@@ -97,13 +110,13 @@ def test_range_model_table_override():
 
 def test_temporal_block_isotropic():
     geom = walk_geometry([(0.0, 0.0), (0.7, -0.4)])
-    blk = temporal_block(geom, 0, 1, VelocityModel(5.0, 5.0))
+    blk = velocity_block(geom, 0, 1, VelocityModel(5.0, 5.0))
     np.testing.assert_allclose(blk, 5.0 * np.eye(2), atol=1e-12)
 
 
 def test_temporal_block_rank1_along_x():
     geom = walk_geometry([(0.0, 0.0), (2.0, 0.0)])
-    blk = temporal_block(geom, 0, 1, VelocityModel(4.0, 0.0))
+    blk = velocity_block(geom, 0, 1, VelocityModel(4.0, 0.0))
     np.testing.assert_allclose(blk, [[4.0, 0.0], [0.0, 0.0]], atol=1e-14)
 
 
@@ -111,7 +124,7 @@ def test_temporal_block_rotated_basis_oracle():
     # Motion at 45 degrees: the block is the intensity matrix conjugated by
     # the step rotation.
     geom = walk_geometry([(0.0, 0.0), (1.0, 1.0)])
-    blk = temporal_block(geom, 0, 1, VelocityModel(2.0, 1.0, 0.5))
+    blk = velocity_block(geom, 0, 1, VelocityModel(2.0, 1.0, 0.5))
     rot = rotation(math.pi / 4)
     expect = rot @ np.array([[2.0, 0.5], [0.5, 1.0]]) @ rot.T
     np.testing.assert_allclose(blk, expect, rtol=1e-12)
@@ -128,18 +141,18 @@ def test_temporal_block_equivariance():
         rot = rotation(theta)
         geom = walk_geometry([(0.0, 0.0), tuple(step)])
         geom_rot = walk_geometry([(0.0, 0.0), tuple(rot @ step)])
-        blk = temporal_block(geom, 0, 1, model)
-        blk_rot = temporal_block(geom_rot, 0, 1, model)
+        blk = velocity_block(geom, 0, 1, model)
+        blk_rot = velocity_block(geom_rot, 0, 1, model)
         np.testing.assert_allclose(blk_rot, rot @ blk @ rot.T, atol=1e-12)
 
 
 def test_temporal_block_zero_displacement():
     geom = walk_geometry([(1.0, 1.0), (1.0, 1.0)])
     np.testing.assert_allclose(
-        temporal_block(geom, 0, 1, VelocityModel(5.0, 5.0)), 5.0 * np.eye(2)
+        velocity_block(geom, 0, 1, VelocityModel(5.0, 5.0)), 5.0 * np.eye(2)
     )
     with pytest.raises(GeometryError, match="zero displacement"):
-        temporal_block(geom, 0, 1, VelocityModel(5.0, 4.0))
+        velocity_block(geom, 0, 1, VelocityModel(5.0, 4.0))
 
 
 def test_velocity_model_psd_validation():
@@ -167,7 +180,7 @@ def test_temporal_block_is_psd_when_triple_is_psd():
         couple = rng.uniform(-1, 1) * math.sqrt(along * across)
         model = VelocityModel(along, across, couple)
         geom = walk_geometry([(0.0, 0.0), tuple(rng.uniform(-2, 2, size=2) + 3.0)])
-        blk = temporal_block(geom, 0, 1, model)
+        blk = velocity_block(geom, 0, 1, model)
         assert np.linalg.eigvalsh(blk).min() > -1e-12
 
 
@@ -341,22 +354,26 @@ def test_spatial_block_vectorized_matches_per_pair_formula():
     paths = rng.uniform(-30.0, 30.0, size=(7, 4, 2))
     geom = ScenarioGeometry(paths, num_agents=4)
     table = {(0, 5, 2): 0.25, (1, 3, 0): 9.0}
+    n, k, j = np.meshgrid(np.arange(4), np.arange(4), np.arange(7), indexing="ij")
     for model in (
         RangeModel(intensity=3.0),
         RangeModel(sigma_range=0.4, sigma_bias=0.3),
         RangeModel(intensity=2.0, table=table),
     ):
-        k = np.array([0, 0, 1, 3, 2, 1])
-        j = np.array([5, 1, 3, 6, 4, 3])
-        n = np.array([2, 0, 0, 3, 1, 2])
-        got = spatial_block(geom, k, j, n, model)
-        assert got.shape == (6, 2, 2)
-        for i in range(6):
-            v = paths[j[i], n[i]] - paths[k[i], n[i]]
-            lam = model.intensity_at(k[i], j[i], n[i])
-            want = lam * r_dir(math.atan2(v[1], v[0]))
-            _close_blocks(got[i], want)
-            np.testing.assert_array_equal(got[i], spatial_block(geom, k[i], j[i], n[i], model))
+        weights = np.where(k != j, model.intensity_at(k, j, n), 0.0)
+        got = spatial_block(paths[None], weights[None])[0]
+        assert got.shape == (4, 4, 7, 2, 2)
+        for step, a, p in zip(n.flat, k.flat, j.flat):
+            if a == p:
+                assert not got[step, a, p].any()
+                continue
+            v = paths[p, step] - paths[a, step]
+            want = model.intensity_at(a, p, step) * r_dir(math.atan2(v[1], v[0]))
+            _close_blocks(got[step, a, p], want)
+            # one pair alone, and the pair seen from its other end, bitwise
+            np.testing.assert_array_equal(got[step, a, p], pair_block(geom, a, p, step, model))
+            if p < 4:
+                np.testing.assert_array_equal(got[step, a, p], got[step, p, a])
 
 
 @pytest.mark.parametrize(
@@ -368,18 +385,20 @@ def test_temporal_block_vectorized_matches_rotation_formula(triple):
     paths = rng.uniform(-10.0, 10.0, size=(3, 5, 2))
     geom = ScenarioGeometry(paths, num_agents=3)
     model = VelocityModel(*triple, table={(1, 2): (6.0, 0.5, 1.0), (2, 4): (2.0, 2.0, 0.0)})
-    k, n = np.meshgrid(np.arange(3), np.arange(1, 5), indexing="ij")
-    got = temporal_block(geom, k, n, model)
-    assert got.shape == (3, 4, 2, 2)
-    for a in range(3):
-        for b in range(4):
-            along, across, couple = model.coeffs_at(k[a, b], n[a, b])
-            v = paths[k[a, b], n[a, b]] - paths[k[a, b], n[a, b] - 1]
+    n, k = np.meshgrid(np.arange(1, 5), np.arange(3), indexing="ij")
+    got = temporal_block(paths[None], model.coeffs_at(k, n)[None], 1)[0]
+    assert got.shape == (4, 3, 2, 2)
+    for b in range(4):
+        for a in range(3):
+            along, across, couple = model.coeffs_at(k[b, a], n[b, a])
+            v = paths[k[b, a], n[b, a]] - paths[k[b, a], n[b, a] - 1]
             rot = rotation(math.atan2(v[1], v[0]))
             want = rot @ np.array([[along, couple], [couple, across]]) @ rot.T
-            _close_blocks(got[a, b], want)
+            _close_blocks(got[b, a], want)
+            # one transition alone gives the same bits as the stack
+            np.testing.assert_array_equal(got[b, a], velocity_block(geom, a, n[b, a], model))
             if couple == 0.0 and along == across:
-                np.testing.assert_array_equal(got[a, b], along * np.eye(2))
+                np.testing.assert_array_equal(got[b, a], along * np.eye(2))
 
 
 def test_model_lookups_broadcast_with_table_overrides():

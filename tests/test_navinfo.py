@@ -39,6 +39,7 @@ from navlim.simkit import ScenarioConfig, generate_scenario
 from oracles import (
     GaussianCase,
     dense_position_fim,
+    pair_blocks,
     random_gaussian_case,
     random_chain,
     ranging_local_info,
@@ -139,12 +140,9 @@ def test_row_structure_and_banding():
         for k in range(na):
             total = np.zeros((2, 2))
             for k2, peer in scenario.pairs[n]:
-                from navlim.models import spatial_block
-
-                if k2 == k:
-                    total += spatial_block(scenario.geometry, k, peer, n, scenario.range_model)
-                elif peer == k:
-                    total += spatial_block(scenario.geometry, k2, peer, n, scenario.range_model)
+                if k in (k2, peer):
+                    lam = scenario.range_model.intensity_at(k2, peer, n)
+                    total += pair_blocks(scenario.geometry.paths, k2, peer, n, lam)
             np.testing.assert_allclose(
                 s_n[2 * k : 2 * k + 2, 2 * k : 2 * k + 2], total, atol=1e-12
             )

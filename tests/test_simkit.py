@@ -271,10 +271,28 @@ def test_chunk_failure_drops_only_its_trial():
     cfg = small_cfg(num_agents=3, num_steps=4)
     scenarios = [generate_scenario(cfg, (trial,)) for trial in range(5)]
     scenarios[2] = _coincident(scenarios[2])
-    chunk = simkit._stacked_spebs(scenarios, ALL_MODES)
+    chunk = simkit._stacked_spebs(simkit._scenario_chunk(scenarios), ALL_MODES)
     assert isinstance(chunk[2], GeometryError)
     for i in (0, 1, 3, 4):
-        [alone] = simkit._stacked_spebs([scenarios[i]], ALL_MODES)
+        [alone] = simkit._stacked_spebs(simkit._scenario_chunk([scenarios[i]]), ALL_MODES)
+        for mode in ALL_MODES:
+            assert chunk[i][mode.value].tobytes() == alone[mode.value].tobytes()
+
+
+def test_chunk_failures_name_each_trials_first_coincident_pair():
+    cfg = small_cfg(num_agents=3, num_anchors=2, num_steps=4)
+    scenarios = [generate_scenario(cfg, (trial,)) for trial in range(4)]
+    faults = {0: [(1, 4, 3)], 2: [(1, 3, 3), (2, 0, 2)]}  # (agent, onto node, step)
+    for i, moves in faults.items():
+        paths = scenarios[i].geometry.paths.copy()
+        for k, node, n in moves:
+            paths[k, n] = paths[node, n]
+        scenarios[i] = replace(scenarios[i], geometry=ScenarioGeometry(paths, 3))
+    chunk = simkit._stacked_spebs(simkit._scenario_chunk(scenarios), ALL_MODES)
+    assert str(chunk[0]) == "undefined direction: nodes 1 and 4 coincide at step 3"
+    assert str(chunk[2]) == "undefined direction: nodes 0 and 2 coincide at step 2"
+    for i in (1, 3):
+        [alone] = simkit._stacked_spebs(simkit._scenario_chunk([scenarios[i]]), ALL_MODES)
         for mode in ALL_MODES:
             assert chunk[i][mode.value].tobytes() == alone[mode.value].tobytes()
 
@@ -293,23 +311,25 @@ def test_recursion_failure_drops_only_its_trial(monkeypatch):
     scenarios = [generate_scenario(cfg, (trial,)) for trial in range(4)]
     scenarios[1] = replace(scenarios[1], priors=((2, 1, np.full((2, 2), np.nan)),))
     monkeypatch.setattr(np.linalg, "eigh", fails_on_nan)
-    chunk = simkit._stacked_spebs(scenarios, ALL_MODES)
+    chunk = simkit._stacked_spebs(simkit._scenario_chunk(scenarios), ALL_MODES)
     assert isinstance(chunk[1], np.linalg.LinAlgError)
     for i in (0, 2, 3):
-        [alone] = simkit._stacked_spebs([scenarios[i]], ALL_MODES)
+        [alone] = simkit._stacked_spebs(simkit._scenario_chunk([scenarios[i]]), ALL_MODES)
         for mode in ALL_MODES:
             assert chunk[i][mode.value].tobytes() == alone[mode.value].tobytes()
 
 
 def test_sweep_counts_a_coincident_trial_as_failed(monkeypatch):
     cfg = small_cfg(num_steps=2)
-    real = simkit.generate_scenario
+    real = simkit._draw_paths
 
     def with_coincident(cfg_, entropy=()):
-        scenario = real(cfg_, entropy)
-        return _coincident(scenario) if entropy == (3,) else scenario
+        paths = real(cfg_, entropy)
+        if entropy == (3,):
+            paths[0, 1] = paths[cfg_.num_agents, 1]  # agent 0 on the first anchor
+        return paths
 
-    monkeypatch.setattr(simkit, "generate_scenario", with_coincident)
+    monkeypatch.setattr(simkit, "_draw_paths", with_coincident)
     table = sweep_time(cfg, trials=120)
     assert table.failed_trials == 1
     assert all(r.trials == 119 for r in table.rows)

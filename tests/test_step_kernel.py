@@ -1,0 +1,202 @@
+"""The step-matrix kernel against the per-pair scatter reference.
+
+Every assembly path (joint EFIM, per-step matrices, the independent-
+parameter EFIM) must give the same bytes as `oracles.scatter_spatial_matrices`
+plus `oracles.velocity_matrices` for the sorted, duplicate-free pair listings
+that `full_pairs` and `radius_pairs` produce; signed zeros count. Unsorted or
+repeated listings may sum in another order and are held to 1e-12 of the
+matrix scale.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from navlim.models import RangeModel, VelocityModel, range_intensity_via_reduction
+from navlim.navinfo import (
+    assemble_position_efim,
+    independent_params_efim,
+    spatial_step_matrix,
+    temporal_step_blocks,
+)
+from navlim import navinfo, simkit
+from navlim.simkit import ScenarioConfig, generate_scenario
+from oracles import band_matrix, scatter_spatial_matrices, velocity_matrices
+
+_TRIPLES = [(5.0, 5.0, 0.0), (4.0, 1.0, 0.0), (2.0, 1.0, 0.5), (1.0, 9.0, -2.5), (0.0, 0.0, 0.0)]
+
+
+@st.composite
+def scenarios(draw):
+    """A scenario of `scenarios_of` with a random shape, and a start step."""
+    t = draw(st.integers(1, 6))
+    scenario = draw(scenarios_of(draw(st.integers(1, 6)), draw(st.integers(0, 4)), t))
+    return scenario, draw(st.integers(0, t - 1))
+
+
+@st.composite
+def scenarios_of(draw, na, nb, t):
+    """Generated scenarios with full or radius connectivity (radii down to
+    ones that isolate agents), 0-4 anchors, a direct or sigma-derived range
+    intensity with table overrides, priors (some on one coordinate), and an
+    isotropic, anisotropic or coupled velocity model with table overrides."""
+    cfg = ScenarioConfig(
+        num_agents=na,
+        num_anchors=nb,
+        num_steps=t,
+        connectivity=draw(st.sampled_from([None, 0.5, 3.0, 8.0, 15.0])),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    scenario = generate_scenario(cfg, (draw(st.integers(0, 99)),))
+    nodes = na + nb
+    table = {}
+    for k, j, n, value in draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, na - 1),
+                st.integers(0, nodes - 1),
+                st.integers(0, t - 1),
+                st.sampled_from([0.0, 0.25, 40.0]),
+            ),
+            max_size=4,
+        )
+    ):
+        if k != j:
+            table[(min(k, j), max(k, j), n)] = value
+    if draw(st.booleans()):
+        range_model = RangeModel(intensity=draw(st.sampled_from([0.0, 5.0, 0.3])), table=table)
+    else:
+        range_model = RangeModel(sigma_range=0.4, sigma_bias=0.3, table=table)
+    vel_table = {
+        (k, n): _TRIPLES[i]
+        for k, n, i in draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, na - 1),
+                    st.integers(1, max(t - 1, 1)),
+                    st.integers(0, len(_TRIPLES) - 1),
+                ),
+                max_size=3,
+            )
+        )
+    }
+    velocity_model = VelocityModel(*draw(st.sampled_from(_TRIPLES)), table=vel_table)
+    priors = tuple(
+        (k, n, scale * np.array([[1.0, c], [c, 2.0]]))
+        for k, n, c, scale in draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, na - 1),
+                    st.integers(0, t - 1),
+                    st.floats(-0.9, 0.9),
+                    st.sampled_from([0.5, 1e12]),
+                ),
+                max_size=3,
+            )
+        )
+    )
+    return replace(
+        scenario, range_model=range_model, velocity_model=velocity_model, priors=priors
+    )
+
+
+def _reference_efim(scenario, start: int) -> np.ndarray:
+    t = scenario.geometry.num_steps
+    return band_matrix(
+        scatter_spatial_matrices(scenario, start, t), velocity_matrices(scenario, start + 1, t)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios())
+def test_assembly_is_bytewise_the_scatter_reference(case):
+    scenario, start = case
+    t = scenario.geometry.num_steps
+    got = assemble_position_efim(scenario, start_step=start).matrix
+    assert got.tobytes() == _reference_efim(scenario, start).tobytes()
+    spatial = scatter_spatial_matrices(scenario, 0, t)
+    velocity = velocity_matrices(scenario, 1, t)
+    na = scenario.geometry.num_agents
+    for n in range(t):
+        assert spatial_step_matrix(scenario, n).tobytes() == spatial[n].tobytes()
+        if n > 0:
+            blocks = temporal_step_blocks(scenario, n)
+            for k in range(na):
+                rows = slice(2 * k, 2 * k + 2)
+                assert blocks[k].tobytes() == velocity[n - 1][rows, rows].tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(scenarios())
+def test_independent_params_efim_is_bytewise_the_scatter_reference(case):
+    scenario, _ = case
+    scenario = replace(scenario, velocity_model=None, mobility=None)
+    model = scenario.range_model
+    if model.sigma_range is not None:
+        intensity = range_intensity_via_reduction(model.sigma_range, model.sigma_bias)
+        model = replace(model, intensity=intensity, sigma_range=None)
+    t = scenario.geometry.num_steps
+    spatial = scatter_spatial_matrices(replace(scenario, range_model=model), 0, t)
+    want = band_matrix(spatial, np.zeros((max(t - 1, 0), *spatial.shape[1:])))
+    assert independent_params_efim(scenario).matrix.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios(), st.randoms(use_true_random=False), st.integers(0, 3))
+def test_unsorted_and_repeated_listings_agree_within_round_off(case, rand, repeats):
+    scenario, start = case
+    pairs = []
+    for step in scenario.pairs:
+        listing = list(step) + list(step[:repeats])
+        rand.shuffle(listing)
+        pairs.append(tuple(listing))
+    scenario = replace(scenario, pairs=tuple(pairs))
+    got = assemble_position_efim(scenario, start_step=start).matrix
+    want = _reference_efim(scenario, start)
+    scale = np.abs(want).max(initial=0.0)
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
+
+
+@st.composite
+def chunks(draw):
+    t = draw(st.integers(1, 6))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(0, 4)), t)
+    return draw(st.lists(scenarios_of(*shape), min_size=1, max_size=4))
+
+
+@settings(max_examples=75, deadline=None)
+@given(chunks())
+def test_chunk_kernel_is_bytewise_the_scatter_reference_per_trial(scenarios):
+    chunk = simkit._scenario_chunk(scenarios)
+    full, anchors = navinfo._spatial_matrices(
+        chunk.paths, chunk.weights, priors=chunk.priors, anchors=True
+    )
+    velocity = navinfo._temporal_matrices(chunk.paths, chunk.coeffs)
+    t = scenarios[0].geometry.num_steps
+    for c, scenario in enumerate(scenarios):
+        assert full[c].tobytes() == scatter_spatial_matrices(scenario, 0, t).tobytes()
+        want = scatter_spatial_matrices(scenario, 0, t, anchors_only=True)
+        assert anchors[c].tobytes() == want.tobytes()
+        assert velocity[c].tobytes() == velocity_matrices(scenario, 1, t).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(0, 4),
+    st.integers(1, 6),
+    st.sampled_from([None, 0.5, 4.0, 12.0]),
+    st.integers(0, 2**31 - 1),
+)
+def test_drawn_chunk_is_the_chunk_of_generated_scenarios(na, nb, t, radius, seed):
+    cfg = ScenarioConfig(
+        num_agents=na, num_anchors=nb, num_steps=t, connectivity=radius, seed=seed,
+        vel_along=3.0, vel_across=1.0, vel_couple=0.5,
+    )
+    entropies = [(na, trial) for trial in range(3)]
+    drawn = simkit._drawn_chunk(cfg, entropies)
+    built = simkit._scenario_chunk([generate_scenario(cfg, e) for e in entropies])
+    for field in ("paths", "weights", "coeffs"):
+        assert getattr(drawn, field).tobytes() == getattr(built, field).tobytes()
+    assert drawn.priors == built.priors
