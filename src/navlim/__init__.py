@@ -9,18 +9,11 @@ Monte-Carlo scenario studies from a CLI.
 """
 
 from .blockfim import (
-    BlockLayout,
-    BlockSymMatrix,
     ChainBlocks,
-    ParamId,
-    ParamKind,
     SingularBlockError,
-    assemble,
     block_diag,
     eliminate_block,
     eliminate_hmm_chain,
-    schur_complement,
-    sym_pinv,
 )
 from .geom2d import (
     Eigen2,

@@ -1,21 +1,17 @@
-"""Block-indexed symmetric matrices and Schur-complement elimination.
+"""Nuisance elimination by Schur complement, for single blocks and for
+hidden-Markov nuisance chains.
 
-The joint Fisher information matrix over positions and measurement-parameter
-nuisances is stored dense: problem sizes stay in the low hundreds of
-dimensions, where dense storage is simpler and directly comparable against
-whole-matrix oracles.
-
-The core reduction is the Schur complement A - B C^-1 B^T onto a kept
-coordinate subset, which preserves the inverse-matrix block of the kept
-coordinates. Rank-deficient eliminated blocks are handled by a symmetric
-pseudo-inverse: eigenvalues below PINV_RCOND * |lambda|_max are treated as
-exact zeros. If a discarded null direction carries cross-information, the
-reduction is undefined and `SingularBlockError` is raised.
+`eliminate_block` reduces A - B C^-1 B^T, which preserves the inverse-matrix
+block of the kept coordinates. Rank-deficient eliminated blocks are handled
+by a symmetric pseudo-inverse: eigenvalues below PINV_RCOND * |lambda|_max
+are treated as exact zeros. If a discarded null direction carries
+cross-information, the reduction is undefined and `SingularBlockError` is
+raised. `eliminate_hmm_chain` removes a whole chain of per-step nuisances
+coupled step to step, in time order.
 """
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -56,158 +52,6 @@ def _eigh_converges(m: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-class ParamKind(Enum):
-    POSITION = "position"
-    INTRA = "intra"
-    INTER = "inter"
-
-
-_KIND_RANK = {ParamKind.POSITION: 0, ParamKind.INTRA: 1, ParamKind.INTER: 2}
-
-
-@dataclass(frozen=True)
-class ParamId:
-    """Coordinate of one parameter block: (kind, agent, time[, peer]).
-
-    `peer` identifies the far node of a pairwise measurement parameter and is
-    present exactly for kind INTER. Times and node indices are 0-based.
-    """
-
-    kind: ParamKind
-    agent: int
-    time: int
-    peer: int | None = None
-
-    def __post_init__(self):
-        if self.agent < 0 or self.time < 0:
-            raise ValueError(f"negative index in {self!r}")
-        if self.kind is ParamKind.INTER:
-            if self.peer is None:
-                raise ValueError("pairwise parameter requires a peer")
-            if self.peer == self.agent:
-                raise ValueError("peer must differ from agent")
-        elif self.peer is not None:
-            raise ValueError(f"{self.kind} parameter takes no peer")
-
-
-def canonical_key(pid: ParamId) -> tuple:
-    """Sort key: time-major, positions before intra before pairwise, then agent.
-
-    Keeps every time step's position band contiguous so cross-step structure
-    shows up as a visible matrix band.
-    """
-    return (pid.time, _KIND_RANK[pid.kind], pid.agent, -1 if pid.peer is None else pid.peer)
-
-
-class BlockLayout:
-    """Ordered (ParamId, block_dim) list with offset lookup."""
-
-    def __init__(self, entries: Iterable[tuple[ParamId, int]]):
-        self._ids: list[ParamId] = []
-        self._dims: dict[ParamId, int] = {}
-        self._offsets: dict[ParamId, int] = {}
-        offset = 0
-        for pid, dim in entries:
-            if dim <= 0:
-                raise ValueError(f"non-positive block dim for {pid!r}")
-            if pid in self._dims:
-                raise ValueError(f"duplicate parameter {pid!r}")
-            self._ids.append(pid)
-            self._dims[pid] = dim
-            self._offsets[pid] = offset
-            offset += dim
-        self.total_dim = offset
-
-    @property
-    def ids(self) -> tuple[ParamId, ...]:
-        return tuple(self._ids)
-
-    def __contains__(self, pid: ParamId) -> bool:
-        return pid in self._dims
-
-    def dim(self, pid: ParamId) -> int:
-        return self._dims[pid]
-
-    def offset(self, pid: ParamId) -> int:
-        return self._offsets[pid]
-
-    def slice(self, pid: ParamId) -> slice:
-        o = self._offsets[pid]
-        return slice(o, o + self._dims[pid])
-
-    def indices(self, pids: Iterable[ParamId]) -> np.ndarray:
-        """Flat row indices of the given blocks, in the given order."""
-        out = []
-        for pid in pids:
-            out.extend(range(self._offsets[pid], self._offsets[pid] + self._dims[pid]))
-        return np.array(out, dtype=int)
-
-
-@dataclass
-class BlockSymMatrix:
-    """Dense symmetric matrix addressed by ParamId blocks."""
-
-    layout: BlockLayout
-    data: np.ndarray
-
-    @classmethod
-    def zeros(cls, layout: BlockLayout) -> "BlockSymMatrix":
-        return cls(layout, np.zeros((layout.total_dim, layout.total_dim)))
-
-    def add_block(self, i: ParamId, j: ParamId, m: np.ndarray) -> None:
-        """Add m at block (i, j) and its transpose at (j, i)."""
-        m = np.asarray(m, dtype=float)
-        si, sj = self.layout.slice(i), self.layout.slice(j)
-        if m.shape != (si.stop - si.start, sj.stop - sj.start):
-            raise ValueError(
-                f"block shape {m.shape} does not match ({i!r}, {j!r})"
-            )
-        self.data[si, sj] += m
-        if i != j:
-            self.data[sj, si] += m.T
-
-    def block(self, i: ParamId, j: ParamId) -> np.ndarray:
-        return self.data[self.layout.slice(i), self.layout.slice(j)].copy()
-
-    def submatrix(self, pids: Sequence[ParamId]) -> np.ndarray:
-        idx = self.layout.indices(pids)
-        return self.data[np.ix_(idx, idx)].copy()
-
-    def symmetry_error(self) -> float:
-        scale = max(1.0, float(np.abs(self.data).max(initial=0.0)))
-        return float(np.abs(self.data - self.data.T).max(initial=0.0)) / scale
-
-
-def assemble(
-    layout: BlockLayout,
-    contributions: Iterable[tuple[ParamId, ParamId, np.ndarray]],
-) -> BlockSymMatrix:
-    """Additive scatter of (i, j, block) contributions into a symmetric matrix.
-
-    Each off-diagonal contribution is mirrored transposed at (j, i); list each
-    unordered pair once.
-    """
-    out = BlockSymMatrix.zeros(layout)
-    for i, j, m in contributions:
-        out.add_block(i, j, m)
-    return out
-
-
-def sym_pinv(m: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
-    """Pseudo-inverse of a symmetric matrix via eigendecomposition.
-
-    Eigenvalues with |lambda| <= rcond * |lambda|_max are treated as exact
-    zeros.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        return m.copy()
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    cutoff = rcond * np.abs(w).max(initial=0.0)
-    inv_w = np.where(np.abs(w) > cutoff, 1.0, 0.0) / np.where(np.abs(w) > cutoff, w, 1.0)
-    return (v * inv_w) @ v.T
 
 
 def _reduce(
@@ -290,28 +134,6 @@ def eliminate_block(
     bt = _t(b) if cross_back is None else np.atleast_2d(np.asarray(cross_back, dtype=float))
     out = _reduce(a, b, c, bt, "eliminate_block")
     return float(out[0, 0]) if scalar else out
-
-
-def schur_complement(m: BlockSymMatrix, keep: Iterable[ParamId]) -> BlockSymMatrix:
-    """Reduce onto the kept blocks: the result's inverse equals the kept block
-    of the full inverse whenever the full matrix is invertible."""
-    keep_set = set(keep)
-    for pid in keep_set:
-        if pid not in m.layout:
-            raise ValueError(f"unknown parameter {pid!r}")
-    kept = [pid for pid in m.layout.ids if pid in keep_set]
-    dropped = [pid for pid in m.layout.ids if pid not in keep_set]
-    ki = m.layout.indices(kept)
-    if not dropped:
-        layout = BlockLayout((pid, m.layout.dim(pid)) for pid in kept)
-        return BlockSymMatrix(layout, m.data[np.ix_(ki, ki)].copy())
-    di = m.layout.indices(dropped)
-    a = m.data[np.ix_(ki, ki)]
-    b = m.data[np.ix_(ki, di)]
-    c = m.data[np.ix_(di, di)]
-    reduced = _reduce(a, b, c, b.T, "schur_complement")
-    layout = BlockLayout((pid, m.layout.dim(pid)) for pid in kept)
-    return BlockSymMatrix(layout, 0.5 * (reduced + reduced.T))
 
 
 @dataclass(frozen=True)

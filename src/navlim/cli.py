@@ -12,6 +12,7 @@ default seed (an integer, else exit 2); an explicit --seed always wins.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -178,14 +179,26 @@ def cmd_sweep_nodes(args) -> int:
     return _emit_sweep(table, args, "sweep_nodes", "number of agents")
 
 
+@contextlib.contextmanager
+def _writing_to(out_dir: str):
+    """Create `out_dir` for the file written in the block. A directory that
+    cannot be created or written is a configuration error naming it."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ConfigError(f"unusable --out-dir {out_dir}: {exc}") from None
+
+
 def _emit_sweep(table, args, stem: str, x_label: str) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, f"{stem}.csv")
-    persist(table, csv_path)
+    with _writing_to(args.out_dir):
+        persist(table, csv_path)
     print(f"wrote {csv_path} ({len(table.rows)} rows, {table.failed_trials} failed trials)")
     if args.emit in ("svg", "both"):
         svg_path = os.path.join(args.out_dir, f"{stem}.svg")
-        write_atomic(svg_path, _sweep_svg(table, x_label))
+        with _writing_to(args.out_dir):
+            write_atomic(svg_path, _sweep_svg(table, x_label))
         print(f"wrote {svg_path}")
     return EXIT_OK
 
@@ -305,18 +318,19 @@ def cmd_ellipse(args) -> int:
             rows.append(_ellipse_row(k, n, "carry_over", carry[k]))
             rows.append(_ellipse_row(k, n, "after_spatial", after[k]))
         s_prev = s_n
-    os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "ellipses.csv")
     header = "agent,step,stage,semi_major_m_inv,semi_minor_m_inv,orientation_rad,degenerate"
     lines = [header] + [
         f"{k},{n},{stage},{format_value(a)},{format_value(b)},{format_value(ang)},{str(deg).lower()}"
         for (k, n, stage, a, b, ang, deg) in rows
     ]
-    write_atomic(csv_path, "\n".join(lines) + "\n")
+    with _writing_to(args.out_dir):
+        write_atomic(csv_path, "\n".join(lines) + "\n")
     print(f"wrote {csv_path} ({len(rows)} rows)")
     if args.emit in ("svg", "both"):
         svg_path = os.path.join(args.out_dir, "ellipses.svg")
-        write_atomic(svg_path, _ellipse_svg(scenario, rows))
+        with _writing_to(args.out_dir):
+            write_atomic(svg_path, _ellipse_svg(scenario, rows))
         print(f"wrote {svg_path}")
     return EXIT_OK
 

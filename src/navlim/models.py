@@ -233,35 +233,11 @@ class ScenarioGeometry:
     def num_steps(self) -> int:
         return self.paths.shape[1]
 
-    def position(self, k: int, n: int) -> np.ndarray:
-        return self.paths[k, n]
-
     def pair_vector(self, k: int, j: int, n: int) -> np.ndarray:
         return self.paths[j, n] - self.paths[k, n]
 
     def pair_distance(self, k: int, j: int, n: int) -> float:
         return float(np.linalg.norm(self.pair_vector(k, j, n)))
-
-    def pair_angle(self, k: int, j: int, n: int) -> float:
-        v = self.pair_vector(k, j, n)
-        if np.linalg.norm(v) <= ZERO_DISPLACEMENT:
-            raise GeometryError(f"undefined direction: nodes {k} and {j} coincide at step {n}")
-        return float(math.atan2(v[1], v[0]))
-
-    def step_vector(self, k: int, n: int) -> np.ndarray:
-        """Displacement of node k from step n-1 to step n (n >= 1)."""
-        if n < 1:
-            raise ValueError("step displacement needs n >= 1")
-        return self.paths[k, n] - self.paths[k, n - 1]
-
-    def step_distance(self, k: int, n: int) -> float:
-        return float(np.linalg.norm(self.step_vector(k, n)))
-
-    def step_angle(self, k: int, n: int) -> float:
-        v = self.step_vector(k, n)
-        if np.linalg.norm(v) <= ZERO_DISPLACEMENT:
-            raise GeometryError(f"undefined direction: agent {k} did not move into step {n}")
-        return float(math.atan2(v[1], v[0]))
 
 
 def full_pairs(geometry: ScenarioGeometry) -> tuple[tuple[tuple[int, int], ...], ...]:

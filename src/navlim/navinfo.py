@@ -18,15 +18,11 @@ import numpy as np
 
 from .blockfim import (
     _eigh,
-    BlockLayout,
-    BlockSymMatrix,
+    _reduce,
     ChainBlocks,
-    ParamId,
-    ParamKind,
     block_diag,
     eliminate_block,
     eliminate_hmm_chain,
-    schur_complement,
 )
 from .geom2d import Eigen2, eigen2, r_cross, r_dir, unit_vector
 from .models import (
@@ -45,6 +41,12 @@ from .models import (
 # assembled null spaces land near 1e-15 absolute even at dim ~500, while a
 # deliberate 1e12 pinning prior must not swallow ordinary m^-2 eigenvalues.
 _SPEB_NULL_FACTOR = 4.0 * np.finfo(float).eps
+
+# Carry-over eigenvalues at or below 32 * dim * eps * max|K| are exact zeros:
+# the carry K - K (S + carry + K)^-1 K is a difference of terms of K's size,
+# so below that floor an uninformed past leaves only round-off, which later
+# steps would read as measured information.
+_CARRY_FLOOR_FACTOR = 32.0 * np.finfo(float).eps
 
 # Smallest eigenvalue, after scaling to unit diagonal, of the time-collapsed
 # EFIM sum_{n,m} J_nm (the summed ranging and prior information: velocity
@@ -85,23 +87,15 @@ class JointEfim:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.shape != (2 * len(self.coords), 2 * len(self.coords)):
             raise ValueError("matrix size does not match coordinate list")
+        pos = {c: i for i, c in enumerate(self.coords)}
+        if len(pos) != len(self.coords):
+            raise ValueError("duplicate coordinate")
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(
-            self, "_pos", {c: i for i, c in enumerate(self.coords)}
-        )
+        object.__setattr__(self, "_pos", pos)
 
     def rows(self, agent: int, step: int) -> slice:
         i = self._pos[(agent, step)]
         return slice(2 * i, 2 * i + 2)
-
-    def block(
-        self, agent: int, step: int, agent2: int | None = None, step2: int | None = None
-    ) -> np.ndarray:
-        r = self.rows(agent, step)
-        c = self.rows(
-            agent if agent2 is None else agent2, step if step2 is None else step2
-        )
-        return self.matrix[r, c].copy()
 
 
 def _scatter(matrix: np.ndarray, ri: slice, ci: slice, block: np.ndarray) -> None:
@@ -410,7 +404,8 @@ def marginal_efim(j: JointEfim, keep: Iterable[tuple[int, int]]) -> JointEfim:
     the block-tridiagonal domain (see `_tridiagonal_blocks`), the steps
     outside the window are eliminated by forward and backward Schur sweeps
     in O(T * Na^3); the window's interior blocks are copied unchanged. Every
-    other input takes the dense Schur complement, O((Na * T)^3).
+    other input eliminates the dropped coordinates in one dense reduction,
+    O((Na * T)^3) (see `_dense_marginal_efim`).
     """
     keep_set = set(keep)
     unknown = keep_set.difference(j.coords)
@@ -428,20 +423,20 @@ def marginal_efim(j: JointEfim, keep: Iterable[tuple[int, int]]) -> JointEfim:
 
 
 def _dense_marginal_efim(j: JointEfim, keep_set: set[tuple[int, int]]) -> JointEfim:
-    """Dense Schur complement of `j` onto `keep_set`: the reference the
-    sweep is checked against."""
-    layout = BlockLayout(
-        (ParamId(ParamKind.POSITION, agent=k, time=n), 2) for (k, n) in j.coords
-    )
-    full = BlockSymMatrix(layout, j.matrix.copy())
-    kept_ids = [
-        ParamId(ParamKind.POSITION, agent=k, time=n)
-        for (k, n) in j.coords
-        if (k, n) in keep_set
-    ]
-    reduced = schur_complement(full, kept_ids)
-    kept_coords = tuple((c.agent, c.time) for c in reduced.layout.ids)
-    return JointEfim(kept_coords, reduced.data)
+    """Eliminate every coordinate outside `keep_set` from `j` at once: the
+    reference the sweep is checked against. The kept coords stay in
+    `j.coords` order; a null direction of the dropped block that carries
+    information to the kept ones raises `SingularBlockError`."""
+    kept = [c in keep_set for c in j.coords]
+    coords = tuple(c for c, k in zip(j.coords, kept) if k)
+    rows = np.repeat(kept, 2)
+    if rows.all():
+        return JointEfim(coords, j.matrix.copy())
+    a = j.matrix[np.ix_(rows, rows)]
+    b = j.matrix[np.ix_(rows, ~rows)]
+    c = j.matrix[np.ix_(~rows, ~rows)]
+    reduced = _reduce(a, b, c, b.T, "marginal_efim")
+    return JointEfim(coords, 0.5 * (reduced + reduced.T))
 
 
 def _tridiagonal_blocks(j: JointEfim) -> tuple[int, np.ndarray, np.ndarray] | None:
@@ -561,7 +556,7 @@ def carry_over_step(
         return out
     w, v = _eigh(out)
     scale = np.abs(k).max(axis=(-2, -1), initial=0.0)[..., None]
-    w = np.where(w > 32.0 * w.shape[-1] * np.finfo(float).eps * scale, w, 0.0)
+    w = np.where(w > _CARRY_FLOOR_FACTOR * w.shape[-1] * scale, w, 0.0)
     return (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 

@@ -3,185 +3,94 @@ import pytest
 
 from navlim import blockfim
 from navlim.blockfim import (
-    BlockLayout,
-    BlockSymMatrix,
     ChainBlocks,
-    ParamId,
-    ParamKind,
     SingularBlockError,
-    assemble,
     block_diag,
-    canonical_key,
     eliminate_block,
     eliminate_hmm_chain,
-    schur_complement,
-    sym_pinv,
 )
+from navlim.navinfo import JointEfim, marginal_efim
 from oracles import dense_chain_reduction, random_chain, random_spd
 
 
-def pid(kind=ParamKind.POSITION, agent=0, time=0, peer=None):
-    return ParamId(kind, agent, time, peer)
+def inverse_block_oracle(full: np.ndarray, size: int) -> np.ndarray:
+    """Schur complement onto the leading `size` coordinates, by inverting the
+    kept block of the full inverse."""
+    return np.linalg.inv(np.linalg.inv(full)[:size, :size])
+
+
+def split(full: np.ndarray, size: int):
+    """(target, cross, nuisance) blocks of a reduction onto the leading
+    `size` coordinates."""
+    return full[:size, :size], full[:size, size:], full[size:, size:]
 
 
 # ---------------------------------------------------------------------------
-# identifiers and layout
-
-
-def test_param_id_validation():
-    with pytest.raises(ValueError):
-        ParamId(ParamKind.INTER, agent=1, time=0)  # missing peer
-    with pytest.raises(ValueError):
-        ParamId(ParamKind.INTER, agent=1, time=0, peer=1)  # self peer
-    with pytest.raises(ValueError):
-        ParamId(ParamKind.POSITION, agent=0, time=0, peer=2)  # stray peer
-    with pytest.raises(ValueError):
-        ParamId(ParamKind.POSITION, agent=-1, time=0)
-
-
-def test_canonical_key_orders_positions_first_within_step():
-    ids = [
-        pid(ParamKind.INTER, 0, 0, peer=1),
-        pid(ParamKind.POSITION, 1, 0),
-        pid(ParamKind.INTRA, 0, 0),
-        pid(ParamKind.POSITION, 0, 1),
-        pid(ParamKind.POSITION, 0, 0),
-    ]
-    ordered = sorted(ids, key=canonical_key)
-    assert ordered[0] == pid(ParamKind.POSITION, 0, 0)
-    assert ordered[1] == pid(ParamKind.POSITION, 1, 0)
-    assert ordered[2] == pid(ParamKind.INTRA, 0, 0)
-    assert ordered[3] == pid(ParamKind.INTER, 0, 0, peer=1)
-    assert ordered[4] == pid(ParamKind.POSITION, 0, 1)
-
-
-def test_layout_offsets_and_duplicates():
-    layout = BlockLayout([(pid(agent=0), 2), (pid(agent=1), 3)])
-    assert layout.total_dim == 5
-    assert layout.offset(pid(agent=1)) == 2
-    assert layout.dim(pid(agent=1)) == 3
-    with pytest.raises(ValueError):
-        BlockLayout([(pid(agent=0), 2), (pid(agent=0), 2)])
-    with pytest.raises(ValueError):
-        BlockLayout([(pid(agent=0), 0)])
-
-
-# ---------------------------------------------------------------------------
-# assemble
-
-
-def test_assemble_empty_is_zero():
-    layout = BlockLayout([(pid(agent=0), 2), (pid(agent=1), 2)])
-    m = assemble(layout, [])
-    assert not m.data.any()
-
-
-def test_assemble_single_diagonal_block():
-    layout = BlockLayout([(pid(agent=0), 2), (pid(agent=1), 2)])
-    blk = np.array([[1.0, 2.0], [2.0, 5.0]])
-    m = assemble(layout, [(pid(agent=0), pid(agent=0), blk)])
-    np.testing.assert_array_equal(m.block(pid(agent=0), pid(agent=0)), blk)
-    assert not m.block(pid(agent=1), pid(agent=1)).any()
-
-
-def test_assemble_sums_and_mirrors():
-    layout = BlockLayout([(pid(agent=0), 1), (pid(agent=1), 1)])
-    m = assemble(
-        layout,
-        [
-            (pid(agent=0), pid(agent=1), np.array([[2.0]])),
-            (pid(agent=0), pid(agent=1), np.array([[3.0]])),
-        ],
-    )
-    np.testing.assert_array_equal(m.data, [[0.0, 5.0], [5.0, 0.0]])
-    assert m.symmetry_error() == 0.0
-
-
-def test_assemble_rejects_shape_mismatch():
-    layout = BlockLayout([(pid(agent=0), 2), (pid(agent=1), 1)])
-    with pytest.raises(ValueError):
-        assemble(layout, [(pid(agent=0), pid(agent=1), np.eye(2))])
-
-
-# ---------------------------------------------------------------------------
-# schur complement and eliminate_block
+# Schur complement by eliminate_block
 
 
 def test_schur_scalar_example():
-    layout = BlockLayout([(pid(agent=0), 1), (pid(agent=1), 1)])
-    m = BlockSymMatrix(layout, np.array([[2.0, 1.0], [1.0, 2.0]]))
-    out = schur_complement(m, [pid(agent=0)])
-    assert out.data == pytest.approx(np.array([[1.5]]))
+    out = eliminate_block(*split(np.array([[2.0, 1.0], [1.0, 2.0]]), 1))
+    assert out == pytest.approx(np.array([[1.5]]))
 
 
 def test_schur_block_diagonal_is_identity_on_kept():
-    layout = BlockLayout([(pid(agent=0), 2), (pid(agent=1), 2)])
     a = random_spd(np.random.default_rng(0), 2)
     c = random_spd(np.random.default_rng(1), 2)
-    m = BlockSymMatrix(layout, block_diag([a, c]))
-    out = schur_complement(m, [pid(agent=0)])
-    np.testing.assert_allclose(out.data, a)
+    out = eliminate_block(*split(block_diag([a, c]), 2))
+    np.testing.assert_allclose(out, a)
 
 
 def test_schur_matches_dense_inverse_block():
     rng = np.random.default_rng(42)
     for _ in range(50):
-        layout = BlockLayout(
-            [(pid(agent=0), 2), (pid(agent=1), 2), (pid(agent=2), 2)]
-        )
         full = random_spd(rng, 6)
-        m = BlockSymMatrix(layout, full)
-        out = schur_complement(m, [pid(agent=0)])
-        oracle = np.linalg.inv(np.linalg.inv(full)[:2, :2])
-        np.testing.assert_allclose(out.data, oracle, rtol=1e-10, atol=1e-10)
+        out = eliminate_block(*split(full, 2))
+        np.testing.assert_allclose(
+            out, inverse_block_oracle(full, 2), rtol=1e-10, atol=1e-10
+        )
 
 
 def test_schur_preserves_psd():
     rng = np.random.default_rng(3)
     for _ in range(100):
         full = random_spd(rng, 5)
-        layout = BlockLayout([(pid(agent=0), 3), (pid(agent=1), 2)])
-        out = schur_complement(BlockSymMatrix(layout, full), [pid(agent=0)])
-        assert np.linalg.eigvalsh(out.data).min() > -1e-10
+        out = eliminate_block(*split(full, 3))
+        assert np.linalg.eigvalsh(0.5 * (out + out.T)).min() > -1e-10
 
 
 def test_schur_sequential_equals_joint():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        layout = BlockLayout(
-            [(pid(agent=0), 2), (pid(agent=1), 2), (pid(agent=2), 2)]
-        )
-        m = BlockSymMatrix(layout, random_spd(rng, 6))
-        joint = schur_complement(m, [pid(agent=0)])
-        step1 = schur_complement(m, [pid(agent=0), pid(agent=1)])
-        step2 = schur_complement(step1, [pid(agent=0)])
-        np.testing.assert_allclose(step2.data, joint.data, rtol=1e-10, atol=1e-12)
-
-
-def test_schur_keep_everything():
-    layout = BlockLayout([(pid(agent=0), 2)])
-    m = BlockSymMatrix(layout, np.array([[2.0, 0.0], [0.0, 3.0]]))
-    out = schur_complement(m, [pid(agent=0)])
-    np.testing.assert_array_equal(out.data, m.data)
-
-
-def test_schur_singular_nuisance_with_leak_raises():
-    layout = BlockLayout([(pid(agent=0), 1), (pid(agent=1), 1)])
-    # Eliminated block is zero but carries cross-information: undefined.
-    m = BlockSymMatrix(layout, np.array([[2.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(SingularBlockError, match="singular nuisance block"):
-        schur_complement(m, [pid(agent=0)])
+        full = random_spd(rng, 6)
+        joint = eliminate_block(*split(full, 2))
+        step1 = eliminate_block(*split(full, 4))
+        step2 = eliminate_block(*split(step1, 2))
+        np.testing.assert_allclose(step2, joint, rtol=1e-10, atol=1e-12)
 
 
 def test_schur_singular_nuisance_without_leak_degrades():
-    layout = BlockLayout([(pid(agent=0), 1), (pid(agent=1), 2)])
     data = np.zeros((3, 3))
     data[0, 0] = 2.0
     data[0, 1] = data[1, 0] = 1.0
     data[1, 1] = 4.0  # second nuisance direction is dead but uncoupled
-    m = BlockSymMatrix(layout, data)
-    out = schur_complement(m, [pid(agent=0)])
-    assert out.data == pytest.approx(np.array([[1.75]]))
+    out = eliminate_block(*split(data, 1))
+    assert out == pytest.approx(np.array([[1.75]]))
+
+
+def test_inverse_block_identity():
+    # The defining property: inverting the reduction equals the kept block of
+    # the full inverse.
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        full = random_spd(rng, 6)
+        reduced = eliminate_block(*split(full, 2))
+        np.testing.assert_allclose(
+            np.linalg.inv(reduced),
+            np.linalg.inv(full)[:2, :2],
+            rtol=1e-9,
+            atol=1e-12,
+        )
 
 
 def test_eliminate_block_scalars():
@@ -199,36 +108,45 @@ def test_eliminate_block_matches_schur():
     rng = np.random.default_rng(6)
     for _ in range(50):
         full = random_spd(rng, 7)
-        a, b, c = full[:3, :3], full[:3, 3:], full[3:, 3:]
-        out = eliminate_block(a, b, c)
-        layout = BlockLayout([(pid(agent=0), 3), (pid(agent=1), 4)])
-        oracle = schur_complement(BlockSymMatrix(layout, full), [pid(agent=0)])
-        np.testing.assert_allclose(out, oracle.data, rtol=1e-12, atol=1e-12)
-
-
-def test_inverse_block_identity():
-    # The defining property: inverting the reduction equals the kept block of
-    # the full inverse.
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        full = random_spd(rng, 6)
-        layout = BlockLayout([(pid(agent=0), 2), (pid(agent=1), 4)])
-        reduced = schur_complement(BlockSymMatrix(layout, full), [pid(agent=0)])
+        out = eliminate_block(*split(full, 3))
         np.testing.assert_allclose(
-            np.linalg.inv(reduced.data),
-            np.linalg.inv(full)[:2, :2],
-            rtol=1e-9,
-            atol=1e-12,
+            out, inverse_block_oracle(full, 3), rtol=1e-10, atol=1e-12
         )
 
 
-def test_sym_pinv_zero_matrix():
-    np.testing.assert_array_equal(sym_pinv(np.zeros((3, 3))), np.zeros((3, 3)))
+# ---------------------------------------------------------------------------
+# Schur complement of the position EFIM by marginal_efim
 
 
-def test_sym_pinv_matches_inverse_when_pd():
-    m = random_spd(np.random.default_rng(9), 4)
-    np.testing.assert_allclose(sym_pinv(m), np.linalg.inv(m), rtol=1e-10)
+def test_schur_keep_everything():
+    j = JointEfim(((0, 0),), np.array([[2.0, 0.0], [0.0, 3.0]]))
+    out = marginal_efim(j, j.coords)
+    assert out.coords == j.coords
+    np.testing.assert_array_equal(out.matrix, j.matrix)
+    assert out.matrix is not j.matrix
+
+
+def test_schur_shuffled_keep_set_returns_coords_in_efim_order():
+    rng = np.random.default_rng(14)
+    coords = tuple((k, n) for n in range(3) for k in range(2))
+    j = JointEfim(coords, random_spd(rng, 12))
+    keep = [(1, 0), (0, 2), (0, 1)]
+    out = marginal_efim(j, keep)
+    assert out.coords == ((1, 0), (0, 1), (0, 2))
+    rows = [2 * coords.index(c) + i for c in out.coords for i in range(2)]
+    oracle = np.linalg.inv(np.linalg.inv(j.matrix)[np.ix_(rows, rows)])
+    np.testing.assert_allclose(out.matrix, oracle, rtol=1e-10, atol=1e-10)
+
+
+def test_schur_singular_nuisance_with_leak_raises():
+    # The eliminated agent carries no information of its own but is coupled
+    # to the kept one: the reduction is undefined.
+    matrix = np.zeros((4, 4))
+    matrix[:2, :2] = 2.0 * np.eye(2)
+    matrix[:2, 2:] = matrix[2:, :2] = np.eye(2)
+    j = JointEfim(((0, 0), (1, 0)), matrix)
+    with pytest.raises(SingularBlockError, match="singular nuisance block"):
+        marginal_efim(j, [(0, 0)])
 
 
 # ---------------------------------------------------------------------------

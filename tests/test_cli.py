@@ -416,6 +416,38 @@ def test_ellipse_coincident_nodes_exit_2(tmp_path, capsys):
     assert not (tmp_path / "ellipses.csv").exists()
 
 
+def out_dir_argv(command, demo_scenario):
+    if command == "sweep-time":
+        return ["sweep-time", "--trials", "2", "--steps", "1..2", "--agents", "2"]
+    if command == "sweep-nodes":
+        return ["sweep-nodes", "--trials", "2", "--agents", "1..2", "--steps", "2"]
+    return ["ellipse", "--scenario", str(demo_scenario)]
+
+
+@pytest.mark.parametrize("command", ["sweep-time", "sweep-nodes", "ellipse"])
+def test_unusable_out_dir_exits_2_with_one_line(tmp_path, capsys, demo_scenario, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = blocker / "sub"
+    argv = out_dir_argv(command, demo_scenario)
+    assert cli.main(argv + ["--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out_dir) in err
+
+
+@pytest.mark.parametrize("command", ["sweep-time", "sweep-nodes", "ellipse"])
+def test_unwritable_output_file_exits_2_with_one_line(tmp_path, capsys, demo_scenario, command):
+    out_dir = tmp_path / "out"
+    stem = "ellipses" if command == "ellipse" else command.replace("-", "_")
+    (out_dir / f"{stem}.csv").mkdir(parents=True)  # the CSV's name is taken by a directory
+    argv = out_dir_argv(command, demo_scenario)
+    assert cli.main(argv + ["--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out_dir) in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

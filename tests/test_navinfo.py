@@ -690,6 +690,11 @@ def test_marginal_rejects_unknown_coordinates():
         marginal_efim(j, [(7, 0)])
 
 
+def test_joint_efim_rejects_duplicate_coordinates():
+    with pytest.raises(ValueError, match="duplicate coordinate"):
+        navinfo.JointEfim(((0, 0), (0, 0)), np.eye(4))
+
+
 def test_individual_efims_match_inverse_blocks():
     rng = np.random.default_rng(50)
     from oracles import random_spd
@@ -793,7 +798,7 @@ def test_sweep_runs_at_full_size_without_dense_solves(monkeypatch):
     want_mid = [dense_speb_with_rank(j, k, 20) for k in range(12)]
 
     def no_dense(*args, **kwargs):
-        raise AssertionError("dense Schur complement called")
+        raise AssertionError("dense marginal EFIM called")
 
     sizes = []
     real_eigh = np.linalg.eigh
@@ -802,7 +807,7 @@ def test_sweep_runs_at_full_size_without_dense_solves(monkeypatch):
         sizes.append(np.shape(a)[-1])
         return real_eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(navinfo, "schur_complement", no_dense)
+    monkeypatch.setattr(navinfo, "_dense_marginal_efim", no_dense)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     assert_bounds_agree(block_spebs(marginal_efim(j, last).matrix), want_final)
     for k in range(12):
