@@ -143,8 +143,12 @@ def _parse_modes(text: str) -> tuple[CoopMode, ...]:
     return tuple(out)
 
 
-def _sweep_config(args, num_agents: int, num_steps: int) -> ScenarioConfig:
-    return ScenarioConfig(
+def _sweep_setup(
+    args, num_agents: int, num_steps: int
+) -> tuple[ScenarioConfig, tuple[CoopMode, ...]]:
+    """The sweep's scenario config and modes. --out-dir is created here,
+    before the sweep runs, so that an unusable one fails at once."""
+    cfg = ScenarioConfig(
         area=tuple(args.area),
         num_agents=num_agents,
         num_anchors=args.anchors,
@@ -157,14 +161,16 @@ def _sweep_config(args, num_agents: int, num_steps: int) -> ScenarioConfig:
         connectivity=args.radius,
         seed=args.seed if args.seed is not None else _default_seed(),
     )
+    modes = _parse_modes(args.modes)
+    _make_out_dir(args.out_dir)
+    return cfg, modes
 
 
 def cmd_sweep_time(args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
     steps = _parse_range(args.steps)
-    cfg = _sweep_config(args, args.agents, max(steps))
-    modes = _parse_modes(args.modes)
+    cfg, modes = _sweep_setup(args, args.agents, max(steps))
     table = simkit.sweep_time(cfg, steps=steps, modes=modes, trials=args.trials)
     return _emit_sweep(table, args, "sweep_time", "time steps")
 
@@ -173,21 +179,25 @@ def cmd_sweep_nodes(args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
     counts = _parse_range(args.agents)
-    cfg = _sweep_config(args, max(counts), args.steps)
-    modes = _parse_modes(args.modes)
+    cfg, modes = _sweep_setup(args, max(counts), args.steps)
     table = simkit.sweep_nodes(cfg, counts, modes=modes, trials=args.trials)
     return _emit_sweep(table, args, "sweep_nodes", "number of agents")
 
 
 @contextlib.contextmanager
 def _writing_to(out_dir: str):
-    """Create `out_dir` for the file written in the block. A directory that
-    cannot be created or written is a configuration error naming it."""
+    """A file in `out_dir` that cannot be written in the block is a
+    configuration error naming the directory."""
     try:
-        os.makedirs(out_dir, exist_ok=True)
         yield
     except OSError as exc:
         raise ConfigError(f"unusable --out-dir {out_dir}: {exc}") from None
+
+
+def _make_out_dir(out_dir: str) -> None:
+    """Create `out_dir`; one that cannot be created is a configuration error."""
+    with _writing_to(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
 
 
 def _emit_sweep(table, args, stem: str, x_label: str) -> int:
@@ -318,6 +328,7 @@ def cmd_ellipse(args) -> int:
             rows.append(_ellipse_row(k, n, "carry_over", carry[k]))
             rows.append(_ellipse_row(k, n, "after_spatial", after[k]))
         s_prev = s_n
+    _make_out_dir(args.out_dir)
     csv_path = os.path.join(args.out_dir, "ellipses.csv")
     header = "agent,step,stage,semi_major_m_inv,semi_minor_m_inv,orientation_rad,degenerate"
     lines = [header] + [

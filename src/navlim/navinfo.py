@@ -13,6 +13,7 @@ matrix.
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -78,7 +79,14 @@ def position_coords(
 
 @dataclass(frozen=True, eq=False)
 class JointEfim:
-    """Joint EFIM over 2-D positions, one 2x2 block per (agent, step)."""
+    """Joint EFIM over 2-D positions, one 2x2 block per (agent, step).
+
+    Immutable: the array passed in becomes `matrix` without a copy and is
+    made read-only, so a later write to it raises ValueError. On first use
+    the EFIM caches its block-tridiagonal domain check with the blocks it
+    extracts (`_tridiagonal`, about 2 * T * (2 * Na)^2 doubles), which stay
+    valid only while the matrix does not change.
+    """
 
     coords: tuple[tuple[int, int], ...]
     matrix: np.ndarray
@@ -90,12 +98,18 @@ class JointEfim:
         pos = {c: i for i, c in enumerate(self.coords)}
         if len(pos) != len(self.coords):
             raise ValueError("duplicate coordinate")
+        matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_pos", pos)
 
     def rows(self, agent: int, step: int) -> slice:
         i = self._pos[(agent, step)]
         return slice(2 * i, 2 * i + 2)
+
+    @cached_property
+    def _tridiagonal(self) -> tuple[int, np.ndarray, np.ndarray] | None:
+        """`_tridiagonal_blocks` of this EFIM, run once for all its reads."""
+        return _tridiagonal_blocks(self)
 
 
 def _scatter(matrix: np.ndarray, ri: slice, ci: slice, block: np.ndarray) -> None:
@@ -312,16 +326,17 @@ def independent_params_efim(
         )
     s = _scenario_spatial(scenario, 0, t, model)
     matrix = _band_matrix(s, np.zeros((max(t - 1, 0), *s.shape[1:])))
-    j = JointEfim(position_coords(na, t), matrix)
+    coords = position_coords(na, t)
+    ref = JointEfim(coords, np.zeros(matrix.shape))
 
     for (k, n), blk in (state_info or {}).items():
-        _scatter(matrix, j.rows(k, n), j.rows(k, n), np.asarray(blk, dtype=float))
+        _scatter(matrix, ref.rows(k, n), ref.rows(k, n), np.asarray(blk, dtype=float))
 
     if scenario.mobility is not None:
         for k in range(na):
             for n, m, blk in mobility_blocks(scenario.mobility, t):
-                _scatter(matrix, j.rows(k, n), j.rows(k, m), blk)
-    return j
+                _scatter(matrix, ref.rows(k, n), ref.rows(k, m), blk)
+    return JointEfim(coords, matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,7 +523,7 @@ def _schur_carry(d: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
 def _sweep_window(j: JointEfim, lo: int, hi: int) -> np.ndarray | None:
     """Marginal EFIM of all agents over steps lo..hi by forward and backward
     Schur sweeps, or None when `j` is outside the sweep's domain."""
-    found = _tridiagonal_blocks(j)
+    found = j._tridiagonal
     if found is None:
         return None
     start, d, b = found

@@ -536,4 +536,8 @@ def write_atomic(path, text: str) -> None:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass  # never created, or not removable: report the first error
         raise OSError(f"cannot write {path}: {exc}") from exc

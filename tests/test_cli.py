@@ -446,6 +446,22 @@ def test_unwritable_output_file_exits_2_with_one_line(tmp_path, capsys, demo_sce
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(out_dir) in err
+    assert sorted(p.name for p in out_dir.iterdir()) == [f"{stem}.csv"]  # no .tmp left
+
+
+@pytest.mark.parametrize("command", ["sweep-time", "sweep-nodes"])
+def test_unusable_out_dir_fails_before_the_sweep_runs(tmp_path, capsys, monkeypatch, command):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran before --out-dir was checked")
+
+    monkeypatch.setattr(simkit, "sweep_time", no_sweep)
+    monkeypatch.setattr(simkit, "sweep_nodes", no_sweep)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = out_dir_argv(command, None) + ["--out-dir", str(blocker / "sub")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unusable --out-dir ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

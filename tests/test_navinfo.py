@@ -853,3 +853,100 @@ def test_singular_and_unbanded_inputs_keep_the_dense_path(kind):
         got = marginal_efim(j, keep)
         assert got.coords == want.coords
         assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# each joint EFIM checks its sweep domain once
+
+
+def read_bound_or_window(j, kind, a, b):
+    """Bytes of one read of `j`: speb_with_rank(j, a, b), or the marginal
+    EFIM of all agents over steps a..b; the error type if it raises."""
+    if kind == "speb":
+        value, null_dim = speb_with_rank(j, a, b)
+        return np.float64(value).tobytes(), null_dim
+    na = sum(1 for _, n in j.coords if n == a)
+    try:
+        m = marginal_efim(j, [(k, n) for n in range(a, b + 1) for k in range(na)])
+    except SingularBlockError as exc:
+        return type(exc)
+    return m.coords, m.matrix.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["banded", "anchorless"])
+def test_each_efim_checks_its_domain_once(monkeypatch, kind):
+    if kind == "banded":
+        cfg = ScenarioConfig(num_agents=5, num_anchors=4, num_steps=12, connectivity=12.0, seed=5)
+        j = assemble_position_efim(generate_scenario(cfg))
+    else:
+        j = singular_or_unbanded_efim(kind)
+    checks = []
+    real_check = navinfo._tridiagonal_blocks
+
+    def check(efim):
+        checks.append(efim)
+        return real_check(efim)
+
+    monkeypatch.setattr(navinfo, "_tridiagonal_blocks", check)
+    steps = sorted({n for _, n in j.coords})
+    read_bound_or_window(j, "window", steps[-1], steps[-1])
+    for k, n in j.coords:
+        speb_with_rank(j, k, n)
+    assert checks == [j]
+    assert (j._tridiagonal is not None) == (kind == "banded")
+
+
+@settings(max_examples=25, deadline=None)
+@given(banded_efims(), st.data())
+def test_reused_efim_reads_the_bytes_of_a_fresh_one(case, data):
+    j, na, lo, hi = case
+    steps = st.integers(j.coords[0][1], j.coords[-1][1])
+    reads = data.draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("speb"), st.integers(0, na - 1), steps),
+                st.tuples(st.just("window"), steps, st.integers(0, 3)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    reads.append(("window", lo, hi - lo))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(navinfo, "_SWEEP_MIN_DIM", 0)  # sweep at every size
+        for kind, a, b in reads:
+            if kind == "window":
+                b = min(a + b, j.coords[-1][1])
+            fresh = navinfo.JointEfim(j.coords, j.matrix)
+            assert read_bound_or_window(j, kind, a, b) == read_bound_or_window(fresh, kind, a, b)
+
+
+def test_joint_efim_freezes_the_array_passed_in():
+    matrix = np.eye(4)
+    j = navinfo.JointEfim(((0, 0), (1, 0)), matrix)
+    assert j.matrix is matrix  # no copy
+    with pytest.raises(ValueError):
+        j.matrix[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        matrix *= 2.0  # the caller's own name cannot leave a cached check stale
+    assert (matrix == np.eye(4)).all()
+
+
+def test_a_failed_cholesky_factor_sends_the_read_to_the_dense_path(monkeypatch):
+    cfg = ScenarioConfig(num_agents=4, num_anchors=4, num_steps=12, seed=9)
+    j = assemble_position_efim(generate_scenario(cfg))
+    assert j._tridiagonal is not None
+    real = np.linalg.cholesky
+
+    def cholesky(a, *args, **kwargs):
+        if np.ndim(a) == 2:  # the sweeps factor one step at a time
+            raise np.linalg.LinAlgError("forced")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    for n in range(12):
+        keep = {(k, n) for k in range(4)}
+        got = marginal_efim(j, keep)
+        assert got.matrix.tobytes() == navinfo._dense_marginal_efim(j, keep).matrix.tobytes()
+        for k in range(4):
+            assert speb_with_rank(j, k, n) == dense_speb_with_rank(j, k, n)

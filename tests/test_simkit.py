@@ -417,6 +417,15 @@ def test_persist_round_trip_exact(tmp_path):
     assert float(second[2]) == 1.0 / 3.0
 
 
+def test_write_atomic_removes_its_temp_file_when_replace_fails(tmp_path):
+    path = tmp_path / "out.csv"
+    path.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError, match="cannot write .*out.csv"):
+        simkit.write_atomic(path, "text\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    assert path.is_dir()
+
+
 def test_persist_golden_file(tmp_path):
     cfg = ScenarioConfig(num_agents=2, num_anchors=2, num_steps=3, seed=20110829)
     table = sweep_time(cfg, trials=5)
