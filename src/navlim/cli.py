@@ -274,7 +274,7 @@ def load_scenario(path: str) -> Scenario:
     if isinstance(agents, int):
         if agents < 0:
             raise ConfigError("agent count must be >= 0")
-        paths = random_walks(np.random.default_rng([seed]), area, agents, t, cov)
+        paths = random_walks(np.random.default_rng([seed]), area, agents, t, np.linalg.cholesky(cov))
     else:
         paths = _float_array(agents, "agents")
         if paths.ndim != 3 or paths.shape[1:] != (t, 2):

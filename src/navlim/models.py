@@ -188,13 +188,14 @@ class MobilityModel:
 
 
 def random_walks(
-    rng: np.random.Generator, area, num_agents: int, num_steps: int, step_cov
+    rng: np.random.Generator, area, num_agents: int, num_steps: int, step_factor
 ) -> np.ndarray:
     """Agent paths (num_agents, num_steps, 2) of a Gaussian random walk:
     starts uniform in the area (width, height) in meters, then steps of 2x2
-    covariance `step_cov` (m^2), drawn from `rng` in that order."""
+    covariance L L^T (m^2) for the lower Cholesky factor L = `step_factor`,
+    drawn from `rng` in that order."""
     starts = rng.uniform((0.0, 0.0), tuple(area), size=(num_agents, 2))
-    steps = rng.standard_normal((num_agents, num_steps - 1, 2)) @ np.linalg.cholesky(step_cov).T
+    steps = rng.standard_normal((num_agents, num_steps - 1, 2)) @ np.asarray(step_factor).T
     return np.concatenate(
         [starts[:, None, :], starts[:, None, :] + np.cumsum(steps, axis=1)], axis=1
     )

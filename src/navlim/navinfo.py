@@ -83,9 +83,12 @@ class JointEfim:
 
     Immutable: the array passed in becomes `matrix` without a copy and is
     made read-only, so a later write to it raises ValueError. On first use
-    the EFIM caches its block-tridiagonal domain check with the blocks it
-    extracts (`_tridiagonal`, about 2 * T * (2 * Na)^2 doubles), which stay
-    valid only while the matrix does not change.
+    the EFIM caches its block-tridiagonal domain check with its D and B
+    blocks (`_tridiagonal`, about 2 * T * (2 * Na)^2 doubles), and its
+    reads keep the forward and backward Schur carries they compute, at most
+    2 * T * (2 * Na)^2 doubles more; all of it stays valid only while the
+    matrix does not change. `assemble_position_efim` hands over the blocks
+    it lays out (`_bands`), so its EFIMs skip the off-band scan.
     """
 
     coords: tuple[tuple[int, int], ...]
@@ -101,15 +104,22 @@ class JointEfim:
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_bands", None)
 
     def rows(self, agent: int, step: int) -> slice:
         i = self._pos[(agent, step)]
         return slice(2 * i, 2 * i + 2)
 
     @cached_property
-    def _tridiagonal(self) -> tuple[int, np.ndarray, np.ndarray] | None:
-        """`_tridiagonal_blocks` of this EFIM, run once for all its reads."""
-        return _tridiagonal_blocks(self)
+    def _tridiagonal(self) -> tuple[int, np.ndarray, np.ndarray, list, list] | None:
+        """`_tridiagonal_blocks` of this EFIM, run once for all its reads,
+        then its forward and backward Schur carries as far as reads have
+        extended them (see `_extend_carries`)."""
+        found = _tridiagonal_blocks(self)
+        if found is None:
+            return None
+        zero = np.zeros_like(found[1][0])
+        return (*found, [zero], [zero])
 
 
 def _scatter(matrix: np.ndarray, ri: slice, ci: slice, block: np.ndarray) -> None:
@@ -242,21 +252,30 @@ def _scenario_temporal(scenario: Scenario, first: int, stop: int) -> np.ndarray:
     return _temporal_matrices(scenario.geometry.paths[None], coeffs[None], first)[0]
 
 
-def _band_matrix(diag: np.ndarray, links: np.ndarray) -> np.ndarray:
+def _band_matrix(
+    diag: np.ndarray, links: np.ndarray, carry: np.ndarray | None = None
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Joint matrix over consecutive steps in time-major order: diag[n] on
     step n's diagonal block, and each links[n], a relative measurement
     between steps n and n+1, added to both steps' diagonals and subtracted
-    between them."""
+    between them; `carry` is added to the first diagonal block. Returned
+    with its (D, B) blocks as `_scan_bands` would read them off the
+    matrix."""
     steps, size = diag.shape[0], diag.shape[-1]
     d = diag.copy()
     d[:-1] += links
     d[1:] += links
+    if carry is not None:
+        d[0] += carry
+    upper = -links
     out = np.zeros((steps, size, steps, size))
     idx = np.arange(steps)
     out[idx, :, idx, :] = d
-    out[idx[:-1], :, idx[1:], :] = -links
-    out[idx[1:], :, idx[:-1], :] = -links.transpose(0, 2, 1)
-    return out.reshape(steps * size, steps * size)
+    out[idx[:-1], :, idx[1:], :] = upper
+    out[idx[1:], :, idx[:-1], :] = upper.transpose(0, 2, 1)
+    return out.reshape(steps * size, steps * size), _symmetric_bands(
+        d, upper, upper.transpose(0, 2, 1)
+    )
 
 
 def assemble_position_efim(
@@ -275,21 +294,26 @@ def assemble_position_efim(
     `start_step` restricts the window to steps start_step..T-1; `carry`
     (2*Na x 2*Na) is added to the window's first diagonal block, which is how
     marginalized history re-enters.
+
+    The EFIM keeps the diagonal and inter-step blocks laid out here, so its
+    first sweep read skips scanning the matrix for them.
     """
     geom = scenario.geometry
     na, t = geom.num_agents, geom.num_steps
     if not 0 <= start_step < t:
         raise ValueError("start_step out of range")
-    matrix = _band_matrix(
-        _scenario_spatial(scenario, start_step, t),
-        _scenario_temporal(scenario, start_step + 1, t),
-    )
     if carry is not None:
         carry = np.asarray(carry, dtype=float)
         if carry.shape != (2 * na, 2 * na):
             raise ValueError("carry block must cover all agents of one step")
-        matrix[: 2 * na, : 2 * na] += carry
-    return JointEfim(position_coords(na, t, start_step), matrix)
+    matrix, (d, b) = _band_matrix(
+        _scenario_spatial(scenario, start_step, t),
+        _scenario_temporal(scenario, start_step + 1, t),
+        carry,
+    )
+    j = JointEfim(position_coords(na, t, start_step), matrix)
+    object.__setattr__(j, "_bands", (start_step, d, b))
+    return j
 
 
 def independent_params_efim(
@@ -325,7 +349,7 @@ def independent_params_efim(
             sigma_range=None,
         )
     s = _scenario_spatial(scenario, 0, t, model)
-    matrix = _band_matrix(s, np.zeros((max(t - 1, 0), *s.shape[1:])))
+    matrix, _ = _band_matrix(s, np.zeros((max(t - 1, 0), *s.shape[1:])))
     coords = position_coords(na, t)
     ref = JointEfim(coords, np.zeros(matrix.shape))
 
@@ -418,7 +442,8 @@ def marginal_efim(j: JointEfim, keep: Iterable[tuple[int, int]]) -> JointEfim:
     When `keep` is every agent over a contiguous step window and `j` is in
     the block-tridiagonal domain (see `_tridiagonal_blocks`), the steps
     outside the window are eliminated by forward and backward Schur sweeps
-    in O(T * Na^3); the window's interior blocks are copied unchanged. Every
+    in O(T * Na^3), which extend the carries earlier reads of `j` left; the
+    window's interior blocks are copied unchanged. Every
     other input eliminates the dropped coordinates in one dense reduction,
     O((Na * T)^3) (see `_dense_marginal_efim`).
     """
@@ -469,10 +494,32 @@ def _tridiagonal_blocks(j: JointEfim) -> tuple[int, np.ndarray, np.ndarray] | No
     and u is then a null vector of the collapsed matrix. The sweep's
     Cholesky factors confirm it. Matrices of at most _SWEEP_MIN_DIM rows
     stay dense.
+
+    The blocks come from `j._bands` where the builder handed them over (an
+    `assemble_position_efim` EFIM: its coords and banding hold by
+    construction), else from `_scan_bands`, which checks the coords and
+    reads the whole matrix. Either way `_check_bands` then decides the
+    numerical part of the domain.
     """
-    coords = j.coords
-    if 2 * len(coords) <= _SWEEP_MIN_DIM:
+    if 2 * len(j.coords) <= _SWEEP_MIN_DIM:
         return None
+    bands = _scan_bands(j) if j._bands is None else j._bands
+    return None if bands is None else _check_bands(*bands)
+
+
+def _symmetric_bands(
+    diag: np.ndarray, upper: np.ndarray, lower: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(D, B) of a block-tridiagonal matrix from its diagonal blocks and the
+    blocks above (upper[n]: steps n, n+1) and below (lower[n]: n+1, n) it."""
+    return 0.5 * (diag + diag.transpose(0, 2, 1)), 0.5 * (upper + lower.transpose(0, 2, 1))
+
+
+def _scan_bands(j: JointEfim) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """(first step, D, B) read off the matrix, or None unless the coords are
+    in `position_coords` order and the matrix is bitwise zero beyond
+    adjacent steps."""
+    coords = j.coords
     start = coords[0][1]
     na = sum(1 for _, n in coords if n == start)
     steps = len(coords) // na
@@ -485,11 +532,19 @@ def _tridiagonal_blocks(j: JointEfim) -> tuple[int, np.ndarray, np.ndarray] | No
             return None
     blocks = j.matrix.reshape(steps, b, steps, b)
     idx = np.arange(steps)
-    d = blocks[idx, :, idx, :]
-    d = 0.5 * (d + d.transpose(0, 2, 1))
-    upper = 0.5 * (
-        blocks[idx[:-1], :, idx[1:], :] + blocks[idx[1:], :, idx[:-1], :].transpose(0, 2, 1)
+    return start, *_symmetric_bands(
+        blocks[idx, :, idx, :],
+        blocks[idx[:-1], :, idx[1:], :],
+        blocks[idx[1:], :, idx[:-1], :],
     )
+
+
+def _check_bands(
+    start: int, d: np.ndarray, upper: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """(start, d, upper) when every inter-step block is negative definite
+    and the time-collapsed matrix has a scaled smallest eigenvalue above
+    _COLLAPSED_MIN_EIG, else None."""
     links = upper.sum(axis=0)
     collapsed = d.sum(axis=0) + links + links.T
     diag = np.diag(collapsed)
@@ -506,18 +561,23 @@ def _tridiagonal_blocks(j: JointEfim) -> tuple[int, np.ndarray, np.ndarray] | No
     return start, d, upper
 
 
-def _schur_carry(d: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
+def _extend_carries(carries: list, d: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
     """Information the first `count` steps of a block-tridiagonal chain pass
     on to step `count`: B^T F^-1 B with F the running Schur complement of
     the last eliminated step, in Cholesky form (F = L L^T, so the term is
     X^T X with X = L^-1 B). This is the carry-over recursion; run on the
-    reversed chain with transposed links it is the backward sweep. Raises
-    LinAlgError when some F is not positive definite."""
-    carry = np.zeros_like(d[0])
-    for n in range(count):
-        x = np.linalg.solve(np.linalg.cholesky(d[n] - carry), b[n])
-        carry = x.T @ x
-    return carry
+    reversed chain with transposed links it is the backward sweep.
+
+    `carries[n]` holds the carry into step n for every n computed so far,
+    from the zero carry into the first step; only the steps past the end
+    of the list are run, and their carries are kept. Raises LinAlgError
+    when some F is not positive definite.
+    """
+    for n in range(len(carries) - 1, count):
+        x = np.linalg.solve(np.linalg.cholesky(d[n] - carries[n]), b[n])
+        # a concurrent read may have stored this step already, with the same bits
+        carries[n + 1 : n + 2] = [x.T @ x]
+    return carries[count]
 
 
 def _sweep_window(j: JointEfim, lo: int, hi: int) -> np.ndarray | None:
@@ -526,11 +586,13 @@ def _sweep_window(j: JointEfim, lo: int, hi: int) -> np.ndarray | None:
     found = j._tridiagonal
     if found is None:
         return None
-    start, d, b = found
+    start, d, b, forward, backward = found
     lo, hi = lo - start, hi - start
     try:
-        head = _schur_carry(d, b, lo)
-        tail = _schur_carry(d[::-1], b[::-1].transpose(0, 2, 1), len(d) - 1 - hi)
+        head = _extend_carries(forward, d, b, lo)
+        tail = _extend_carries(
+            backward, d[::-1], b[::-1].transpose(0, 2, 1), len(d) - 1 - hi
+        )
     except np.linalg.LinAlgError:
         return None
     size = d.shape[1]
@@ -774,7 +836,9 @@ def speb_with_rank(j: JointEfim, agent: int, step: int) -> tuple[float, int]:
     positive definite, time-banded EFIM in `position_coords` order) the
     bound and the null count are read from the step's marginal 2Na x 2Na
     EFIM, D_n - B_{n-1}^T F_{n-1}^-1 B_{n-1} - B_n G_{n+1}^-1 B_n^T, built
-    by forward and backward Schur sweeps in O(T * Na^3). Every other input,
+    by forward and backward Schur sweeps in O(T * Na^3) that extend the
+    carries earlier reads of `j` left, so reading every bound of `j` costs
+    O(T * Na^3) in all. Every other input,
     singular or not banded, takes one dense eigendecomposition of the whole
     matrix, O((Na * T)^3).
     """

@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -129,6 +130,12 @@ class ScenarioConfig:
             return float(self.step_cov) * np.eye(2)
         return np.asarray(self.step_cov, dtype=float)
 
+    @cached_property
+    def step_factor(self) -> np.ndarray:
+        """Lower Cholesky factor of `step_cov_matrix()`, factored once for
+        every trial drawn from this config."""
+        return np.linalg.cholesky(self.step_cov_matrix())
+
 
 @dataclass(frozen=True)
 class SpebRow:
@@ -171,7 +178,7 @@ def _draw_paths(cfg: ScenarioConfig, extra_entropy: tuple[int, ...] = ()) -> np.
     identical seeds give identical paths."""
     rng = np.random.default_rng([cfg.seed, *extra_entropy])
     anchors = rng.uniform((0.0, 0.0), cfg.area, size=(cfg.num_anchors, 2))
-    agents = random_walks(rng, cfg.area, cfg.num_agents, cfg.num_steps, cfg.step_cov_matrix())
+    agents = random_walks(rng, cfg.area, cfg.num_agents, cfg.num_steps, cfg.step_factor)
     return np.concatenate([agents, np.repeat(anchors[:, None, :], cfg.num_steps, axis=1)])
 
 

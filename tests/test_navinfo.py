@@ -880,20 +880,85 @@ def test_each_efim_checks_its_domain_once(monkeypatch, kind):
         j = assemble_position_efim(generate_scenario(cfg))
     else:
         j = singular_or_unbanded_efim(kind)
-    checks = []
-    real_check = navinfo._tridiagonal_blocks
+    checks, scans = [], []
+    real_check, real_scan = navinfo._check_bands, navinfo._scan_bands
 
-    def check(efim):
-        checks.append(efim)
-        return real_check(efim)
+    def check(start, d, b):
+        checks.append(d)
+        return real_check(start, d, b)
 
-    monkeypatch.setattr(navinfo, "_tridiagonal_blocks", check)
+    def scan(efim):
+        scans.append(efim)
+        return real_scan(efim)
+
+    monkeypatch.setattr(navinfo, "_check_bands", check)
+    monkeypatch.setattr(navinfo, "_scan_bands", scan)
+    bare = navinfo.JointEfim(j.coords, j.matrix)
     steps = sorted({n for _, n in j.coords})
-    read_bound_or_window(j, "window", steps[-1], steps[-1])
-    for k, n in j.coords:
-        speb_with_rank(j, k, n)
-    assert checks == [j]
-    assert (j._tridiagonal is not None) == (kind == "banded")
+    # the assembled EFIM brings its blocks, one built from a bare matrix scans once
+    for efim, scanned in ((j, []), (bare, [bare])):
+        checks.clear()
+        scans.clear()
+        read_bound_or_window(efim, "window", steps[-1], steps[-1])
+        for k, n in efim.coords:
+            speb_with_rank(efim, k, n)
+        assert len(checks) == 1
+        assert scans == scanned
+        assert (efim._tridiagonal is not None) == (kind == "banded")
+
+
+@settings(max_examples=25, deadline=None)
+@given(banded_efims(), st.sampled_from([None, 0, 10**6]))
+def test_builder_blocks_equal_the_scanned_blocks(case, min_dim):
+    j, _, _, _ = case
+    default_min_dim = navinfo._SWEEP_MIN_DIM
+    bare = navinfo.JointEfim(j.coords, j.matrix)
+    assert bare._bands is None
+    start, d, b = j._bands
+    want_start, want_d, want_b = navinfo._scan_bands(bare)
+    assert start == want_start
+    assert d.tobytes() == want_d.tobytes() and d.shape == want_d.shape
+    assert b.tobytes() == want_b.tobytes() and b.shape == want_b.shape
+    with pytest.MonkeyPatch.context() as mp:
+        if min_dim is not None:  # patched after j was built
+            mp.setattr(navinfo, "_SWEEP_MIN_DIM", min_dim)
+        got, want = j._tridiagonal, bare._tridiagonal
+    assert (got is None) == (want is None)
+    if 2 * len(j.coords) <= (default_min_dim if min_dim is None else min_dim):
+        assert got is None
+    if want is not None:
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+
+
+def test_every_bound_costs_one_forward_and_one_backward_pass(monkeypatch):
+    cfg = ScenarioConfig(num_agents=12, num_anchors=4, num_steps=40, connectivity=10.0, seed=3)
+    scenario = generate_scenario(cfg, (0,))
+    factored, sizes = [], []
+    real_cholesky, real_eigh = np.linalg.cholesky, np.linalg.eigh
+
+    def cholesky(a, *args, **kwargs):
+        if np.ndim(a) == 2:  # the sweeps factor one step at a time
+            factored.append(np.shape(a))
+        return real_cholesky(a, *args, **kwargs)
+
+    def eigh(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    j = assemble_position_efim(scenario)
+    for n in range(40):
+        for k in range(12):
+            speb(j, k, n)
+    assert max(sizes) == 24  # every read took the sweep
+    assert len(factored) <= 2 * (40 - 1)
+
+    factored.clear()
+    speb(assemble_position_efim(scenario), 0, 20)
+    assert len(factored) == 20 + 19  # no step beyond the read's own window
 
 
 @settings(max_examples=25, deadline=None)
