@@ -36,7 +36,6 @@ from .models import (
     ScenarioGeometry,
     VelocityModel,
     full_pairs,
-    mobility_blocks,
     radius_pairs,
     range_intensity_from_sigmas,
     range_intensity_via_reduction,
@@ -75,10 +74,8 @@ from .simkit import (
     SpebRow,
     SpebTable,
     SweepNumericalError,
-    TrialRecord,
     generate_scenario,
     persist,
-    run_trial,
     sweep_nodes,
     sweep_time,
 )

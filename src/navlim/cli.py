@@ -24,17 +24,7 @@ import numpy as np
 from . import navinfo, simkit
 from .blockfim import block_diag
 from .geom2d import Eigen2, eigen2, info_ellipse, r_dir
-from .models import (
-    GeometryError,
-    MobilityModel,
-    RangeModel,
-    Scenario,
-    ScenarioGeometry,
-    VelocityModel,
-    full_pairs,
-    radius_pairs,
-    random_walks,
-)
+from .models import GeometryError, Scenario, ScenarioGeometry, random_walks
 from .simkit import (
     ALL_MODES,
     AuditError,
@@ -228,8 +218,17 @@ def _float_array(value, context: str) -> np.ndarray:
         raise ConfigError(f"{context} is not numeric: {exc}")
 
 
+def _number(value, context: str) -> float:
+    array = _float_array(value, context)
+    if array.ndim != 0:
+        raise ConfigError(f"{context} must be a number")
+    return float(array)
+
+
 def load_scenario(path: str) -> Scenario:
-    """Parse a scenario JSON file (strict: unknown keys are rejected)."""
+    """Parse a scenario JSON file (strict: unknown keys are rejected) into a
+    `ScenarioConfig` plus explicit anchors and, when given, agent
+    trajectories, and build it as generated scenarios are built."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -243,13 +242,15 @@ def load_scenario(path: str) -> Scenario:
     for key in ("area", "anchors", "agents", "T", "intensities"):
         if key not in raw:
             raise ConfigError(f"scenario key {key!r} is required")
-    area = raw["area"]
-    if not (isinstance(area, list) and len(area) == 2 and min(area) > 0):
+    area = _float_array(raw["area"], "area")
+    if area.shape != (2,):
         raise ConfigError("area must be [width, height] with positive entries")
     t = raw["T"]
-    if not (isinstance(t, int) and t >= 1):
+    if not (type(t) is int and t >= 1):
         raise ConfigError("T must be an integer >= 1")
     intens = raw["intensities"]
+    if not isinstance(intens, dict):
+        raise ConfigError("intensities must be a JSON object")
     unknown = set(intens) - _INTENSITY_KEYS
     if unknown:
         raise ConfigError(f"unknown intensity keys: {sorted(unknown)}")
@@ -263,48 +264,44 @@ def load_scenario(path: str) -> Scenario:
     anchors = anchors.reshape(-1, 2)
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ConfigError("seed must be an integer")
     cov = _float_array(raw.get("step_cov", 1.0), "step_cov")
-    cov = float(cov) * np.eye(2) if cov.ndim == 0 else cov
-    if cov.shape != (2, 2) or np.linalg.eigvalsh(cov).min() <= 0:
-        raise ConfigError("step_cov must be a positive scalar or a PD 2x2 matrix")
-
-    agents = raw["agents"]
-    if isinstance(agents, int):
-        if agents < 0:
-            raise ConfigError("agent count must be >= 0")
-        paths = random_walks(np.random.default_rng([seed]), area, agents, t, np.linalg.cholesky(cov))
-    else:
-        paths = _float_array(agents, "agents")
-        if paths.ndim != 3 or paths.shape[1:] != (t, 2):
-            raise ConfigError("agent trajectories must have shape (agents, T, 2)")
-    num_agents = paths.shape[0]
-
-    geometry = ScenarioGeometry(
-        np.concatenate(
-            [paths, np.repeat(anchors[:, None, :], t, axis=1)], axis=0
-        ),
-        num_agents,
-    )
     connectivity = raw.get("connectivity", "full")
     if connectivity == "full":
-        pairs = full_pairs(geometry)
+        radius = None
     elif isinstance(connectivity, dict) and set(connectivity) == {"radius"}:
-        pairs = radius_pairs(geometry, float(connectivity["radius"]))
+        radius = _number(connectivity["radius"], "radius")
     else:
         raise ConfigError("connectivity must be 'full' or {'radius': r}")
+
+    agents = raw["agents"]
+    walks = None
+    if type(agents) is not int:
+        walks = _float_array(agents, "agents")
+        if walks.ndim != 3 or walks.shape[1:] != (t, 2):
+            raise ConfigError("agent trajectories must have shape (agents, T, 2)")
+        agents = walks.shape[0]
+    cfg = ScenarioConfig(
+        area=tuple(area.tolist()),
+        num_agents=agents,
+        num_anchors=len(anchors),
+        num_steps=t,
+        vel_along=_number(intens["lambda_kk"], "lambda_kk"),
+        vel_across=_number(intens["nu_kk"], "nu_kk"),
+        vel_couple=_number(intens["xi_kk"], "xi_kk"),
+        range_intensity=_number(intens["lambda_kj"], "lambda_kj"),
+        step_cov=float(cov) if cov.ndim == 0 else cov,
+        connectivity=radius,
+        seed=seed,
+    )
     try:
-        return Scenario(
-            geometry=geometry,
-            pairs=pairs,
-            range_model=RangeModel(intensity=float(intens["lambda_kj"])),
-            velocity_model=VelocityModel(
-                float(intens["lambda_kk"]), float(intens["nu_kk"]), float(intens["xi_kk"])
-            ),
-            mobility=MobilityModel(cov),
-        )
-    except (TypeError, ValueError) as exc:
+        if walks is None:
+            rng = np.random.default_rng([seed])
+            walks = random_walks(rng, cfg.area, agents, t, cfg.step_factor)
+        paths = np.concatenate([walks, np.repeat(anchors[:, None, :], t, axis=1)])
+        return simkit.build_scenario(cfg, paths)
+    except ValueError as exc:
         raise ConfigError(f"invalid scenario values: {exc}")
 
 

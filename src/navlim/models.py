@@ -9,7 +9,7 @@ mobility prior contributes the classic tridiagonal inverse-covariance stripe.
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
@@ -290,6 +290,11 @@ class Scenario:
     `pairs[n]` lists the ranging pairs measured at step n as (k, j) with
     k < j and k an agent. `priors` adds explicit 2x2 information blocks at
     (agent, step) coordinates, e.g. to pin a node.
+
+    Construction resolves the models into read-only kernel inputs: the
+    `spatial_block` weights (T, Na, nodes), a pair listed twice counting
+    twice, and the `temporal_block` coeffs (T-1, Na, 3) of the transitions
+    into steps 1..T-1, zero without a velocity model.
     """
 
     geometry: ScenarioGeometry
@@ -298,34 +303,48 @@ class Scenario:
     velocity_model: VelocityModel | None = None
     mobility: MobilityModel | None = None
     priors: tuple[tuple[int, int, np.ndarray], ...] = ()
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.pairs) != self.geometry.num_steps:
+        na, nodes, t = self.geometry.num_agents, self.geometry.num_nodes, self.geometry.num_steps
+        if len(self.pairs) != t:
             raise ValueError("pairs must list every step")
-        k, j, n = index = _pair_index(self.pairs)
-        object.__setattr__(self, "_pair_index", index)
-        bad = ~((0 <= k) & (k < j) & (j < self.geometry.num_nodes))
-        no_agent = k >= self.geometry.num_agents
+        k, j, n = _pair_index(self.pairs)
+        bad = ~((0 <= k) & (k < j) & (j < nodes))
+        no_agent = k >= na
         first = np.flatnonzero(bad | no_agent)
         if first.size:
             i = first[0]
             if bad[i]:
                 raise ValueError(f"bad pair ({k[i]}, {j[i]}) at step {n[i]}")
             raise ValueError(f"pair ({k[i]}, {j[i]}) has no agent side")
-        for k, n, block in self.priors:
-            if not (0 <= k < self.geometry.num_agents):
-                raise ValueError(f"prior on unknown agent {k}")
-            if not (0 <= n < self.geometry.num_steps):
-                raise ValueError(f"prior at unknown step {n}")
+        for agent, step, block in self.priors:
+            if not (0 <= agent < na):
+                raise ValueError(f"prior on unknown agent {agent}")
+            if not (0 <= step < t):
+                raise ValueError(f"prior at unknown step {step}")
             if np.asarray(block).shape != (2, 2):
                 raise ValueError("prior blocks must be 2x2")
-
-    def pair_index(self, first: int, stop: int):
-        """(k, j, n) index arrays of the pairs measured at steps
-        first..stop-1, in `pairs` order."""
-        k, j, n = self._pair_index
-        window = (first <= n) & (n < stop)
-        return k[window], j[window], n[window]
+        weights = np.zeros(t * na * nodes)
+        if self.range_model is not None:
+            lam = self.range_model.intensity_at(k, j, n)
+            peer = j < na
+            cells = np.ravel_multi_index(
+                (
+                    np.concatenate([n, n[peer]]),
+                    np.concatenate([k, j[peer]]),
+                    np.concatenate([j, k[peer]]),
+                ),
+                (t, na, nodes),
+            )
+            weights = np.bincount(cells, np.concatenate([lam, lam[peer]]), t * na * nodes)
+        coeffs = np.zeros((max(t - 1, 0), na, 3))
+        if self.velocity_model is not None:
+            coeffs = self.velocity_model.coeffs_at(np.arange(na), np.arange(1, t)[:, None])
+        for name, array in (("weights", weights.reshape(t, na, nodes)), ("coeffs", coeffs)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 def _pair_index(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -428,27 +447,3 @@ def temporal_block(paths: np.ndarray, coeffs: np.ndarray, first: int = 1) -> np.
         out[turn] = np.stack([np.stack([b00, off], -1), np.stack([off, b11], -1)], -2)
     return out
 
-
-def mobility_blocks(
-    model: MobilityModel, num_steps: int
-) -> list[tuple[int, int, np.ndarray]]:
-    """Single-agent information contributions of the random-walk prior.
-
-    Each transition n -> n+1 adds inv(step_cov) to both adjacent diagonal
-    blocks and -inv(step_cov) between them; the optional initial prior lands
-    on step 0. Returned as (step_i, step_j, block) with step_i <= step_j.
-    """
-    if num_steps < 1:
-        raise ValueError("num_steps must be >= 1")
-    w = np.linalg.eigvalsh(model.step_cov)
-    if w.min() <= 0:
-        raise ValueError("singular step covariance")
-    info = np.linalg.inv(model.step_cov)
-    out: list[tuple[int, int, np.ndarray]] = []
-    if model.initial_prior is not None:
-        out.append((0, 0, np.asarray(model.initial_prior, dtype=float)))
-    for n in range(num_steps - 1):
-        out.append((n, n, info.copy()))
-        out.append((n + 1, n + 1, info.copy()))
-        out.append((n, n + 1, -info))
-    return out

@@ -28,9 +28,7 @@ from .blockfim import (
 from .geom2d import Eigen2, eigen2, r_cross, r_dir, unit_vector
 from .models import (
     MobilityModel,
-    RangeModel,
     Scenario,
-    mobility_blocks,
     range_intensity_via_reduction,
     spatial_block,
     temporal_block,
@@ -200,56 +198,28 @@ def _temporal_matrices(paths: np.ndarray, coeffs: np.ndarray, first: int = 1) ->
     return out
 
 
-def _pair_weights(
-    scenario: Scenario, first: int, stop: int, model: RangeModel | None = None
-) -> np.ndarray:
-    """Ranging intensities of the scenario's pairs at steps first..stop-1 in
-    `spatial_block`'s layout (steps, Na, nodes), zero for unmeasured pairs;
-    a pair listed twice counts twice. `model` replaces the scenario's range
-    model."""
-    geom = scenario.geometry
-    na, nodes, steps = geom.num_agents, geom.num_nodes, stop - first
-    model = scenario.range_model if model is None else model
-    if model is None:
-        return np.zeros((steps, na, nodes))
-    k, j, n = scenario.pair_index(first, stop)
-    lam = model.intensity_at(k, j, n)
-    peer = j < na
-    cells = np.ravel_multi_index(
-        (
-            np.concatenate([n, n[peer]]) - first,
-            np.concatenate([k, j[peer]]),
-            np.concatenate([j, k[peer]]),
-        ),
-        (steps, na, nodes),
-    )
-    weights = np.bincount(cells, np.concatenate([lam, lam[peer]]), steps * na * nodes)
-    return weights.reshape(steps, na, nodes)
-
-
-def _velocity_coeffs(scenario: Scenario, first: int, stop: int) -> np.ndarray:
-    """(along, across, couple) of every agent for the transitions into steps
-    first..stop-1, shape (steps, Na, 3); zero without a velocity model."""
-    na = scenario.geometry.num_agents
-    if scenario.velocity_model is None:
-        return np.zeros((stop - first, na, 3))
-    return scenario.velocity_model.coeffs_at(np.arange(na), np.arange(first, stop)[:, None])
-
-
-def _scenario_spatial(
-    scenario: Scenario, first: int, stop: int, model: RangeModel | None = None
-) -> np.ndarray:
+def _scenario_spatial(scenario: Scenario, first: int, stop: int) -> np.ndarray:
     """`_spatial_matrices` of one scenario's steps first..stop-1."""
-    weights = _pair_weights(scenario, first, stop, model)
-    paths = scenario.geometry.paths[None]
-    return _spatial_matrices(paths, weights[None], first, (scenario.priors,))[0]
+    weights = scenario.weights[None, first:stop]
+    return _spatial_matrices(scenario.geometry.paths[None], weights, first, (scenario.priors,))[0]
 
 
-def _scenario_temporal(scenario: Scenario, first: int, stop: int) -> np.ndarray:
-    """`_temporal_matrices` of one scenario's transitions into steps
-    first..stop-1."""
-    coeffs = _velocity_coeffs(scenario, first, stop)
-    return _temporal_matrices(scenario.geometry.paths[None], coeffs[None], first)[0]
+def _mobility_links(mobility: MobilityModel | None, diag: np.ndarray) -> np.ndarray:
+    """`_band_matrix` links over the steps of `diag` (steps, 2*Na, 2*Na) of
+    the random-walk prior: a transition is a relative measurement between an
+    agent's consecutive positions with information inv(step_cov), on every
+    agent's block; zeros without a prior. The initial prior is added to
+    every agent's block of diag[0], in place."""
+    steps, size = diag.shape[:2]
+    if mobility is None:
+        return np.zeros((max(steps - 1, 0), size, size))
+    if np.linalg.eigvalsh(mobility.step_cov).min() <= 0:
+        raise ValueError("singular step covariance")
+    if mobility.initial_prior is not None:
+        for row in range(0, size, 2):
+            diag[0, row : row + 2, row : row + 2] += np.asarray(mobility.initial_prior, dtype=float)
+    info = block_diag([np.linalg.inv(mobility.step_cov)] * (size // 2))
+    return np.broadcast_to(info, (max(steps - 1, 0), size, size))
 
 
 def _band_matrix(
@@ -306,9 +276,10 @@ def assemble_position_efim(
         carry = np.asarray(carry, dtype=float)
         if carry.shape != (2 * na, 2 * na):
             raise ValueError("carry block must cover all agents of one step")
+    paths, coeffs = scenario.geometry.paths[None], scenario.coeffs[None, start_step:]
     matrix, (d, b) = _band_matrix(
         _scenario_spatial(scenario, start_step, t),
-        _scenario_temporal(scenario, start_step + 1, t),
+        _temporal_matrices(paths, coeffs, start_step + 1)[0],
         carry,
     )
     j = JointEfim(position_coords(na, t, start_step), matrix)
@@ -343,24 +314,18 @@ def independent_params_efim(
     model = scenario.range_model
     if model is not None and model.sigma_range is not None:
         # pairs without a table entry take the intensity of the reduction
-        model = replace(
-            model,
-            intensity=range_intensity_via_reduction(model.sigma_range, model.sigma_bias),
-            sigma_range=None,
-        )
-    s = _scenario_spatial(scenario, 0, t, model)
-    matrix, _ = _band_matrix(s, np.zeros((max(t - 1, 0), *s.shape[1:])))
-    coords = position_coords(na, t)
-    ref = JointEfim(coords, np.zeros(matrix.shape))
-
+        intensity = range_intensity_via_reduction(model.sigma_range, model.sigma_bias)
+        model = replace(model, intensity=intensity, sigma_range=None)
+        scenario = replace(scenario, range_model=model)
+    diag = _scenario_spatial(scenario, 0, t)
     for (k, n), blk in (state_info or {}).items():
-        _scatter(matrix, ref.rows(k, n), ref.rows(k, n), np.asarray(blk, dtype=float))
-
-    if scenario.mobility is not None:
-        for k in range(na):
-            for n, m, blk in mobility_blocks(scenario.mobility, t):
-                _scatter(matrix, ref.rows(k, n), ref.rows(k, m), blk)
-    return JointEfim(coords, matrix)
+        if not (0 <= k < na and 0 <= n < t):
+            raise ValueError(f"state_info at unknown coordinate ({k}, {n})")
+        diag[n, 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += np.asarray(blk, dtype=float)
+    matrix, (d, b) = _band_matrix(diag, _mobility_links(scenario.mobility, diag))
+    j = JointEfim(position_coords(na, t), matrix)
+    object.__setattr__(j, "_bands", (0, d, b))
+    return j
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,29 +364,34 @@ def bayesian_efim(
     mob = np.zeros((dim, dim))
     temp = np.zeros((dim, dim))
     spat = np.zeros((dim, dim))
-    ref = JointEfim(coords, np.zeros((dim, dim)))
 
     if mobility is not None:
-        for k in range(num_agents):
-            for n, m, blk in mobility_blocks(mobility, num_steps):
-                _scatter(mob, ref.rows(k, n), ref.rows(k, m), blk)
+        diag = np.zeros((num_steps, 2 * num_agents, 2 * num_agents))
+        # added onto zeros, which turns the -0.0 between unlinked steps into +0.0
+        mob += _band_matrix(diag, _mobility_links(mobility, diag))[0]
+
+    def rows(k: int, n: int) -> slice:
+        i = 2 * (n * num_agents + k)
+        return slice(i, i + 2)
 
     for k, chain in (intra_chains or {}).items():
         _check_chain(chain, num_agents, num_steps, k)
         for (n, m), g in eliminate_hmm_chain(chain).items():
-            _scatter(temp, ref.rows(k, n), ref.rows(k, m), g)
+            _scatter(temp, rows(k, n), rows(k, m), g)
 
     for (k, peer), chain in (pair_chains or {}).items():
         _check_chain(chain, num_agents, num_steps, k)
         if peer == k:
             raise ValueError("pair chain needs two distinct nodes")
+        if peer < 0:
+            raise ValueError(f"chain references unknown node {peer}")
         for (n, m), g in eliminate_hmm_chain(chain).items():
-            _scatter(spat, ref.rows(k, n), ref.rows(k, m), g)
+            _scatter(spat, rows(k, n), rows(k, m), g)
             if peer < num_agents:
-                _scatter(spat, ref.rows(peer, n), ref.rows(peer, m), g)
-                _scatter(spat, ref.rows(k, n), ref.rows(peer, m), -g)
+                _scatter(spat, rows(peer, n), rows(peer, m), g)
+                _scatter(spat, rows(k, n), rows(peer, m), -g)
                 if n != m:
-                    _scatter(spat, ref.rows(peer, n), ref.rows(k, m), -g)
+                    _scatter(spat, rows(peer, n), rows(k, m), -g)
     return BayesianEfim(coords, mob, temp, spat)
 
 
@@ -686,13 +656,17 @@ def spatial_step_matrix(scenario: Scenario, n: int) -> np.ndarray:
     """Network ranging matrix of one time step (2*Na x 2*Na): pair blocks on
     both member diagonals, their negatives between agent pairs, plus the
     step's priors."""
+    if not 0 <= n < scenario.geometry.num_steps:
+        raise ValueError(f"step {n} out of range")
     return _scenario_spatial(scenario, n, n + 1)[0]
 
 
 def temporal_step_blocks(scenario: Scenario, n: int) -> list[np.ndarray]:
     """Per-agent velocity blocks for the transition into step n (n >= 1)."""
-    coeffs = _velocity_coeffs(scenario, n, n + 1)
-    return list(temporal_block(scenario.geometry.paths[None], coeffs[None], n)[0, 0])
+    if not 1 <= n < scenario.geometry.num_steps:
+        raise ValueError(f"no transition into step {n}")
+    coeffs = scenario.coeffs[None, n - 1 : n]
+    return list(temporal_block(scenario.geometry.paths[None], coeffs, n)[0, 0])
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ one audit trial per sweep cross-checks that path against direct
 marginalization of the fully assembled matrix.
 """
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -105,6 +104,10 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        reals = ("area", "step_cov", "vel_along", "vel_across", "vel_couple", "range_intensity")
+        for name in reals:
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must be finite")
         if len(self.area) != 2 or self.area[0] <= 0 or self.area[1] <= 0:
             raise ConfigError("area must be positive (width, height)")
         if self.num_agents < 0 or self.num_anchors < 0:
@@ -115,15 +118,11 @@ class ScenarioConfig:
             raise ConfigError("intensities must be >= 0")
         if self.vel_along * self.vel_across - self.vel_couple**2 < 0:
             raise ConfigError("velocity intensity triple must be PSD")
-        if np.ndim(self.step_cov) == 0:
-            if self.step_cov <= 0:
-                raise ConfigError("step_cov must be positive")
-        else:
-            cov = np.asarray(self.step_cov, dtype=float)
-            if cov.shape != (2, 2) or np.linalg.eigvalsh(cov).min() <= 0:
-                raise ConfigError("step_cov must be PD")
-        if self.connectivity is not None and self.connectivity <= 0:
-            raise ConfigError("connectivity radius must be positive")
+        cov = self.step_cov_matrix()
+        if cov.shape != (2, 2) or np.linalg.eigvalsh(cov).min() <= 0:
+            raise ConfigError("step_cov must be a positive scalar or a PD 2x2 matrix")
+        if self.connectivity is not None and not 0 < self.connectivity < math.inf:
+            raise ConfigError("connectivity radius must be positive and finite")
 
     def step_cov_matrix(self) -> np.ndarray:
         if np.ndim(self.step_cov) == 0:
@@ -162,16 +161,6 @@ class SpebTable:
         raise KeyError((mode, sweep_value))
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Per-trial SPEB values: spebs[mode] has shape (num_steps, num_agents),
-    row n holding final-step bounds for the horizon of n+1 steps."""
-
-    trial_index: int
-    scenario_hash: str
-    spebs: dict[str, np.ndarray]
-
-
 def _draw_paths(cfg: ScenarioConfig, extra_entropy: tuple[int, ...] = ()) -> np.ndarray:
     """Node paths (nodes, T, 2), agents first, of the trial with the given
     entropy. Draw order is fixed (anchors, agent starts, walk steps) so
@@ -183,9 +172,15 @@ def _draw_paths(cfg: ScenarioConfig, extra_entropy: tuple[int, ...] = ()) -> np.
 
 
 def generate_scenario(cfg: ScenarioConfig, extra_entropy: tuple[int, ...] = ()) -> Scenario:
-    """Draw a scenario (see `_draw_paths`): full or radius pairs, the
-    configured range, velocity and mobility models."""
-    geometry = ScenarioGeometry(_draw_paths(cfg, extra_entropy), cfg.num_agents)
+    """`build_scenario` over the paths `_draw_paths` draws."""
+    return build_scenario(cfg, _draw_paths(cfg, extra_entropy))
+
+
+def build_scenario(cfg: ScenarioConfig, paths: np.ndarray) -> Scenario:
+    """The scenario of `cfg` over node paths (nodes, T, 2), agents first:
+    full or radius pairs, the configured range, velocity and mobility
+    models."""
+    geometry = ScenarioGeometry(paths, cfg.num_agents)
     if cfg.connectivity is None:
         pairs = full_pairs(geometry)
     else:
@@ -197,14 +192,6 @@ def generate_scenario(cfg: ScenarioConfig, extra_entropy: tuple[int, ...] = ()) 
         velocity_model=VelocityModel(cfg.vel_along, cfg.vel_across, cfg.vel_couple),
         mobility=MobilityModel(cfg.step_cov_matrix()),
     )
-
-
-def scenario_hash(scenario: Scenario) -> str:
-    digest = hashlib.sha256()
-    digest.update(scenario.geometry.paths.tobytes())
-    digest.update(str(scenario.geometry.num_agents).encode())
-    digest.update(repr(scenario.pairs).encode())
-    return digest.hexdigest()
 
 
 def _recursion(
@@ -259,11 +246,10 @@ class _Chunk(NamedTuple):
 
 def _scenario_chunk(scenarios: list[Scenario]) -> _Chunk:
     """The chunk of scenarios of equal shape."""
-    t = scenarios[0].geometry.num_steps
     return _Chunk(
         np.stack([s.geometry.paths for s in scenarios]),
-        np.stack([navinfo._pair_weights(s, 0, t) for s in scenarios]),
-        np.stack([navinfo._velocity_coeffs(s, 1, t) for s in scenarios]),
+        np.stack([s.weights for s in scenarios]),
+        np.stack([s.coeffs for s in scenarios]),
         tuple(s.priors for s in scenarios),
     )
 
@@ -336,16 +322,6 @@ def _chunks(trials: int) -> list[range]:
     return [
         range(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)
     ]
-
-
-def run_trial(cfg: ScenarioConfig, trial_index: int, modes=ALL_MODES) -> TrialRecord:
-    """One reproducible trial: scenario + SPEB curves for every mode."""
-    scenario = generate_scenario(cfg, (trial_index,))
-    return TrialRecord(
-        trial_index=trial_index,
-        scenario_hash=scenario_hash(scenario),
-        spebs=_trial_spebs(scenario, modes),
-    )
 
 
 def _truncated(scenario: Scenario, num_steps: int) -> Scenario:

@@ -421,3 +421,41 @@ def inline_random_walks(seed: int, area, num_agents: int, num_steps: int, step_c
     return np.concatenate(
         [starts[:, None, :], starts[:, None, :] + np.cumsum(steps, axis=1)], axis=1
     )
+
+
+def mobility_blocks(model, num_steps: int) -> list[tuple[int, int, np.ndarray]]:
+    """Single-agent information contributions of a random-walk prior with
+    `model.step_cov` and optional `model.initial_prior`: each transition
+    n -> n+1 adds inv(step_cov) to both adjacent diagonal blocks and
+    -inv(step_cov) between them; the initial prior lands on step 0. Returned
+    as (step_i, step_j, block) with step_i <= step_j."""
+    if num_steps < 1:
+        raise ValueError("num_steps must be >= 1")
+    w = np.linalg.eigvalsh(model.step_cov)
+    if w.min() <= 0:
+        raise ValueError("singular step covariance")
+    info = np.linalg.inv(model.step_cov)
+    out: list[tuple[int, int, np.ndarray]] = []
+    if model.initial_prior is not None:
+        out.append((0, 0, np.asarray(model.initial_prior, dtype=float)))
+    for n in range(num_steps - 1):
+        out.append((n, n, info.copy()))
+        out.append((n + 1, n + 1, info.copy()))
+        out.append((n, n + 1, -info))
+    return out
+
+
+def scatter_mobility(matrix: np.ndarray, num_agents: int, model) -> None:
+    """Add every agent's `mobility_blocks` to a time-major joint matrix over
+    (agent, step) positions in place, one block at a time, each block off
+    the diagonal also transposed onto its mirror."""
+    t = matrix.shape[0] // (2 * num_agents)
+
+    def rows(k: int, n: int) -> slice:
+        return slice(2 * (n * num_agents + k), 2 * (n * num_agents + k) + 2)
+
+    for k in range(num_agents):
+        for n, m, blk in mobility_blocks(model, t):
+            matrix[rows(k, n), rows(k, m)] += blk
+            if n != m:
+                matrix[rows(k, m), rows(k, n)] += blk.T

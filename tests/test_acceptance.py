@@ -5,12 +5,15 @@ raises with the offending case. Tolerances are pinned here, nothing deferred.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import navlim
 from navlim.blockfim import ChainBlocks, block_diag, eliminate_hmm_chain
 from navlim.geom2d import Eigen2, r_dir
 from navlim.models import Scenario, ScenarioGeometry
@@ -304,6 +307,8 @@ def test_criterion_9_exact_banding():
 
 def test_criterion_10_cli_determinism(tmp_path):
     started = time.perf_counter()
+    # the subprocesses import the navlim these tests import
+    env = dict(os.environ, PYTHONPATH=str(Path(navlim.__file__).parent.parent))
     base = [
         sys.executable,
         "-m",
@@ -324,7 +329,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     ]
     for run in ("a", "b"):
         out = subprocess.run(
-            base + ["--out-dir", str(tmp_path / run)], capture_output=True, text=True
+            base + ["--out-dir", str(tmp_path / run)], capture_output=True, text=True, env=env
         )
         assert out.returncode == 0, out.stderr
     assert (tmp_path / "a/sweep_time.csv").read_bytes() == (
@@ -335,8 +340,8 @@ def test_criterion_10_cli_determinism(tmp_path):
     ).read_bytes()
 
     verify = [sys.executable, "-m", "navlim.cli", "verify", "--seed", "7", "--cases", "40"]
-    out1 = subprocess.run(verify, capture_output=True, text=True)
-    out2 = subprocess.run(verify, capture_output=True, text=True)
+    out1 = subprocess.run(verify, capture_output=True, text=True, env=env)
+    out2 = subprocess.run(verify, capture_output=True, text=True, env=env)
     assert out1.returncode == 0, out1.stdout + out1.stderr
     assert out1.stdout == out2.stdout
     _report(10, "identical flags + seed give byte-identical outputs", started, 120.0)

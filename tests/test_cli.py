@@ -383,9 +383,28 @@ def test_scenario_missing_file(tmp_path):
         {"seed": "abc"},
         {"intensities": {"lambda_kk": 1, "nu_kk": 1, "xi_kk": 5, "lambda_kj": 1}},  # not PSD
         {"step_cov": [[1.0, 0.0], [0.0, -1.0]]},
+        {"step_cov": math.nan},
+        {"step_cov": None},
+        {"area": [10, "a"]},
+        {"area": [1e400, 10]},
+        {"area": 10},
+        {"connectivity": {"radius": "abc"}},
+        {"connectivity": {"radius": None}},
+        {"connectivity": {"radius": [1]}},
+        {"connectivity": {"radius": -1}},
+        {"connectivity": {"radius": 0}},
+        {"connectivity": {"radius": 1e400}},
+        {"agents": [[[1e400, 0.0]]]},
+        {"anchors": [[math.inf, 1.0]]},
+        {"intensities": {"lambda_kk": None, "nu_kk": 1, "xi_kk": 0, "lambda_kj": 1}},
+        {"intensities": {"lambda_kk": 1, "nu_kk": 1, "xi_kk": 0, "lambda_kj": "x"}},
+        {"intensities": 5},
+        {"seed": -1},
+        {"agents": True},
+        {"T": True},
     ],
 )
-def test_scenario_bad_values_exit_2(tmp_path, patch):
+def test_scenario_bad_values_exit_2(tmp_path, capsys, patch):
     spec = {
         "area": [10, 10],
         "anchors": [[1.0, 1.0]],
@@ -396,7 +415,25 @@ def test_scenario_bad_values_exit_2(tmp_path, patch):
     spec.update(patch)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
-    assert cli.main(["ellipse", "--scenario", str(path), "--out-dir", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert cli.main(["ellipse", "--scenario", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "flag",
+    ["--area", "--radius", "--step-cov", "--range-intensity", "--vel-along", "--vel-across", "--vel-couple"],
+)
+def test_non_finite_config_values_exit_2(tmp_path, capsys, flag, value):
+    values = [value, "10"] if flag == "--area" else [value]
+    argv = ["sweep-time", "--trials", "2", "--steps", "1..2", "--agents", "2", flag, *values]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_ellipse_coincident_nodes_exit_2(tmp_path, capsys):

@@ -12,7 +12,6 @@ from navlim.models import (
     ScenarioGeometry,
     VelocityModel,
     full_pairs,
-    mobility_blocks,
     radius_pairs,
     range_intensity_from_sigmas,
     range_intensity_via_reduction,
@@ -20,6 +19,7 @@ from navlim.models import (
     temporal_block,
     velocity_intensities,
 )
+from navlim.navinfo import bayesian_efim
 from oracles import fd_hessian
 
 
@@ -187,27 +187,20 @@ def test_temporal_block_is_psd_when_triple_is_psd():
 # mobility
 
 
+def _assemble_mobility(model, t):
+    """The stripe of the random-walk prior that `bayesian_efim` lays out for
+    one agent over t steps."""
+    return bayesian_efim(1, t, mobility=model).mobility
+
+
 def test_mobility_blocks_two_steps():
-    model = MobilityModel(np.eye(2))
-    blocks = mobility_blocks(model, 2)
-    assert len(blocks) == 3
-    contrib = {(n, m): b for n, m, b in blocks}
-    np.testing.assert_array_equal(contrib[(0, 0)], np.eye(2))
-    np.testing.assert_array_equal(contrib[(1, 1)], np.eye(2))
-    np.testing.assert_array_equal(contrib[(0, 1)], -np.eye(2))
+    info = _assemble_mobility(MobilityModel(np.eye(2)), 2)
+    np.testing.assert_array_equal(info, [[1, 0, -1, 0], [0, 1, 0, -1], [-1, 0, 1, 0], [0, -1, 0, 1]])
 
 
 def test_mobility_blocks_single_step_empty():
-    assert mobility_blocks(MobilityModel(np.eye(2)), 1) == []
-
-
-def _assemble_mobility(model, t):
-    info = np.zeros((2 * t, 2 * t))
-    for n, m, b in mobility_blocks(model, t):
-        info[2 * n : 2 * n + 2, 2 * m : 2 * m + 2] += b
-        if n != m:
-            info[2 * m : 2 * m + 2, 2 * n : 2 * n + 2] += b.T
-    return info
+    info = _assemble_mobility(MobilityModel(np.eye(2)), 1)
+    assert info.shape == (2, 2) and not info.any()
 
 
 def test_mobility_blocks_match_fd_hessian():
@@ -248,7 +241,7 @@ def test_mobility_initial_prior_restores_rank():
 
 def test_mobility_singular_covariance_rejected():
     with pytest.raises(ValueError, match="singular"):
-        mobility_blocks(MobilityModel(np.diag([1.0, 0.0])), 3)
+        _assemble_mobility(MobilityModel(np.diag([1.0, 0.0])), 3)
 
 
 def test_mobility_scalar_covariance_promoted():

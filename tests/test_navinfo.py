@@ -15,7 +15,6 @@ from navlim.models import (
     ScenarioGeometry,
     VelocityModel,
     full_pairs,
-    mobility_blocks,
     velocity_intensities,
 )
 from navlim.navinfo import (
@@ -39,6 +38,7 @@ from navlim.simkit import ScenarioConfig, generate_scenario
 from oracles import (
     GaussianCase,
     dense_position_fim,
+    mobility_blocks,
     pair_blocks,
     random_gaussian_case,
     random_chain,
@@ -614,6 +614,24 @@ def test_independent_params_unobservable_bias():
     )
 
 
+def test_independent_params_rejects_unknown_state_info_coordinates():
+    scenario = replace(simple_scenario(seed=49), velocity_model=None)
+    for cell in ((2, 0), (-1, 0), (0, 3), (0, -1)):
+        with pytest.raises(ValueError, match="unknown coordinate"):
+            independent_params_efim(scenario, state_info={cell: np.eye(2)})
+
+
+def test_bayesian_rejects_chain_keys_outside_the_nodes():
+    rng = np.random.default_rng(63)
+    chain = ChainBlocks(**random_chain(rng, steps=3, state_dim=2)[0])
+    with pytest.raises(ValueError, match="unknown agent"):
+        bayesian_efim(2, 3, intra_chains={2: chain})
+    with pytest.raises(ValueError, match="unknown agent"):
+        bayesian_efim(2, 3, pair_chains={(-1, 0): chain})
+    with pytest.raises(ValueError, match="unknown node"):
+        bayesian_efim(2, 3, pair_chains={(0, -1): chain})
+
+
 def test_independent_params_rejects_velocity():
     scenario = simple_scenario(seed=48)
     with pytest.raises(ValueError, match="consecutive steps"):
@@ -681,6 +699,12 @@ def test_assemble_argument_validation():
         assemble_position_efim(scenario, start_step=2)
     with pytest.raises(ValueError, match="carry"):
         assemble_position_efim(scenario, carry=np.eye(2))
+    for n in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            spatial_step_matrix(scenario, n)
+    for n in (0, 2):
+        with pytest.raises(ValueError, match="no transition"):
+            temporal_step_blocks(scenario, n)
 
 
 def test_marginal_rejects_unknown_coordinates():
@@ -907,8 +931,30 @@ def test_each_efim_checks_its_domain_once(monkeypatch, kind):
         assert (efim._tridiagonal is not None) == (kind == "banded")
 
 
+@st.composite
+def independent_efims(draw):
+    """`independent_params_efim` of generated scenarios without velocity
+    links: full or radius connectivity, a random-walk prior with or without
+    an initial prior, or none, and per-(agent, step) information blocks."""
+    na = draw(st.integers(1, 12))
+    t = draw(st.integers(1, 40))
+    cfg = ScenarioConfig(
+        num_agents=na,
+        num_anchors=draw(st.integers(0, 4)),
+        num_steps=t,
+        connectivity=draw(st.one_of(st.none(), st.floats(8.0, 20.0))),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    initial = draw(st.sampled_from([None, np.eye(2)]))
+    mobility = draw(st.sampled_from([None, MobilityModel(0.5 * np.eye(2), initial)]))
+    scenario = replace(generate_scenario(cfg), velocity_model=None, mobility=mobility)
+    cells = draw(st.lists(st.tuples(st.integers(0, na - 1), st.integers(0, t - 1)), max_size=4))
+    j = independent_params_efim(scenario, {cell: 2.0 * np.eye(2) for cell in cells})
+    return j, na, 0, t - 1
+
+
 @settings(max_examples=25, deadline=None)
-@given(banded_efims(), st.sampled_from([None, 0, 10**6]))
+@given(st.one_of(banded_efims(), independent_efims()), st.sampled_from([None, 0, 10**6]))
 def test_builder_blocks_equal_the_scanned_blocks(case, min_dim):
     j, _, _, _ = case
     default_min_dim = navinfo._SWEEP_MIN_DIM

@@ -25,8 +25,6 @@ from navlim.simkit import (
     SweepNumericalError,
     generate_scenario,
     persist,
-    run_trial,
-    scenario_hash,
     sweep_nodes,
     sweep_time,
 )
@@ -61,16 +59,15 @@ def test_generate_scenario_deterministic():
     cfg = small_cfg()
     a = generate_scenario(cfg)
     b = generate_scenario(cfg)
-    np.testing.assert_array_equal(a.geometry.paths, b.geometry.paths)
+    assert a.geometry.paths.tobytes() == b.geometry.paths.tobytes()
     assert a.pairs == b.pairs
-    assert scenario_hash(a) == scenario_hash(b)
 
 
 def test_generate_scenario_trial_entropy_differs():
     cfg = small_cfg()
     a = generate_scenario(cfg, (0,))
     b = generate_scenario(cfg, (1,))
-    assert scenario_hash(a) != scenario_hash(b)
+    assert a.geometry.paths.tobytes() != b.geometry.paths.tobytes()
 
 
 def test_generate_scenario_shapes():
@@ -112,21 +109,25 @@ def test_radius_connectivity_limits_pairs():
 # trials
 
 
+def run_trial(cfg, trial, modes=ALL_MODES):
+    """SPEB curves of every mode for the trial's generated scenario."""
+    return simkit._trial_spebs(generate_scenario(cfg, (trial,)), modes)
+
+
 def test_run_trial_reproducible():
     cfg = small_cfg()
     a = run_trial(cfg, 5)
     b = run_trial(cfg, 5)
-    assert a.scenario_hash == b.scenario_hash
-    for mode in a.spebs:
-        np.testing.assert_array_equal(a.spebs[mode], b.spebs[mode])
+    for mode in a:
+        assert a[mode].tobytes() == b[mode].tobytes()
 
 
 def test_trial_spebs_shape_and_mode_dominance():
     cfg = small_cfg(num_agents=3, num_anchors=3, num_steps=5)
     record = run_trial(cfg, 0)
-    joint = record.spebs[CoopMode.JOINT.value]
-    spatial = record.spebs[CoopMode.SPATIAL_ONLY.value]
-    temporal = record.spebs[CoopMode.TEMPORAL_ONLY.value]
+    joint = record[CoopMode.JOINT.value]
+    spatial = record[CoopMode.SPATIAL_ONLY.value]
+    temporal = record[CoopMode.TEMPORAL_ONLY.value]
     assert joint.shape == (5, 3)
     # joint information contains each ablation: bounds can only shrink
     assert (joint <= spatial * (1 + 1e-9)).all()
@@ -136,8 +137,8 @@ def test_trial_spebs_shape_and_mode_dominance():
 def test_trial_first_step_joint_equals_spatial():
     record = run_trial(small_cfg(), 1)
     np.testing.assert_allclose(
-        record.spebs[CoopMode.JOINT.value][0],
-        record.spebs[CoopMode.SPATIAL_ONLY.value][0],
+        record[CoopMode.JOINT.value][0],
+        record[CoopMode.SPATIAL_ONLY.value][0],
         rtol=1e-12,
     )
 
@@ -152,20 +153,20 @@ def test_trial_joint_against_marginalization():
         final = marginal_efim(full, [(k, horizon - 1) for k in range(2)])
         oracle = block_spebs(final.matrix)
         np.testing.assert_allclose(
-            record.spebs[CoopMode.JOINT.value][horizon - 1], oracle, rtol=1e-9
+            record[CoopMode.JOINT.value][horizon - 1], oracle, rtol=1e-9
         )
 
 
 def test_temporal_only_without_anchors_is_unbounded():
     cfg = small_cfg(num_anchors=0)
     record = run_trial(cfg, 0, modes=(CoopMode.TEMPORAL_ONLY,))
-    assert np.isinf(record.spebs[CoopMode.TEMPORAL_ONLY.value]).all()
+    assert np.isinf(record[CoopMode.TEMPORAL_ONLY.value]).all()
 
 
 def test_lone_agent_no_anchors_spatial_is_unbounded():
     cfg = small_cfg(num_agents=1, num_anchors=0)
     record = run_trial(cfg, 0, modes=(CoopMode.SPATIAL_ONLY,))
-    assert np.isinf(record.spebs[CoopMode.SPATIAL_ONLY.value]).all()
+    assert np.isinf(record[CoopMode.SPATIAL_ONLY.value]).all()
 
 
 # ---------------------------------------------------------------------------

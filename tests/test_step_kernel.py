@@ -3,9 +3,9 @@
 Every assembly path (joint EFIM, per-step matrices, the independent-
 parameter EFIM) must give the same bytes as `oracles.scatter_spatial_matrices`
 plus `oracles.velocity_matrices` for the sorted, duplicate-free pair listings
-that `full_pairs` and `radius_pairs` produce; signed zeros count. Unsorted or
-repeated listings may sum in another order and are held to 1e-12 of the
-matrix scale.
+that `full_pairs` and `radius_pairs` produce, plus `oracles.scatter_mobility`
+for the random-walk prior; signed zeros count. Unsorted or repeated listings
+may sum in another order and are held to 1e-12 of the matrix scale.
 """
 
 from dataclasses import replace
@@ -13,16 +13,28 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from navlim.models import RangeModel, VelocityModel, range_intensity_via_reduction
+from navlim.models import (
+    MobilityModel,
+    RangeModel,
+    Scenario,
+    VelocityModel,
+    range_intensity_via_reduction,
+)
 from navlim.navinfo import (
     assemble_position_efim,
+    bayesian_efim,
     independent_params_efim,
     spatial_step_matrix,
     temporal_step_blocks,
 )
 from navlim import navinfo, simkit
 from navlim.simkit import ScenarioConfig, generate_scenario
-from oracles import band_matrix, scatter_spatial_matrices, velocity_matrices
+from oracles import (
+    band_matrix,
+    scatter_mobility,
+    scatter_spatial_matrices,
+    velocity_matrices,
+)
 
 _TRIPLES = [(5.0, 5.0, 0.0), (4.0, 1.0, 0.0), (2.0, 1.0, 0.5), (1.0, 9.0, -2.5), (0.0, 0.0, 0.0)]
 
@@ -127,19 +139,94 @@ def test_assembly_is_bytewise_the_scatter_reference(case):
                 assert blocks[k].tobytes() == velocity[n - 1][rows, rows].tobytes()
 
 
+mobility_models = st.sampled_from(
+    [
+        None,
+        MobilityModel(0.7 * np.eye(2)),
+        MobilityModel(np.array([[1.5, 0.3], [0.3, 0.8]])),
+        MobilityModel(np.array([[1.5, 0.3], [0.3, 0.8]]), np.array([[2.0, 0.1], [0.1, 1.0]])),
+    ]
+)
+
+
+@st.composite
+def state_infos(draw, na, t):
+    """Per-(agent, step) information blocks, some at pinning scale."""
+    return {
+        (k, n): scale * np.array([[3.0, c], [c, 1.0]])
+        for k, n, c, scale in draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, na - 1),
+                    st.integers(0, t - 1),
+                    st.floats(-1.0, 1.0),
+                    st.sampled_from([1.0, 1e12]),
+                ),
+                max_size=3,
+            )
+        )
+    }
+
+
 @settings(max_examples=50, deadline=None)
-@given(scenarios())
-def test_independent_params_efim_is_bytewise_the_scatter_reference(case):
+@given(scenarios(), mobility_models, st.data())
+def test_independent_params_efim_is_bytewise_the_scatter_reference(case, mobility, data):
     scenario, _ = case
-    scenario = replace(scenario, velocity_model=None, mobility=None)
+    scenario = replace(scenario, velocity_model=None, mobility=mobility)
+    na, t = scenario.geometry.num_agents, scenario.geometry.num_steps
+    state_info = data.draw(state_infos(na, t))
     model = scenario.range_model
     if model.sigma_range is not None:
         intensity = range_intensity_via_reduction(model.sigma_range, model.sigma_bias)
         model = replace(model, intensity=intensity, sigma_range=None)
-    t = scenario.geometry.num_steps
     spatial = scatter_spatial_matrices(replace(scenario, range_model=model), 0, t)
     want = band_matrix(spatial, np.zeros((max(t - 1, 0), *spatial.shape[1:])))
-    assert independent_params_efim(scenario).matrix.tobytes() == want.tobytes()
+    for (k, n), blk in state_info.items():
+        rows = slice(2 * (n * na + k), 2 * (n * na + k) + 2)
+        want[rows, rows] += blk
+    if mobility is not None:
+        scatter_mobility(want, na, mobility)
+    got = independent_params_efim(scenario, state_info).matrix
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), mobility_models)
+def test_bayesian_mobility_is_bytewise_the_scatter_reference(na, t, mobility):
+    want = np.zeros((2 * na * t, 2 * na * t))
+    if mobility is not None:
+        scatter_mobility(want, na, mobility)
+    assert bayesian_efim(na, t, mobility=mobility).mobility.tobytes() == want.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(scenarios(), st.integers(0, 2), st.randoms(use_true_random=False))
+def test_replaced_scenarios_resolve_their_kernel_inputs_afresh(case, which, rand):
+    scenario, _ = case
+    if which == 0:
+        steps = [list(step) for step in scenario.pairs]
+        for step in steps:
+            rand.shuffle(step)
+        changed = replace(scenario, pairs=tuple(tuple(step[: len(step) // 2]) for step in steps))
+    elif which == 1:
+        changed = replace(scenario, range_model=RangeModel(intensity=rand.uniform(0.0, 9.0)))
+    else:
+        changed = replace(scenario, velocity_model=VelocityModel(2.0, 1.0, rand.uniform(-1.0, 1.0)))
+    fresh = Scenario(
+        changed.geometry,
+        changed.pairs,
+        changed.range_model,
+        changed.velocity_model,
+        changed.mobility,
+        changed.priors,
+    )
+    for name in ("weights", "coeffs"):
+        got, want = getattr(changed, name), getattr(fresh, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    t = scenario.geometry.num_steps
+    assert changed.weights.shape == (t, *scenario.weights.shape[1:])
+    assert changed.coeffs.shape == (t - 1, scenario.geometry.num_agents, 3)
 
 
 @settings(max_examples=100, deadline=None)
