@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 identity failure, 2 configuration error,
 3 numerical failure. The environment variable NAVLIM_SEED supplies the
-default seed (an integer, else exit 2); an explicit --seed always wins.
+default seed (a non-negative integer, else exit 2); an explicit --seed always
+wins.
 """
 
 import argparse
@@ -623,6 +624,8 @@ def cmd_verify(args) -> int:
     if args.inject_failure is not None and args.inject_failure not in names:
         raise ConfigError(f"unknown identity {args.inject_failure!r}")
     seed = args.seed if args.seed is not None else _default_seed()
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     failures = 0
     for index, (name, func, tol, divisor) in enumerate(_IDENTITIES):
         rng = np.random.default_rng([seed, index])

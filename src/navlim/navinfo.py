@@ -75,38 +75,67 @@ def position_coords(
     )
 
 
-@dataclass(frozen=True, eq=False)
 class JointEfim:
     """Joint EFIM over 2-D positions, one 2x2 block per (agent, step).
 
     Immutable: the array passed in becomes `matrix` without a copy and is
-    made read-only, so a later write to it raises ValueError. On first use
-    the EFIM caches its block-tridiagonal domain check with its D and B
-    blocks (`_tridiagonal`, about 2 * T * (2 * Na)^2 doubles), and its
-    reads keep the forward and backward Schur carries they compute, at most
-    2 * T * (2 * Na)^2 doubles more; all of it stays valid only while the
-    matrix does not change. `assemble_position_efim` hands over the blocks
-    it lays out (`_bands`), so its EFIMs skip the off-band scan.
+    made read-only, so a later write to it raises ValueError. An EFIM built
+    by `assemble_position_efim` or `independent_params_efim` holds the
+    builder's band layout instead (`_layout`: the first step, the diagonal
+    blocks and the blocks between consecutive steps, about
+    2 * T * (2 * Na)^2 doubles) and lays `matrix` out from it on first
+    read; the sweep reads never need it. On first use the EFIM caches its
+    block-tridiagonal domain check with its D and B blocks (`_tridiagonal`,
+    about 2 * T * (2 * Na)^2 doubles), and its reads keep the forward and
+    backward Schur carries they compute, at most 2 * T * (2 * Na)^2 doubles
+    more; a read that takes the dense path keeps the eigendecomposition of
+    the whole matrix (`_dense_eigh`, (2 * Na * T)^2 doubles more).
     """
 
-    coords: tuple[tuple[int, int], ...]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.shape != (2 * len(self.coords), 2 * len(self.coords)):
+    def __init__(self, coords: tuple[tuple[int, int], ...], matrix: np.ndarray):
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.shape != (2 * len(coords), 2 * len(coords)):
             raise ValueError("matrix size does not match coordinate list")
-        pos = {c: i for i, c in enumerate(self.coords)}
-        if len(pos) != len(self.coords):
+        if len(set(coords)) != len(coords):
             raise ValueError("duplicate coordinate")
         matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "_bands", None)
+        self.__dict__.update(coords=coords, matrix=matrix, _layout=None)
+
+    @classmethod
+    def _from_layout(cls, start: int, d: np.ndarray, upper: np.ndarray) -> "JointEfim":
+        """The EFIM of all agents over steps start..start+len(d)-1 whose
+        matrix `_lay_out(d, upper)` gives, not laid out until read."""
+        j = object.__new__(cls)
+        coords = position_coords(d.shape[-1] // 2, start + len(d), start)
+        j.__dict__.update(coords=coords, _layout=(start, d, upper))
+        return j
+
+    def __setattr__(self, name, value):
+        raise AttributeError("JointEfim is immutable")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, read-only; laid out from `_layout` on first read."""
+        out = _lay_out(*self._layout[1:])
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _pos(self) -> dict[tuple[int, int], int]:
+        return {c: i for i, c in enumerate(self.coords)}
 
     def rows(self, agent: int, step: int) -> slice:
         i = self._pos[(agent, step)]
         return slice(2 * i, 2 * i + 2)
+
+    @property
+    def _bands(self) -> tuple[int, np.ndarray, np.ndarray] | None:
+        """(first step, D, B) of the builder's layout, symmetrized as
+        `_scan_bands` reads them off the matrix; None without a layout."""
+        if self._layout is None:
+            return None
+        start, d, upper = self._layout
+        return start, *_symmetric_bands(d, upper, upper.transpose(0, 2, 1))
 
     @cached_property
     def _tridiagonal(self) -> tuple[int, np.ndarray, np.ndarray, list, list] | None:
@@ -118,6 +147,12 @@ class JointEfim:
             return None
         zero = np.zeros_like(found[1][0])
         return (*found, [zero], [zero])
+
+    @cached_property
+    def _dense_eigh(self):
+        """`_scaled_eigh` of the whole matrix, for the reads the sweep
+        cannot serve."""
+        return _scaled_eigh(self.matrix)
 
 
 def _scatter(matrix: np.ndarray, ri: slice, ci: slice, block: np.ndarray) -> None:
@@ -205,7 +240,7 @@ def _scenario_spatial(scenario: Scenario, first: int, stop: int) -> np.ndarray:
 
 
 def _mobility_links(mobility: MobilityModel | None, diag: np.ndarray) -> np.ndarray:
-    """`_band_matrix` links over the steps of `diag` (steps, 2*Na, 2*Na) of
+    """`_band_layout` links over the steps of `diag` (steps, 2*Na, 2*Na) of
     the random-walk prior: a transition is a relative measurement between an
     agent's consecutive positions with information inv(step_cov), on every
     agent's block; zeros without a prior. The initial prior is added to
@@ -222,30 +257,33 @@ def _mobility_links(mobility: MobilityModel | None, diag: np.ndarray) -> np.ndar
     return np.broadcast_to(info, (max(steps - 1, 0), size, size))
 
 
-def _band_matrix(
+def _band_layout(
     diag: np.ndarray, links: np.ndarray, carry: np.ndarray | None = None
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Joint matrix over consecutive steps in time-major order: diag[n] on
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d, upper) of the joint matrix over consecutive steps: diag[n] on
     step n's diagonal block, and each links[n], a relative measurement
     between steps n and n+1, added to both steps' diagonals and subtracted
-    between them; `carry` is added to the first diagonal block. Returned
-    with its (D, B) blocks as `_scan_bands` would read them off the
-    matrix."""
-    steps, size = diag.shape[0], diag.shape[-1]
+    between them (upper[n]); `carry` is added to the first diagonal
+    block."""
     d = diag.copy()
     d[:-1] += links
     d[1:] += links
     if carry is not None:
         d[0] += carry
-    upper = -links
+    return d, -links
+
+
+def _lay_out(d: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Time-major matrix with d[n] on step n's diagonal block, upper[n]
+    between steps n and n+1 and its transpose between n+1 and n, and +0.0
+    elsewhere."""
+    steps, size = d.shape[0], d.shape[-1]
     out = np.zeros((steps, size, steps, size))
     idx = np.arange(steps)
     out[idx, :, idx, :] = d
     out[idx[:-1], :, idx[1:], :] = upper
     out[idx[1:], :, idx[:-1], :] = upper.transpose(0, 2, 1)
-    return out.reshape(steps * size, steps * size), _symmetric_bands(
-        d, upper, upper.transpose(0, 2, 1)
-    )
+    return out.reshape(steps * size, steps * size)
 
 
 def assemble_position_efim(
@@ -265,8 +303,9 @@ def assemble_position_efim(
     (2*Na x 2*Na) is added to the window's first diagonal block, which is how
     marginalized history re-enters.
 
-    The EFIM keeps the diagonal and inter-step blocks laid out here, so its
-    first sweep read skips scanning the matrix for them.
+    The EFIM keeps the diagonal and inter-step blocks laid out here and
+    lays out its dense matrix only when `matrix` is read: sweep reads use
+    the blocks alone.
     """
     geom = scenario.geometry
     na, t = geom.num_agents, geom.num_steps
@@ -277,14 +316,12 @@ def assemble_position_efim(
         if carry.shape != (2 * na, 2 * na):
             raise ValueError("carry block must cover all agents of one step")
     paths, coeffs = scenario.geometry.paths[None], scenario.coeffs[None, start_step:]
-    matrix, (d, b) = _band_matrix(
+    d, upper = _band_layout(
         _scenario_spatial(scenario, start_step, t),
         _temporal_matrices(paths, coeffs, start_step + 1)[0],
         carry,
     )
-    j = JointEfim(position_coords(na, t, start_step), matrix)
-    object.__setattr__(j, "_bands", (start_step, d, b))
-    return j
+    return JointEfim._from_layout(start_step, d, upper)
 
 
 def independent_params_efim(
@@ -322,10 +359,7 @@ def independent_params_efim(
         if not (0 <= k < na and 0 <= n < t):
             raise ValueError(f"state_info at unknown coordinate ({k}, {n})")
         diag[n, 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += np.asarray(blk, dtype=float)
-    matrix, (d, b) = _band_matrix(diag, _mobility_links(scenario.mobility, diag))
-    j = JointEfim(position_coords(na, t), matrix)
-    object.__setattr__(j, "_bands", (0, d, b))
-    return j
+    return JointEfim._from_layout(0, *_band_layout(diag, _mobility_links(scenario.mobility, diag)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,7 +402,7 @@ def bayesian_efim(
     if mobility is not None:
         diag = np.zeros((num_steps, 2 * num_agents, 2 * num_agents))
         # added onto zeros, which turns the -0.0 between unlinked steps into +0.0
-        mob += _band_matrix(diag, _mobility_links(mobility, diag))[0]
+        mob += _lay_out(*_band_layout(diag, _mobility_links(mobility, diag)))
 
     def rows(k: int, n: int) -> slice:
         i = 2 * (n * num_agents + k)
@@ -473,7 +507,7 @@ def _tridiagonal_blocks(j: JointEfim) -> tuple[int, np.ndarray, np.ndarray] | No
     """
     if 2 * len(j.coords) <= _SWEEP_MIN_DIM:
         return None
-    bands = _scan_bands(j) if j._bands is None else j._bands
+    bands = j._bands or _scan_bands(j)
     return None if bands is None else _check_bands(*bands)
 
 
@@ -534,19 +568,28 @@ def _check_bands(
 def _extend_carries(carries: list, d: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
     """Information the first `count` steps of a block-tridiagonal chain pass
     on to step `count`: B^T F^-1 B with F the running Schur complement of
-    the last eliminated step, in Cholesky form (F = L L^T, so the term is
-    X^T X with X = L^-1 B). This is the carry-over recursion; run on the
-    reversed chain with transposed links it is the backward sweep.
+    the last eliminated step. One Cholesky factor of the two-step block
+    [[F, B], [B^T, D_next]] gives it: its lower-left block is
+    L21 = B^T L11^-T, so the carry is L21 L21^T. This is the carry-over
+    recursion; run on the reversed chain with transposed links it is the
+    backward sweep.
 
     `carries[n]` holds the carry into step n for every n computed so far,
     from the zero carry into the first step; only the steps past the end
     of the list are run, and their carries are kept. Raises LinAlgError
-    when some F is not positive definite.
+    when some two-step block is not positive definite; for a positive
+    definite EFIM every one is.
     """
+    size = d.shape[-1]
+    # cholesky reads the lower triangle only, so the upper-right block stays zero
+    pair = np.zeros((2 * size, 2 * size))
     for n in range(len(carries) - 1, count):
-        x = np.linalg.solve(np.linalg.cholesky(d[n] - carries[n]), b[n])
+        pair[:size, :size] = d[n] - carries[n]
+        pair[size:, :size] = b[n].T
+        pair[size:, size:] = d[n + 1]
+        low = np.linalg.cholesky(pair)[size:, :size]
         # a concurrent read may have stored this step already, with the same bits
-        carries[n + 1 : n + 2] = [x.T @ x]
+        carries[n + 1 : n + 2] = [low @ low.T]
     return carries[count]
 
 
@@ -566,8 +609,12 @@ def _sweep_window(j: JointEfim, lo: int, hi: int) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         return None
     size = d.shape[1]
-    rows = slice(lo * size, (hi + 1) * size)
-    out = j.matrix[rows, rows].copy()
+    if j._layout is None:
+        rows = slice(lo * size, (hi + 1) * size)
+        out = j.matrix[rows, rows].copy()
+    else:  # the same bytes, without laying out the whole matrix
+        _, diag, upper = j._layout
+        out = _lay_out(diag[lo : hi + 1], upper[lo:hi])
     out[:size, :size] -= head
     out[-size:, -size:] -= tail
     return 0.5 * (out + out.T)
@@ -812,15 +859,17 @@ def speb_with_rank(j: JointEfim, agent: int, step: int) -> tuple[float, int]:
     EFIM, D_n - B_{n-1}^T F_{n-1}^-1 B_{n-1} - B_n G_{n+1}^-1 B_n^T, built
     by forward and backward Schur sweeps in O(T * Na^3) that extend the
     carries earlier reads of `j` left, so reading every bound of `j` costs
-    O(T * Na^3) in all. Every other input,
-    singular or not banded, takes one dense eigendecomposition of the whole
-    matrix, O((Na * T)^3).
+    O(T * Na^3) in all. Every other input, singular or not banded, takes one
+    dense eigendecomposition of the whole matrix, O((Na * T)^3), which `j`
+    keeps for its later reads.
     """
-    matrix, rows = j.matrix, j.rows(agent, step)
+    rows = j.rows(agent, step)
     window = _sweep_window(j, step, step)
-    if window is not None:
-        matrix, rows = window, slice(2 * agent, 2 * agent + 2)
-    w, v, scale, cutoff = _scaled_eigh(matrix)
+    if window is None:
+        w, v, scale, cutoff = j._dense_eigh
+    else:
+        w, v, scale, cutoff = _scaled_eigh(window)
+        rows = slice(2 * agent, 2 * agent + 2)
     value = _block_speb(w, v, scale, rows, float(cutoff))
     return value, int((w <= cutoff).sum())
 

@@ -88,7 +88,7 @@ class ScenarioConfig:
     walk with per-step covariance `step_cov` (m^2, scalar means isotropic);
     anchors are placed uniformly and stay put. Intensities are in m^-2.
     `connectivity` is None for a fully measured network or a ranging radius
-    in meters.
+    in meters. `seed` is a non-negative integer.
     """
 
     area: tuple[float, float] = (20.0, 20.0)
@@ -123,6 +123,8 @@ class ScenarioConfig:
             raise ConfigError("step_cov must be a positive scalar or a PD 2x2 matrix")
         if self.connectivity is not None and not 0 < self.connectivity < math.inf:
             raise ConfigError("connectivity radius must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def step_cov_matrix(self) -> np.ndarray:
         if np.ndim(self.step_cov) == 0:

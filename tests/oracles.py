@@ -459,3 +459,15 @@ def scatter_mobility(matrix: np.ndarray, num_agents: int, model) -> None:
             matrix[rows(k, n), rows(k, m)] += blk
             if n != m:
                 matrix[rows(k, m), rows(k, n)] += blk.T
+
+
+def extend_carries_by_solve(carries: list, d: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
+    """The block-tridiagonal Schur carry B^T F^-1 B into step `count`, one
+    step at a time as the sweep once computed it: F = L L^T by Cholesky,
+    X = L^-1 B by a general LU solve, carry X^T X. `carries` starts as
+    [zero] and is extended in place past its end; raises LinAlgError when
+    some F is not positive definite."""
+    for n in range(len(carries) - 1, count):
+        x = np.linalg.solve(np.linalg.cholesky(d[n] - carries[n]), b[n])
+        carries[n + 1 : n + 2] = [x.T @ x]
+    return carries[count]

@@ -201,6 +201,30 @@ def test_env_seed_not_an_integer_is_a_config_error(tmp_path, monkeypatch, capsys
     assert cli.main(args + ["--seed", "21", "--out-dir", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv, env_seed",
+    [
+        (["sweep-time", "--trials", "2", "--steps", "1..2", "--agents", "2", "--seed", "-1"], None),
+        (["sweep-time", "--trials", "2", "--steps", "1..2", "--agents", "2"], "-3"),
+        (["sweep-nodes", "--trials", "2", "--steps", "2", "--agents", "2..3", "--seed", "-1"], None),
+        (["verify", "--cases", "2", "--seed", "-1"], None),
+        (["verify", "--cases", "2"], "-3"),
+    ],
+)
+def test_negative_seed_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, env_seed):
+    if env_seed is not None:
+        monkeypatch.setenv("NAVLIM_SEED", env_seed)
+    out = tmp_path / "out"
+    if argv[0] != "verify":
+        argv = argv + ["--out-dir", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "seed" in captured.err.lower()
+    assert not out.exists()
+
+
 def test_svg_emission_leaves_csv_identical(tmp_path):
     args = [
         "sweep-time",

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from navlim import navinfo
 from navlim.blockfim import ChainBlocks, SingularBlockError, block_diag, eliminate_block
@@ -37,14 +37,19 @@ from navlim.navinfo import (
 from navlim.simkit import ScenarioConfig, generate_scenario
 from oracles import (
     GaussianCase,
+    band_matrix,
     dense_position_fim,
+    extend_carries_by_solve,
     mobility_blocks,
     pair_blocks,
     random_gaussian_case,
     random_chain,
     ranging_local_info,
     rel_frobenius,
+    scatter_mobility,
+    scatter_spatial_matrices,
     velocity_local_info,
+    velocity_matrices,
 )
 
 
@@ -1061,3 +1066,129 @@ def test_a_failed_cholesky_factor_sends_the_read_to_the_dense_path(monkeypatch):
         assert got.matrix.tobytes() == navinfo._dense_marginal_efim(j, keep).matrix.tobytes()
         for k in range(4):
             assert speb_with_rank(j, k, n) == dense_speb_with_rank(j, k, n)
+
+
+@pytest.mark.parametrize("kind", ["anchorless", "single-range", "bayesian-chains"])
+def test_dense_reads_share_one_eigendecomposition(monkeypatch, kind):
+    j = singular_or_unbanded_efim(kind)
+    want = {c: speb_with_rank(navinfo.JointEfim(j.coords, j.matrix), *c) for c in j.coords}
+    sizes = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    for c in j.coords:
+        value, null_dim = speb_with_rank(j, *c)
+        assert np.float64(value).tobytes() == np.float64(want[c][0]).tobytes()
+        assert null_dim == want[c][1]
+    assert sizes == [2 * len(j.coords)]
+
+
+# ---------------------------------------------------------------------------
+# an assembled EFIM lays out its dense matrix only when it is read
+
+
+@pytest.mark.parametrize("builder", ["assemble", "independent"])
+def test_sweep_reads_never_lay_out_the_dense_matrix(monkeypatch, builder):
+    cfg = ScenarioConfig(num_agents=12, num_anchors=4, num_steps=40, connectivity=10.0, seed=3)
+    scenario = generate_scenario(cfg, (0,))
+    if builder == "assemble":
+        want = band_matrix(
+            scatter_spatial_matrices(scenario, 0, 40), velocity_matrices(scenario, 1, 40)
+        )
+        j = assemble_position_efim(scenario)
+    else:
+        mobility = MobilityModel(np.array([[1.5, 0.3], [0.3, 0.8]]))
+        scenario = replace(scenario, velocity_model=None, mobility=mobility)
+        spatial = scatter_spatial_matrices(scenario, 0, 40)
+        want = band_matrix(spatial, np.zeros((39, *spatial.shape[1:])))
+        scatter_mobility(want, 12, mobility)
+        j = independent_params_efim(scenario)
+    laid_out = []
+    real_lay_out = navinfo._lay_out
+
+    def lay_out(d, upper):
+        laid_out.append(len(d))
+        return real_lay_out(d, upper)
+
+    monkeypatch.setattr(navinfo, "_lay_out", lay_out)
+    marginal_efim(j, [(k, 39) for k in range(12)])
+    for k, n in j.coords:
+        speb(j, k, n)
+    assert j._tridiagonal is not None
+    assert laid_out and set(laid_out) == {1}  # each read laid out its own step only
+    laid_out.clear()
+    matrix = j.matrix
+    assert laid_out == [40]
+    assert matrix.tobytes() == want.tobytes()
+    assert not matrix.flags.writeable
+    assert j.matrix is matrix
+    assert laid_out == [40]
+
+
+def solve_oracle_window(j, lo, hi):
+    """The sweep's marginal EFIM of all agents over steps lo..hi, its
+    carries from `extend_carries_by_solve`."""
+    start, d, b = j._bands
+    lo, hi = lo - start, hi - start
+    zero = np.zeros_like(d[0])
+    head = extend_carries_by_solve([zero], d, b, lo)
+    tail = extend_carries_by_solve([zero], d[::-1], b[::-1].transpose(0, 2, 1), len(d) - 1 - hi)
+    size = d.shape[1]
+    rows = slice(lo * size, (hi + 1) * size)
+    out = j.matrix[rows, rows].copy()
+    out[:size, :size] -= head
+    out[-size:, -size:] -= tail
+    return 0.5 * (out + out.T)
+
+
+def assert_within_round_off(got, want):
+    """`got` within 1e-12 of `want` relative to want's norm."""
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(banded_efims())
+def test_one_cholesky_sweep_is_within_round_off_of_the_solve_oracle(case):
+    j, na, lo, hi = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(navinfo, "_SWEEP_MIN_DIM", 0)  # sweep at every size
+        found = j._tridiagonal
+        assume(found is not None)
+        start, d, b = found[:3]
+        zero = np.zeros_like(d[0])
+        for chain in ((d, b), (d[::-1], b[::-1].transpose(0, 2, 1))):
+            want, got = [zero], [zero]
+            extend_carries_by_solve(want, *chain, len(d) - 1)
+            navinfo._extend_carries(got, *chain, len(d) - 1)
+            assert len(got) == len(want) == len(d)
+            for g, w in zip(got, want):
+                assert_within_round_off(g, w)
+        for a, z in {(lo, hi), (start, start), (lo, lo), (hi, hi), (start, start + len(d) - 1)}:
+            want = solve_oracle_window(j, a, z)
+            got = marginal_efim(j, [(k, n) for n in range(a, z + 1) for k in range(na)])
+            assert_within_round_off(got.matrix, want)
+            got_bounds, want_bounds = block_spebs(got.matrix), block_spebs(want)
+            np.testing.assert_array_equal(np.isposinf(got_bounds), np.isposinf(want_bounds))
+
+
+def test_a_read_whose_last_schur_complement_is_indefinite_takes_the_dense_path():
+    cfg = ScenarioConfig(num_agents=4, num_anchors=4, num_steps=12, seed=9)
+    good = assemble_position_efim(generate_scenario(cfg))
+    last = {(k, 11) for k in range(4)}
+    # the last step's Schur complement, shifted to one negative eigenvalue
+    shift = 1.5 * np.linalg.eigvalsh(navinfo._dense_marginal_efim(good, last).matrix)[0]
+    matrix = good.matrix.copy()
+    matrix[-8:, -8:] -= shift * np.eye(8)
+    j = navinfo.JointEfim(good.coords, matrix)
+    assert j._tridiagonal is not None  # the domain check passes
+    got = marginal_efim(j, last)
+    assert got.matrix.tobytes() == navinfo._dense_marginal_efim(j, last).matrix.tobytes()
+    for k in range(4):
+        value, null_dim = speb_with_rank(j, k, 11)
+        want_value, want_null = dense_speb_with_rank(j, k, 11)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert null_dim == want_null
