@@ -125,6 +125,8 @@ class JointEfim:
         return {c: i for i, c in enumerate(self.coords)}
 
     def rows(self, agent: int, step: int) -> slice:
+        if (agent, step) not in self._pos:
+            raise ValueError(f"unknown coordinates: {[(agent, step)]}")
         i = self._pos[(agent, step)]
         return slice(2 * i, 2 * i + 2)
 

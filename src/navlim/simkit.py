@@ -8,11 +8,14 @@ one audit trial per sweep cross-checks that path against direct
 marginalization of the fully assembled matrix.
 """
 
+import contextlib
 import math
 import os
+import threading
+from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -41,12 +44,12 @@ FAILURE_BUDGET = 0.01
 
 AUDIT_TOL = 1e-9
 
-# Trials per stacked step kernel and carry-over recursion. A chunk's step
-# matrices (ranging, anchor-only ranging, velocity) take
-# 24 * CHUNK_TRIALS * T * (2 * Na)^2 bytes, and the ranging kernel's agent x
-# node blocks and their copy in summation order, its largest intermediates,
-# 32 * CHUNK_TRIALS * T * Na * nodes bytes each; 32 runs the 25-trial
-# benchmark calls as one chunk.
+# Most trials per stacked step kernel and carry-over recursion; each of a
+# sweep's workers holds one chunk at a time. A chunk's step matrices (ranging,
+# anchor-only ranging, velocity) take 24 * CHUNK_TRIALS * T * (2 * Na)^2
+# bytes, and the ranging kernel's agent x node blocks and their copy in
+# summation order, its largest intermediates, 32 * CHUNK_TRIALS * T * Na *
+# nodes bytes each.
 CHUNK_TRIALS = 32
 
 
@@ -320,12 +323,6 @@ def _run_chunk(
     return _stacked_spebs(_drawn_chunk(cfg, entropies), modes, final_only)
 
 
-def _chunks(trials: int) -> list[range]:
-    return [
-        range(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)
-    ]
-
-
 def _truncated(scenario: Scenario, num_steps: int) -> Scenario:
     geometry = ScenarioGeometry(
         scenario.geometry.paths[:, :num_steps], scenario.geometry.num_agents
@@ -401,100 +398,116 @@ def _aggregate(values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 _TRIAL_FAILURES = (np.linalg.LinAlgError, GeometryError, SingularBlockError)
 
 
-def sweep_time(
-    cfg: ScenarioConfig,
-    steps=None,
-    modes=ALL_MODES,
-    trials: int = 500,
-) -> SpebTable:
-    """Network-average SPEB at the final step, per horizon length and mode.
+def sweep_workers(trials: int, workers: int | None = None) -> int:
+    """The worker count of a sweep: `workers`, an integer from 1 to the CPUs
+    this process may use, or by default all of those; else ConfigError."""
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if workers is not None and not (isinstance(workers, int) and 1 <= workers <= cpus):
+        raise ConfigError(f"workers must be an integer from 1 to {cpus}, got {workers!r}")
+    return cpus if workers is None else workers
+
+
+def _sweep(cfg, points, modes, trials: int, workers=None, final_only=False, shown=str):
+    """Per-trial `_run_chunk` results of each sweep point (config, entropy
+    prefix), in trial order, and the failed-trial count.
+
+    The chunks, of at most CHUNK_TRIALS and ceil(trials x points / workers)
+    trials, are queued costliest (agents x steps x trials) first, then
+    `cfg`'s audit. This thread takes calls from the front of the queue and
+    workers - 1 started threads from the back: a thread's malloc arena keeps
+    its high-water mark, so they stay off the largest chunks. A chunk's
+    exception empties the queue. Raised in order: the first chunk exception
+    in sweep order; SweepNumericalError beyond FAILURE_BUDGET (`shown(failed)`
+    trials failed); the audit's error.
+    """
+    workers = sweep_workers(trials, workers)
+    size = min(CHUNK_TRIALS, -(-trials * max(len(points), 1) // workers))
+    chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    tasks = [(p, chunk) for p in range(len(points)) for chunk in chunks]
+    cost = [point.num_agents * point.num_steps for point, _ in points]
+    order = sorted(tasks, key=lambda task: cost[task[0]] * len(task[1]), reverse=True)
+    calls = [
+        partial(_run_chunk, points[p][0], [(*points[p][1], t) for t in chunk], modes, final_only)
+        for p, chunk in order
+    ] + [partial(_audit_recursion, cfg)]
+    outcomes, todo = [None] * len(calls), deque(enumerate(calls))
+
+    def work(take):
+        with contextlib.suppress(IndexError):  # raised by take once no call is left
+            while True:
+                i, call = take()
+                try:
+                    outcomes[i] = call()
+                except BaseException as exc:  # raised below, in sweep order
+                    outcomes[i] = exc
+                    if not isinstance(exc, AuditError):
+                        todo.clear()
+
+    # workers - 1 threads, and fewer than the calls
+    threads = [threading.Thread(target=work, args=(todo.pop,)) for _ in calls[1:workers]]
+    try:
+        for thread in threads:
+            thread.start()
+        work(todo.popleft)
+    finally:
+        todo.clear()
+        for thread in filter(threading.Thread.is_alive, threads):  # those started
+            thread.join()
+    outcome = dict(zip(order, outcomes))
+    results = [[] for _ in points]
+    for p, chunk in tasks:  # in sweep order, so the first chunk exception is raised
+        if isinstance(outcome[p, chunk], BaseException):
+            raise outcome[p, chunk]
+        results[p] += outcome[p, chunk] or ()
+    failed = sum(isinstance(r, Exception) for per_point in results for r in per_point)
+    if failed > FAILURE_BUDGET * trials * len(points):
+        raise SweepNumericalError(f"{shown(failed)} trials failed numerically (seed={cfg.seed})")
+    if isinstance(outcomes[-1], BaseException):
+        raise outcomes[-1]
+    return results, failed
+
+
+def _mode_means(results, modes):
+    """Per mode: (mode, mean, standard error, trials) per horizon over the trials not failed."""
+    for mode in modes:
+        values = [r[mode.value].mean(axis=1) for r in results if not isinstance(r, Exception)]
+        if values:
+            yield (mode.value, *_aggregate(values), len(values))
+
+
+def sweep_time(cfg: ScenarioConfig, steps=None, modes=ALL_MODES, trials=500, workers=None):
+    """Network-average SPEB at the final step, per horizon length and mode,
+    on `workers` threads (see `_sweep`).
 
     One trajectory of cfg.num_steps serves every horizon: the carry-over
     state after n steps is exactly the marginalized history of the n-step
     problem, so each trial yields the whole curve in a single pass.
     """
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
     step_list = list(steps) if steps is not None else list(range(1, cfg.num_steps + 1))
     if not step_list or min(step_list) < 1 or max(step_list) > cfg.num_steps:
         raise ConfigError("step counts must fall in 1..num_steps")
-    table = SpebTable()
-    if cfg.num_agents == 0:
-        return table
-    per_mode: dict[str, list[np.ndarray]] = {m.value: [] for m in modes}
-    failed = 0
-    for chunk in _chunks(trials):
-        for spebs in _run_chunk(cfg, [(trial,) for trial in chunk], modes):
-            if isinstance(spebs, Exception):
-                failed += 1
-                continue
-            for mode in modes:
-                per_mode[mode.value].append(spebs[mode.value].mean(axis=1))
-    table.failed_trials = failed
-    if failed > FAILURE_BUDGET * trials:
-        raise SweepNumericalError(
-            f"{failed}/{trials} trials failed numerically (seed={cfg.seed})"
-        )
-    _audit_recursion(cfg)
-    for mode in modes:
-        if not per_mode[mode.value]:
-            continue
-        mean, err = _aggregate(per_mode[mode.value])
-        for value in step_list:
-            table.rows.append(
-                SpebRow(
-                    mode.value,
-                    value,
-                    float(mean[value - 1]),
-                    float(err[value - 1]),
-                    len(per_mode[mode.value]),
-                )
-            )
+    points = [(cfg, ())] if cfg.num_agents else []
+    per_point, failed = _sweep(cfg, points, modes, trials, workers, shown=lambda n: f"{n}/{trials}")
+    table = SpebTable(failed_trials=failed)
+    for mode, mean, se, n in _mode_means(sum(per_point, []), modes):
+        table.rows += [SpebRow(mode, v, float(mean[v - 1]), float(se[v - 1]), n) for v in step_list]
     return table
 
 
-def sweep_nodes(
-    cfg: ScenarioConfig,
-    agent_counts,
-    modes=ALL_MODES,
-    trials: int = 500,
-) -> SpebTable:
+def sweep_nodes(cfg: ScenarioConfig, agent_counts, modes=ALL_MODES, trials=500, workers=None):
     """Network-average SPEB at the final step of a fixed horizon, per agent
-    count and mode."""
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    count and mode, on `workers` threads (see `_sweep`)."""
     counts = list(agent_counts)
     if not counts or min(counts) < 1:
         raise ConfigError("agent counts must be >= 1")
-    table = SpebTable()
-    failed = 0
-    for count in counts:
-        cfg_n = replace(cfg, num_agents=count)
-        per_mode: dict[str, list[float]] = {m.value: [] for m in modes}
-        for chunk in _chunks(trials):
-            entropies = [(count, trial) for trial in chunk]
-            for spebs in _run_chunk(cfg_n, entropies, modes, final_only=True):
-                if isinstance(spebs, Exception):
-                    failed += 1
-                    continue
-                for mode in modes:
-                    per_mode[mode.value].append(float(spebs[mode.value][-1].mean()))
-        for mode in modes:
-            if not per_mode[mode.value]:
-                continue
-            arr = [np.array([v]) for v in per_mode[mode.value]]
-            mean, err = _aggregate(arr)
-            table.rows.append(
-                SpebRow(
-                    mode.value, count, float(mean[0]), float(err[0]), len(arr)
-                )
-            )
-    table.failed_trials = failed
-    if failed > FAILURE_BUDGET * trials * len(counts):
-        raise SweepNumericalError(
-            f"{failed} trials failed numerically (seed={cfg.seed})"
-        )
-    _audit_recursion(cfg)
+    points = [(replace(cfg, num_agents=count), (count,)) for count in counts]
+    per_point, failed = _sweep(cfg, points, modes, trials, workers, final_only=True)
+    table = SpebTable(failed_trials=failed)
+    for count, results in zip(counts, per_point):
+        for mode, mean, err, n in _mode_means(results, modes):
+            table.rows.append(SpebRow(mode, count, float(mean[0]), float(err[0]), n))
     return table
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import threading
 import warnings
 from dataclasses import replace
 
@@ -599,3 +600,39 @@ def test_benchmark_sweeps_match_their_recorded_digests(tmp_path, capsys, workloa
     assert cli.main(sweep.argv(seed, str(tmp_path))) == 0
     data = (tmp_path / f"{sweep.subcommand.replace('-', '_')}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == recorded["sha256"]
+
+
+def _no_thread(self):
+    raise AssertionError("a thread was started")
+
+
+def test_workers_1_starts_no_thread(tmp_path, monkeypatch):
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    argv = ["sweep-nodes", "--trials", "3", "--agents", "1..3", "--steps", "2", "--workers", "1"]
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+    argv = ["sweep-time", "--trials", "3", "--agents", "2", "--steps", "1..2", "--workers", "1"]
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc", "1.5", str(simkit.sweep_workers(1) + 1)])
+@pytest.mark.parametrize("command", ["sweep-time", "sweep-nodes"])
+def test_bad_workers_exit_2_before_the_out_dir_or_a_thread(
+    tmp_path, capsys, monkeypatch, command, value
+):
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    out_dir = tmp_path / "out"
+    argv = [command, "--trials", "2", "--workers", value, "--out-dir", str(out_dir)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "workers" in err
+    assert not out_dir.exists()
+
+
+def test_sweep_workers_default_matches_one_worker(tmp_path):
+    argv = ["sweep-nodes", "--trials", "3", "--agents", "1..3", "--steps", "3", "--seed", "9"]
+    assert cli.main(argv + ["--workers", "1", "--out-dir", str(tmp_path / "one")]) == 0
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "default")]) == 0
+    assert (tmp_path / "one/sweep_nodes.csv").read_bytes() == (
+        tmp_path / "default/sweep_nodes.csv"
+    ).read_bytes()

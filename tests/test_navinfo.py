@@ -1192,3 +1192,17 @@ def test_a_read_whose_last_schur_complement_is_indefinite_takes_the_dense_path()
         want_value, want_null = dense_speb_with_rank(j, k, 11)
         assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
         assert null_dim == want_null
+
+
+def test_unknown_coordinate_is_the_same_value_error_at_every_entry_point():
+    assembled = assemble_position_efim(simple_scenario(seed=53, num_steps=2))
+    bare = navinfo.JointEfim(assembled.coords, assembled.matrix)
+    for j in (assembled, bare):
+        reads = (
+            lambda: speb(j, 5, 0),
+            lambda: speb_with_rank(j, 5, 0),
+            lambda: marginal_efim(j, [(5, 0)]),
+        )
+        for read in reads:
+            with pytest.raises(ValueError, match=r"^unknown coordinates: \[\(5, 0\)\]$"):
+                read()

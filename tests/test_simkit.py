@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -437,3 +438,82 @@ def test_persist_golden_file(tmp_path):
     )
     with open(golden, "rb") as fh:
         assert path.read_bytes() == fh.read()
+
+
+# ---------------------------------------------------------------------------
+# the sweep's worker pool
+
+CPUS = simkit.sweep_workers(1)
+WORKER_COUNTS = sorted({1, CPUS})
+
+
+def test_sweep_csvs_are_byte_identical_at_every_worker_count_and_chunk_size(
+    tmp_path, monkeypatch
+):
+    cfg = small_cfg(num_agents=3, num_steps=4, connectivity=12.0)
+    trials = simkit.CHUNK_TRIALS + 3
+    outputs = {"time": set(), "nodes": set()}
+    for chunk_trials in (simkit.CHUNK_TRIALS, 1):
+        monkeypatch.setattr(simkit, "CHUNK_TRIALS", chunk_trials)
+        for workers in WORKER_COUNTS:
+            tables = {
+                "time": sweep_time(cfg, trials=trials, workers=workers),
+                "nodes": sweep_nodes(cfg, [1, 3, 2], trials=trials, workers=workers),
+            }
+            for stem, table in tables.items():
+                path = tmp_path / f"{stem}-{chunk_trials}-{workers}.csv"
+                persist(table, path)
+                outputs[stem].add((path.read_bytes(), repr(table.rows)))
+    assert [len(seen) for seen in outputs.values()] == [1, 1]
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_golden_file_at_every_worker_count(tmp_path, workers):
+    cfg = ScenarioConfig(num_agents=2, num_anchors=2, num_steps=3, seed=20110829)
+    persist(sweep_time(cfg, trials=5, workers=workers), tmp_path / "golden.csv")
+    golden = __file__.rsplit("/", 1)[0] + "/data/sweep_time_golden.csv"
+    with open(golden, "rb") as fh:
+        assert (tmp_path / "golden.csv").read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_a_chunk_exception_propagates_and_no_thread_outlives_the_sweep(monkeypatch, workers):
+    real = simkit._run_chunk
+
+    def broken(cfg_, entropies, modes=ALL_MODES, final_only=False):
+        if (2, 0) in entropies:
+            raise RuntimeError("broken chunk")
+        return real(cfg_, entropies, modes, final_only)
+
+    monkeypatch.setattr(simkit, "_run_chunk", broken)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="broken chunk"):
+        sweep_nodes(small_cfg(), [1, 2, 3], trials=8, workers=workers)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_failure_budget_wins_over_a_failing_audit(monkeypatch, workers):
+    def all_fail(cfg_, entropies, modes=ALL_MODES, final_only=False):
+        return [np.linalg.LinAlgError("synthetic failure") for _ in entropies]
+
+    def failing_audit(cfg_):
+        raise simkit.AuditError("synthetic audit failure")
+
+    monkeypatch.setattr(simkit, "_audit_recursion", failing_audit)
+    with pytest.raises(simkit.AuditError):
+        sweep_time(small_cfg(), trials=4, workers=workers)
+    monkeypatch.setattr(simkit, "_run_chunk", all_fail)
+    with pytest.raises(SweepNumericalError, match="4/4"):
+        sweep_time(small_cfg(), trials=4, workers=workers)
+    with pytest.raises(SweepNumericalError, match="^8 trials"):
+        sweep_nodes(small_cfg(), [1, 2], trials=4, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [0, -1, CPUS + 1, 1.0, "2", None])
+def test_sweep_workers_accepts_only_integers_up_to_the_cpus(workers):
+    if workers is None:
+        assert simkit.sweep_workers(3, workers) == CPUS
+        return
+    with pytest.raises(ConfigError, match=f"from 1 to {CPUS}"):
+        simkit.sweep_workers(3, workers)
