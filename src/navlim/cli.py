@@ -66,13 +66,6 @@ def _parse_range(text: str) -> list[int]:
         raise ConfigError(f"cannot parse range {text!r}")
 
 
-def _int_or_text(text: str):
-    """The integer `text` spells, else `text`, for the sweep to reject."""
-    with contextlib.suppress(ValueError):
-        return int(text)
-    return text
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="navlim",
@@ -88,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_sweep_common(p):
         add_common(p)
         p.add_argument("--trials", type=int, default=500)
-        p.add_argument("--workers", type=_int_or_text, help="threads (default: all CPUs allowed)")
         p.add_argument("--anchors", type=int, default=4)
         p.add_argument("--area", type=float, nargs=2, default=(20.0, 20.0), metavar=("W", "H"))
         p.add_argument("--range-intensity", type=float, default=5.0, help="ranging intensity (m^-2)")
@@ -145,9 +137,9 @@ def _parse_modes(text: str) -> tuple[CoopMode, ...]:
 def _sweep_setup(
     args, num_agents: int, num_steps: int
 ) -> tuple[ScenarioConfig, tuple[CoopMode, ...]]:
-    """The sweep's scenario config and modes, --trials and --workers checked;
-    --out-dir is made here, before the sweep runs, so a bad one fails at once."""
-    simkit.sweep_workers(args.trials, args.workers)
+    """The sweep's scenario config and modes, --trials checked; --out-dir is
+    made here, before the sweep runs, so that an unusable one fails at once."""
+    simkit.check_trials(args.trials)
     cfg = ScenarioConfig(
         area=tuple(args.area),
         num_agents=num_agents,
@@ -169,14 +161,14 @@ def _sweep_setup(
 def cmd_sweep_time(args) -> int:
     steps = _parse_range(args.steps)
     cfg, modes = _sweep_setup(args, args.agents, max(steps))
-    table = simkit.sweep_time(cfg, steps, modes, args.trials, args.workers)
+    table = simkit.sweep_time(cfg, steps=steps, modes=modes, trials=args.trials)
     return _emit_sweep(table, args, "sweep_time", "time steps")
 
 
 def cmd_sweep_nodes(args) -> int:
     counts = _parse_range(args.agents)
     cfg, modes = _sweep_setup(args, max(counts), args.steps)
-    table = simkit.sweep_nodes(cfg, counts, modes, args.trials, args.workers)
+    table = simkit.sweep_nodes(cfg, counts, modes=modes, trials=args.trials)
     return _emit_sweep(table, args, "sweep_nodes", "number of agents")
 
 

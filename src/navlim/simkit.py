@@ -398,38 +398,46 @@ def _aggregate(values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 _TRIAL_FAILURES = (np.linalg.LinAlgError, GeometryError, SingularBlockError)
 
 
-def sweep_workers(trials: int, workers: int | None = None) -> int:
-    """The worker count of a sweep: `workers`, an integer from 1 to the CPUs
-    this process may use, or by default all of those; else ConfigError."""
+def check_trials(trials: int) -> None:
+    """ConfigError unless a sweep's trial count is at least 1."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if workers is not None and not (isinstance(workers, int) and 1 <= workers <= cpus):
-        raise ConfigError(f"workers must be an integer from 1 to {cpus}, got {workers!r}")
-    return cpus if workers is None else workers
 
 
-def _sweep(cfg, points, modes, trials: int, workers=None, final_only=False, shown=str):
-    """Per-trial `_run_chunk` results of each sweep point (config, entropy
-    prefix), in trial order, and the failed-trial count.
+def _chunk_means(cfg, entropies, modes, final_only):
+    """`_run_chunk`'s trials, each its exception or, per mode, the network-average
+    SPEB per step; a chunk keeps no SPEB array of its trials."""
+    return [
+        r if isinstance(r, Exception) else {mode: s.mean(axis=1) for mode, s in r.items()}
+        for r in _run_chunk(cfg, entropies, modes, final_only)
+    ]
 
-    The chunks, of at most CHUNK_TRIALS and ceil(trials x points / workers)
-    trials, are queued costliest (agents x steps x trials) first, then
-    `cfg`'s audit. This thread takes calls from the front of the queue and
-    workers - 1 started threads from the back: a thread's malloc arena keeps
-    its high-water mark, so they stay off the largest chunks. A chunk's
-    exception empties the queue. Raised in order: the first chunk exception
-    in sweep order; SweepNumericalError beyond FAILURE_BUDGET (`shown(failed)`
-    trials failed); the audit's error.
+
+def _sweep(cfg, points, modes, trials: int, final_only=False, denominator=None):
+    """Per-trial `_chunk_means` of each sweep point (config, entropy prefix),
+    in trial order, and the failed-trial count.
+
+    The work runs on every CPU the process may use. The chunks, of at most
+    CHUNK_TRIALS and ceil(trials x points / workers) trials, are queued
+    costliest (agents x steps x trials) first, then `cfg`'s audit. This
+    thread takes calls from the front of the queue and workers - 1 started
+    threads from the back: a thread's malloc arena keeps its high-water mark,
+    so they stay off the largest chunks. A chunk's exception empties the
+    queue. Raised in order: the first chunk exception in sweep order;
+    SweepNumericalError beyond FAILURE_BUDGET ("failed/denominator trials
+    failed", or "failed trials failed" without a denominator); the audit's
+    error.
     """
-    workers = sweep_workers(trials, workers)
+    check_trials(trials)
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
     size = min(CHUNK_TRIALS, -(-trials * max(len(points), 1) // workers))
     chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
     tasks = [(p, chunk) for p in range(len(points)) for chunk in chunks]
     cost = [point.num_agents * point.num_steps for point, _ in points]
     order = sorted(tasks, key=lambda task: cost[task[0]] * len(task[1]), reverse=True)
     calls = [
-        partial(_run_chunk, points[p][0], [(*points[p][1], t) for t in chunk], modes, final_only)
+        partial(_chunk_means, points[p][0], [(*points[p][1], t) for t in chunk], modes, final_only)
         for p, chunk in order
     ] + [partial(_audit_recursion, cfg)]
     outcomes, todo = [None] * len(calls), deque(enumerate(calls))
@@ -463,7 +471,8 @@ def _sweep(cfg, points, modes, trials: int, workers=None, final_only=False, show
         results[p] += outcome[p, chunk] or ()
     failed = sum(isinstance(r, Exception) for per_point in results for r in per_point)
     if failed > FAILURE_BUDGET * trials * len(points):
-        raise SweepNumericalError(f"{shown(failed)} trials failed numerically (seed={cfg.seed})")
+        shown = f"{failed}/{denominator}" if denominator else failed
+        raise SweepNumericalError(f"{shown} trials failed numerically (seed={cfg.seed})")
     if isinstance(outcomes[-1], BaseException):
         raise outcomes[-1]
     return results, failed
@@ -472,14 +481,13 @@ def _sweep(cfg, points, modes, trials: int, workers=None, final_only=False, show
 def _mode_means(results, modes):
     """Per mode: (mode, mean, standard error, trials) per horizon over the trials not failed."""
     for mode in modes:
-        values = [r[mode.value].mean(axis=1) for r in results if not isinstance(r, Exception)]
+        values = [r[mode.value] for r in results if not isinstance(r, Exception)]
         if values:
             yield (mode.value, *_aggregate(values), len(values))
 
 
-def sweep_time(cfg: ScenarioConfig, steps=None, modes=ALL_MODES, trials=500, workers=None):
-    """Network-average SPEB at the final step, per horizon length and mode,
-    on `workers` threads (see `_sweep`).
+def sweep_time(cfg: ScenarioConfig, steps=None, modes=ALL_MODES, trials: int = 500) -> SpebTable:
+    """Network-average SPEB at the final step, per horizon length and mode.
 
     One trajectory of cfg.num_steps serves every horizon: the carry-over
     state after n steps is exactly the marginalized history of the n-step
@@ -489,21 +497,21 @@ def sweep_time(cfg: ScenarioConfig, steps=None, modes=ALL_MODES, trials=500, wor
     if not step_list or min(step_list) < 1 or max(step_list) > cfg.num_steps:
         raise ConfigError("step counts must fall in 1..num_steps")
     points = [(cfg, ())] if cfg.num_agents else []
-    per_point, failed = _sweep(cfg, points, modes, trials, workers, shown=lambda n: f"{n}/{trials}")
+    per_point, failed = _sweep(cfg, points, modes, trials, denominator=trials)
     table = SpebTable(failed_trials=failed)
     for mode, mean, se, n in _mode_means(sum(per_point, []), modes):
         table.rows += [SpebRow(mode, v, float(mean[v - 1]), float(se[v - 1]), n) for v in step_list]
     return table
 
 
-def sweep_nodes(cfg: ScenarioConfig, agent_counts, modes=ALL_MODES, trials=500, workers=None):
+def sweep_nodes(cfg: ScenarioConfig, agent_counts, modes=ALL_MODES, trials: int = 500) -> SpebTable:
     """Network-average SPEB at the final step of a fixed horizon, per agent
-    count and mode, on `workers` threads (see `_sweep`)."""
+    count and mode."""
     counts = list(agent_counts)
     if not counts or min(counts) < 1:
         raise ConfigError("agent counts must be >= 1")
     points = [(replace(cfg, num_agents=count), (count,)) for count in counts]
-    per_point, failed = _sweep(cfg, points, modes, trials, workers, final_only=True)
+    per_point, failed = _sweep(cfg, points, modes, trials, final_only=True)
     table = SpebTable(failed_trials=failed)
     for count, results in zip(counts, per_point):
         for mode, mean, err, n in _mode_means(results, modes):

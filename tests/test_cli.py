@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import threading
 import warnings
 from dataclasses import replace
 
@@ -602,37 +601,10 @@ def test_benchmark_sweeps_match_their_recorded_digests(tmp_path, capsys, workloa
     assert hashlib.sha256(data).hexdigest() == recorded["sha256"]
 
 
-def _no_thread(self):
-    raise AssertionError("a thread was started")
-
-
-def test_workers_1_starts_no_thread(tmp_path, monkeypatch):
-    monkeypatch.setattr(threading.Thread, "start", _no_thread)
-    argv = ["sweep-nodes", "--trials", "3", "--agents", "1..3", "--steps", "2", "--workers", "1"]
-    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
-    argv = ["sweep-time", "--trials", "3", "--agents", "2", "--steps", "1..2", "--workers", "1"]
-    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
-
-
-@pytest.mark.parametrize("value", ["0", "-1", "abc", "1.5", str(simkit.sweep_workers(1) + 1)])
 @pytest.mark.parametrize("command", ["sweep-time", "sweep-nodes"])
-def test_bad_workers_exit_2_before_the_out_dir_or_a_thread(
-    tmp_path, capsys, monkeypatch, command, value
-):
-    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+def test_zero_trials_exit_2_before_the_out_dir(tmp_path, capsys, command):
     out_dir = tmp_path / "out"
-    argv = [command, "--trials", "2", "--workers", value, "--out-dir", str(out_dir)]
-    assert cli.main(argv) == 2
+    assert cli.main([command, "--trials", "0", "--out-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "workers" in err
+    assert err == "error: trials must be >= 1\n"
     assert not out_dir.exists()
-
-
-def test_sweep_workers_default_matches_one_worker(tmp_path):
-    argv = ["sweep-nodes", "--trials", "3", "--agents", "1..3", "--steps", "3", "--seed", "9"]
-    assert cli.main(argv + ["--workers", "1", "--out-dir", str(tmp_path / "one")]) == 0
-    assert cli.main(argv + ["--out-dir", str(tmp_path / "default")]) == 0
-    assert (tmp_path / "one/sweep_nodes.csv").read_bytes() == (
-        tmp_path / "default/sweep_nodes.csv"
-    ).read_bytes()

@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 from dataclasses import replace
 
@@ -441,10 +442,13 @@ def test_persist_golden_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the sweep's worker pool
+# the sweep's worker threads, one per CPU of the process's affinity
 
-CPUS = simkit.sweep_workers(1)
-WORKER_COUNTS = sorted({1, CPUS})
+WORKER_COUNTS = [1, 2, 3]
+
+
+def on_cpus(monkeypatch, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
 
 
 def test_sweep_csvs_are_byte_identical_at_every_worker_count_and_chunk_size(
@@ -456,9 +460,10 @@ def test_sweep_csvs_are_byte_identical_at_every_worker_count_and_chunk_size(
     for chunk_trials in (simkit.CHUNK_TRIALS, 1):
         monkeypatch.setattr(simkit, "CHUNK_TRIALS", chunk_trials)
         for workers in WORKER_COUNTS:
+            on_cpus(monkeypatch, workers)
             tables = {
-                "time": sweep_time(cfg, trials=trials, workers=workers),
-                "nodes": sweep_nodes(cfg, [1, 3, 2], trials=trials, workers=workers),
+                "time": sweep_time(cfg, trials=trials),
+                "nodes": sweep_nodes(cfg, [1, 3, 2], trials=trials),
             }
             for stem, table in tables.items():
                 path = tmp_path / f"{stem}-{chunk_trials}-{workers}.csv"
@@ -468,16 +473,35 @@ def test_sweep_csvs_are_byte_identical_at_every_worker_count_and_chunk_size(
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_golden_file_at_every_worker_count(tmp_path, workers):
+def test_golden_file_at_every_worker_count(tmp_path, monkeypatch, workers):
+    on_cpus(monkeypatch, workers)
     cfg = ScenarioConfig(num_agents=2, num_anchors=2, num_steps=3, seed=20110829)
-    persist(sweep_time(cfg, trials=5, workers=workers), tmp_path / "golden.csv")
+    persist(sweep_time(cfg, trials=5), tmp_path / "golden.csv")
     golden = __file__.rsplit("/", 1)[0] + "/data/sweep_time_golden.csv"
     with open(golden, "rb") as fh:
         assert (tmp_path / "golden.csv").read_bytes() == fh.read()
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_a_sweep_starts_one_thread_fewer_than_its_cpus(monkeypatch, workers):
+    on_cpus(monkeypatch, workers)
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    sweep_nodes(small_cfg(), [1, 2, 3], trials=4)
+    sweep_time(small_cfg(), trials=4)
+    assert len(started) == 2 * (workers - 1)
+    assert not any(thread.is_alive() for thread in started)
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_a_chunk_exception_propagates_and_no_thread_outlives_the_sweep(monkeypatch, workers):
+    on_cpus(monkeypatch, workers)
     real = simkit._run_chunk
 
     def broken(cfg_, entropies, modes=ALL_MODES, final_only=False):
@@ -488,12 +512,14 @@ def test_a_chunk_exception_propagates_and_no_thread_outlives_the_sweep(monkeypat
     monkeypatch.setattr(simkit, "_run_chunk", broken)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="broken chunk"):
-        sweep_nodes(small_cfg(), [1, 2, 3], trials=8, workers=workers)
+        sweep_nodes(small_cfg(), [1, 2, 3], trials=8)
     assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_failure_budget_wins_over_a_failing_audit(monkeypatch, workers):
+    on_cpus(monkeypatch, workers)
+
     def all_fail(cfg_, entropies, modes=ALL_MODES, final_only=False):
         return [np.linalg.LinAlgError("synthetic failure") for _ in entropies]
 
@@ -502,18 +528,25 @@ def test_failure_budget_wins_over_a_failing_audit(monkeypatch, workers):
 
     monkeypatch.setattr(simkit, "_audit_recursion", failing_audit)
     with pytest.raises(simkit.AuditError):
-        sweep_time(small_cfg(), trials=4, workers=workers)
+        sweep_time(small_cfg(), trials=4)
     monkeypatch.setattr(simkit, "_run_chunk", all_fail)
     with pytest.raises(SweepNumericalError, match="4/4"):
-        sweep_time(small_cfg(), trials=4, workers=workers)
+        sweep_time(small_cfg(), trials=4)
     with pytest.raises(SweepNumericalError, match="^8 trials"):
-        sweep_nodes(small_cfg(), [1, 2], trials=4, workers=workers)
+        sweep_nodes(small_cfg(), [1, 2], trials=4)
 
 
-@pytest.mark.parametrize("workers", [0, -1, CPUS + 1, 1.0, "2", None])
-def test_sweep_workers_accepts_only_integers_up_to_the_cpus(workers):
-    if workers is None:
-        assert simkit.sweep_workers(3, workers) == CPUS
-        return
-    with pytest.raises(ConfigError, match=f"from 1 to {CPUS}"):
-        simkit.sweep_workers(3, workers)
+def test_a_sweep_holds_one_mean_per_mode_and_trial(monkeypatch):
+    seen = []
+    real = simkit._chunk_means
+
+    def kept(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(simkit, "_chunk_means", kept)
+    sweep_time(small_cfg(num_steps=4), trials=3)
+    sweep_nodes(small_cfg(num_steps=4), [2, 3], trials=3)
+    means = [spebs for chunk in seen for trial in chunk for spebs in trial.values()]
+    assert {m.shape for m in means} == {(4,), (1,)}
+    assert all(m.base is None for m in means)
