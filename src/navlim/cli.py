@@ -7,9 +7,9 @@ Subcommands:
   ellipse      per-agent information ellipses of a scenario file
 
 Exit codes: 0 success, 1 identity failure, 2 configuration error,
-3 numerical failure. The environment variable NAVLIM_SEED supplies the
-default seed (a non-negative integer, else exit 2); an explicit --seed always
-wins.
+3 numerical failure, 4 lost sweep worker. The environment variable
+NAVLIM_SEED supplies the default seed (a non-negative integer, else exit 2);
+an explicit --seed always wins.
 """
 
 import argparse
@@ -42,6 +42,7 @@ EXIT_OK = 0
 EXIT_IDENTITY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_WORKER = 4
 
 
 def _default_seed() -> int:
@@ -66,8 +67,13 @@ def _parse_range(text: str) -> list[int]:
         raise ConfigError(f"cannot parse range {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"error: {message} (see '{self.prog} --help' for usage)\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="navlim",
         description="Accuracy limits of cooperative network navigation",
     )
@@ -96,16 +102,19 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p_time = sub.add_parser("sweep-time", help="average SPEB vs time steps")
+    p_time.set_defaults(run=cmd_sweep_time)
     add_sweep_common(p_time)
     p_time.add_argument("--steps", default="1..20", help="step-count range, e.g. 1..20")
     p_time.add_argument("--agents", type=int, default=5)
 
     p_nodes = sub.add_parser("sweep-nodes", help="average SPEB vs number of agents")
+    p_nodes.set_defaults(run=cmd_sweep_nodes)
     add_sweep_common(p_nodes)
     p_nodes.add_argument("--agents", default="2..12", help="agent-count range, e.g. 2..12")
     p_nodes.add_argument("--steps", type=int, default=10, help="fixed horizon length")
 
     p_verify = sub.add_parser("verify", help="randomized identity suite")
+    p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--cases", type=int, default=1000)
     p_verify.add_argument("--list", action="store_true", help="list identity names and exit")
@@ -117,6 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_ell = sub.add_parser("ellipse", help="information ellipses of a scenario file")
+    p_ell.set_defaults(run=cmd_ellipse)
     add_common(p_ell)
     p_ell.add_argument("--scenario", required=True, help="scenario JSON path")
     return parser
@@ -645,22 +655,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        if args.command == "sweep-time":
-            return cmd_sweep_time(args)
-        if args.command == "sweep-nodes":
-            return cmd_sweep_nodes(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "ellipse":
-            return cmd_ellipse(args)
-        parser.error(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+        return args.run(args)
+    except (ConfigError, simkit.SweepWorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_WORKER
     except (SweepNumericalError, AuditError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_OK
 
 
 if __name__ == "__main__":

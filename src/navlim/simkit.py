@@ -8,11 +8,9 @@ one audit trial per sweep cross-checks that path against direct
 marginalization of the fully assembled matrix.
 """
 
-import contextlib
 import math
 import os
-import threading
-from collections import deque
+import pickle
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
@@ -63,6 +61,10 @@ class SweepNumericalError(RuntimeError):
 
 class AuditError(RuntimeError):
     """The carry-over recursion disagreed with direct marginalization."""
+
+
+class SweepWorkerError(RuntimeError):
+    """A sweep worker process ended without sending its share's outcomes."""
 
 
 class CoopMode(Enum):
@@ -413,68 +415,90 @@ def _chunk_means(cfg, entropies, modes, final_only):
     ]
 
 
+def _run_shares(calls, shares) -> dict:
+    """Outcomes (value or exception) by call index, each share's up to its first
+    exception: the first share's from here, the others' from forked workers."""
+
+    def run(share):
+        for i in share:
+            try:
+                yield i, calls[i]()
+            except Exception as exc:  # raised by _sweep, in sweep order
+                yield i, exc
+                return
+
+    children, received = {}, {}
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            if not (pid := os.fork()):  # the worker: it never returns into the caller's stack
+                try:
+                    try:
+                        data = pickle.dumps(dict(run(share)))
+                    except Exception as exc:  # an outcome that cannot be pickled
+                        data = pickle.dumps({share[0]: SweepWorkerError(f"sweep worker: {exc}")})
+                    os.write(write_end, data)  # whole: a blocking pipe write
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            children[pid] = read_end
+        outcomes = dict(run(shares[0]))
+        for pid, read_end in children.items():  # every pipe to its end before any worker is reaped
+            with open(read_end, "rb", closefd=False) as pipe:
+                received[pid] = pipe.read()
+    finally:
+        for pid, read_end in children.items():
+            os.close(read_end)
+            os.kill(pid, 9)  # SIGKILL ends an interrupted sweep's workers; the others are done
+        codes = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children}
+    for pid, code in codes.items():
+        try:
+            outcomes.update(pickle.loads(received[pid]))
+        except Exception:  # cut short: the worker ended before it sent everything
+            end = f"signal {-code}" if code < 0 else f"exit code {code}"
+            raise SweepWorkerError(f"sweep worker {pid} was lost ({end})") from None
+    return outcomes
+
+
 def _sweep(cfg, points, modes, trials: int, final_only=False, denominator=None):
     """Per-trial `_chunk_means` of each sweep point (config, entropy prefix),
     in trial order, and the failed-trial count.
 
-    The work runs on every CPU the process may use. The chunks, of at most
-    CHUNK_TRIALS and ceil(trials x points / workers) trials, are queued
-    costliest (agents x steps x trials) first, then `cfg`'s audit. This
-    thread takes calls from the front of the queue and workers - 1 started
-    threads from the back: a thread's malloc arena keeps its high-water mark,
-    so they stay off the largest chunks. A chunk's exception empties the
-    queue. Raised in order: the first chunk exception in sweep order;
-    SweepNumericalError beyond FAILURE_BUDGET ("failed/denominator trials
-    failed", or "failed trials failed" without a denominator); the audit's
-    error.
+    Chunks of at most CHUNK_TRIALS and ceil(trials x points / workers) trials
+    go costliest (agents x steps x trials) first to the least-loaded of one
+    worker per CPU, then `cfg`'s audit. Raised in order: a lost worker; the
+    first chunk exception in sweep order; SweepNumericalError beyond
+    FAILURE_BUDGET ("failed/denominator trials failed", or "failed trials
+    failed" without a denominator); the audit's error.
     """
     check_trials(trials)
-    affinity = getattr(os, "sched_getaffinity", None)
-    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     size = min(CHUNK_TRIALS, -(-trials * max(len(points), 1) // workers))
     chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
     tasks = [(p, chunk) for p in range(len(points)) for chunk in chunks]
-    cost = [point.num_agents * point.num_steps for point, _ in points]
-    order = sorted(tasks, key=lambda task: cost[task[0]] * len(task[1]), reverse=True)
     calls = [
         partial(_chunk_means, points[p][0], [(*points[p][1], t) for t in chunk], modes, final_only)
-        for p, chunk in order
+        for p, chunk in tasks
     ] + [partial(_audit_recursion, cfg)]
-    outcomes, todo = [None] * len(calls), deque(enumerate(calls))
-
-    def work(take):
-        with contextlib.suppress(IndexError):  # raised by take once no call is left
-            while True:
-                i, call = take()
-                try:
-                    outcomes[i] = call()
-                except BaseException as exc:  # raised below, in sweep order
-                    outcomes[i] = exc
-                    if not isinstance(exc, AuditError):
-                        todo.clear()
-
-    # workers - 1 threads, and fewer than the calls
-    threads = [threading.Thread(target=work, args=(todo.pop,)) for _ in calls[1:workers]]
-    try:
-        for thread in threads:
-            thread.start()
-        work(todo.popleft)
-    finally:
-        todo.clear()
-        for thread in filter(threading.Thread.is_alive, threads):  # those started
-            thread.join()
-    outcome = dict(zip(order, outcomes))
+    weights = [points[p][0].num_agents * points[p][0].num_steps * len(c) for p, c in tasks] + [0]
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for i in sorted(range(len(calls)), key=weights.__getitem__, reverse=True):  # the audit last
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += weights[i]
+    outcomes = _run_shares(calls, [share for share in shares if share])
     results = [[] for _ in points]
-    for p, chunk in tasks:  # in sweep order, so the first chunk exception is raised
-        if isinstance(outcome[p, chunk], BaseException):
-            raise outcome[p, chunk]
-        results[p] += outcome[p, chunk] or ()
+    for i, (p, _) in enumerate(tasks):  # in sweep order, so the first chunk exception is raised
+        if isinstance(outcomes.get(i), BaseException):
+            raise outcomes[i]
+        results[p] += outcomes.get(i) or ()
     failed = sum(isinstance(r, Exception) for per_point in results for r in per_point)
     if failed > FAILURE_BUDGET * trials * len(points):
         shown = f"{failed}/{denominator}" if denominator else failed
         raise SweepNumericalError(f"{shown} trials failed numerically (seed={cfg.seed})")
-    if isinstance(outcomes[-1], BaseException):
-        raise outcomes[-1]
+    if isinstance(outcomes.get(len(tasks)), BaseException):
+        raise outcomes[len(tasks)]
     return results, failed
 
 

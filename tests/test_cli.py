@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import signal
 import warnings
 from dataclasses import replace
 
@@ -608,3 +610,47 @@ def test_zero_trials_exit_2_before_the_out_dir(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err == "error: trials must be >= 1\n"
     assert not out_dir.exists()
+
+
+def test_a_lost_sweep_worker_exits_4_with_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parent, real = os.getpid(), simkit._chunk_means
+
+    def killed_in_a_worker(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(simkit, "_chunk_means", killed_in_a_worker)
+    argv = ["sweep-nodes", "--trials", "4", "--agents", "1..3", "--steps", "3"]
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep worker ") and err.count("\n") == 1
+    assert "lost (signal 9)" in err
+    assert not (tmp_path / "sweep_nodes.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-time", "--trials", "abc"],
+        ["sweep-nodes", "--trials", "2.5"],
+        ["sweep-time", "--anchors", "four"],
+        ["sweep-nodes", "--steps", "x"],
+        ["sweep-time", "--area", "20"],
+        ["sweep-nodes", "--bogus"],
+    ],
+)
+def test_a_usage_error_exits_2_with_one_line_before_the_out_dir(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    assert cli.main(argv + ["--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "for usage" in err and argv[1] in err
+    assert not out_dir.exists()
+
+
+def test_help_still_prints_usage(capsys):
+    assert cli.main(["sweep-time", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: navlim sweep-time") and "--trials" in out

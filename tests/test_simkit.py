@@ -1,6 +1,7 @@
 import math
 import os
-import threading
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -338,19 +339,6 @@ def test_sweep_counts_a_coincident_trial_as_failed(monkeypatch):
     assert all(r.trials == 119 for r in table.rows)
 
 
-def test_chunking_leaves_sweep_csvs_byte_identical(tmp_path, monkeypatch):
-    cfg = small_cfg(num_agents=3, num_steps=4, connectivity=12.0)
-    trials = simkit.CHUNK_TRIALS + 3
-    persist(sweep_time(cfg, trials=trials), tmp_path / "time_default.csv")
-    persist(sweep_nodes(cfg, [1, 3], trials=trials), tmp_path / "nodes_default.csv")
-    monkeypatch.setattr(simkit, "CHUNK_TRIALS", 1)
-    persist(sweep_time(cfg, trials=trials), tmp_path / "time_single.csv")
-    persist(sweep_nodes(cfg, [1, 3], trials=trials), tmp_path / "nodes_single.csv")
-    for stem in ("time", "nodes"):
-        default = (tmp_path / f"{stem}_default.csv").read_bytes()
-        assert default == (tmp_path / f"{stem}_single.csv").read_bytes()
-
-
 def test_sweep_recursion_reads_the_scenario_models():
     # sigma-derived base intensity, a range table entry and a velocity table
     # entry: none of them is in ScenarioConfig
@@ -429,20 +417,8 @@ def test_write_atomic_removes_its_temp_file_when_replace_fails(tmp_path):
     assert path.is_dir()
 
 
-def test_persist_golden_file(tmp_path):
-    cfg = ScenarioConfig(num_agents=2, num_anchors=2, num_steps=3, seed=20110829)
-    table = sweep_time(cfg, trials=5)
-    path = tmp_path / "golden.csv"
-    persist(table, path)
-    golden = (
-        __file__.rsplit("/", 1)[0] + "/data/sweep_time_golden.csv"
-    )
-    with open(golden, "rb") as fh:
-        assert path.read_bytes() == fh.read()
-
-
 # ---------------------------------------------------------------------------
-# the sweep's worker threads, one per CPU of the process's affinity
+# the sweep's worker processes, one per CPU of the process's affinity
 
 WORKER_COUNTS = [1, 2, 3]
 
@@ -482,25 +458,40 @@ def test_golden_file_at_every_worker_count(tmp_path, monkeypatch, workers):
         assert (tmp_path / "golden.csv").read_bytes() == fh.read()
 
 
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_a_sweep_starts_one_thread_fewer_than_its_cpus(monkeypatch, workers):
+    # every worker but this process is forked, by this process
     on_cpus(monkeypatch, workers)
-    started = []
-    real_start = threading.Thread.start
+    forks = []
+    real_fork = os.fork
 
-    def start(thread):
-        started.append(thread)
-        real_start(thread)
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(os, "fork", fork)
     sweep_nodes(small_cfg(), [1, 2, 3], trials=4)
     sweep_time(small_cfg(), trials=4)
-    assert len(started) == 2 * (workers - 1)
-    assert not any(thread.is_alive() for thread in started)
+    assert forks == [os.getpid()] * (2 * (workers - 1))
+    assert_no_child_is_left()
+
+
+def test_nothing_is_forked_without_a_cpu_affinity(monkeypatch):
+    # as where os.fork is missing too: the sweep runs in this process alone
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a worker was forked"))
+    assert sweep_nodes(small_cfg(), [1, 2, 3], trials=4).rows
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_a_chunk_exception_propagates_and_no_thread_outlives_the_sweep(monkeypatch, workers):
+    # on 2 and 3 CPUs the 2-agent chunk is a forked worker's: its exception
+    # crosses the pipe with its type and message
     on_cpus(monkeypatch, workers)
     real = simkit._run_chunk
 
@@ -510,10 +501,56 @@ def test_a_chunk_exception_propagates_and_no_thread_outlives_the_sweep(monkeypat
         return real(cfg_, entropies, modes, final_only)
 
     monkeypatch.setattr(simkit, "_run_chunk", broken)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="broken chunk"):
+    with pytest.raises(RuntimeError, match="^broken chunk$"):
         sweep_nodes(small_cfg(), [1, 2, 3], trials=8)
-    assert threading.active_count() == before
+    assert_no_child_is_left()
+
+
+def in_a_forked_worker(monkeypatch, act):
+    """Patch `_chunk_means` so that every chunk run by a forked worker returns
+    `act()`; this process runs its chunks as usual."""
+    parent, real = os.getpid(), simkit._chunk_means
+
+    def patched(*args):
+        return act() if os.getpid() != parent else real(*args)
+
+    monkeypatch.setattr(simkit, "_chunk_means", patched)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_killed_worker_is_one_error_and_leaves_no_child(monkeypatch, workers):
+    on_cpus(monkeypatch, workers)
+    in_a_forked_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(simkit.SweepWorkerError, match=r"^sweep worker \d+ was lost \(signal 9\)$"):
+        sweep_nodes(small_cfg(), [1, 2, 3], trials=8)
+    assert_no_child_is_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_an_outcome_that_cannot_be_pickled_is_one_error(monkeypatch, workers):
+    on_cpus(monkeypatch, workers)
+    in_a_forked_worker(monkeypatch, lambda: [{"joint": lambda: None}])
+    with pytest.raises(simkit.SweepWorkerError, match="^sweep worker: .*pickle"):
+        sweep_nodes(small_cfg(), [1, 2, 3], trials=8)
+    assert_no_child_is_left()
+
+
+def test_an_interrupted_sweep_kills_its_workers(monkeypatch):
+    # the workers would sleep for a minute; this process is interrupted at once
+    on_cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def chunk(cfg_, entropies, modes=ALL_MODES, final_only=False):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(simkit, "_run_chunk", chunk)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        sweep_nodes(small_cfg(), [1, 2, 3], trials=8)
+    assert time.monotonic() - started < 30
+    assert_no_child_is_left()
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -537,6 +574,7 @@ def test_failure_budget_wins_over_a_failing_audit(monkeypatch, workers):
 
 
 def test_a_sweep_holds_one_mean_per_mode_and_trial(monkeypatch):
+    on_cpus(monkeypatch, 1)  # every chunk runs in this process, where `seen` is
     seen = []
     real = simkit._chunk_means
 
