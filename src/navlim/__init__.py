@@ -18,11 +18,8 @@ from .blockfim import (
 from .geom2d import (
     Eigen2,
     Ellipse,
-    adjugate2,
     eigen2,
     info_ellipse,
-    is_psd2,
-    normalize_angle,
     r_cross,
     r_dir,
     rotation,

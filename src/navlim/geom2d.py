@@ -2,8 +2,7 @@
 
 Everything operates on plain numpy arrays: vectors have shape (2,), symmetric
 matrices shape (2, 2), in information units (m^-2) unless noted. Angles are
-raw radians (floats); normalization is explicit via `normalize_angle`, never
-implicit.
+raw radians (floats), never normalized.
 """
 
 import math
@@ -11,21 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
-# An eigenvalue below -PSD_TOL * max(1, lambda_max) means "not PSD". The slack
-# absorbs round-off accumulated over long block-elimination chains.
+# An eigenvalue at or below PSD_TOL * max(1, lambda_max) counts as zero, so
+# `info_ellipse` refuses the matrix. The slack absorbs round-off accumulated
+# over long block-elimination chains.
 PSD_TOL = 1e-10
 
 # Relative eigenvalue gap under which a 2x2 matrix counts as isotropic and the
 # reported eigenvector angle defaults to 0 (keeps property tests deterministic).
 EIGEN_TIE_TOL = 1e-12
-
-
-def normalize_angle(phi: float) -> float:
-    """Map an angle to [0, 2*pi)."""
-    return phi % TWO_PI
 
 
 def unit_vector(phi: float) -> np.ndarray:
@@ -92,17 +86,6 @@ def eigen2(m: np.ndarray) -> Eigen2:
         return Eigen2(lambda1, lambda2, 0.0)
     angle = 0.5 * math.atan2(2.0 * b, a - c)
     return Eigen2(lambda1, lambda2, angle)
-
-
-def adjugate2(m: np.ndarray) -> np.ndarray:
-    """Adjugate of a symmetric 2x2 matrix: m @ adjugate2(m) = det(m) * I."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[0, 1], m[0, 0]]])
-
-
-def is_psd2(m: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """Whether a symmetric 2x2 matrix is PSD up to the round-off tolerance."""
-    e = eigen2(m)
-    return e.lambda2 >= -tol * max(1.0, e.lambda1)
 
 
 @dataclass(frozen=True)

@@ -202,30 +202,31 @@ def build_scenario(cfg: ScenarioConfig, paths: np.ndarray) -> Scenario:
 
 
 def _recursion(
-    s_full: np.ndarray, s_anchor: np.ndarray, k: np.ndarray, modes, final_only: bool
+    s_full: np.ndarray, s_anchor: np.ndarray, k: np.ndarray, modes, horizons
 ) -> np.ndarray:
     """Final-step network SPEBs, shape (trials, modes, horizons, Na), from
     matrices stacked over trials: ranging (trials, T, 2Na, 2Na), anchor-only
-    ranging alike, and velocity (trials, T-1, 2Na, 2Na). Row n holds the
-    horizon n+1; with `final_only`, one row for the full horizon T (the
-    carry-over still runs through every step). The modes that carry
-    information over time share one stacked recursion."""
-    trials, t, size = s_full.shape[:3]
-    first = t - 1 if final_only else 0
+    ranging alike, and velocity (trials, T-1, 2Na, 2Na). Row i holds the
+    i-th of the sorted `horizons` (step counts in 1..T); the carry-over runs
+    through every step up to the last of them, and `block_spebs` only at
+    theirs. The modes that carry information over time share one stacked
+    recursion."""
+    trials, _, size = s_full.shape[:3]
+    rows = {n - 1: row for row, n in enumerate(horizons)}
     sources = [s_anchor if mode is CoopMode.TEMPORAL_ONLY else s_full for mode in modes]
     carried = np.array([mode is not CoopMode.SPATIAL_ONLY for mode in modes])
     carry = np.zeros((trials, int(carried.sum()), size, size))
-    out = np.empty((trials, len(modes), t - first, size // 2))
-    for n in range(t):
+    out = np.empty((trials, len(modes), len(horizons), size // 2))
+    for n in range(horizons[-1]):
         s_now = np.stack([source[:, n] for source in sources], axis=1)
         carrying = n > 0 and carried.any()
         if carrying:
             carry = navinfo.carry_over_step(k[:, None, n - 1], s_prev[:, carried], carry)
-        if n >= first:
+        if n in rows:
             totals = s_now.copy()
             if carrying:
                 totals[:, carried] += carry
-            out[:, :, n - first] = navinfo.block_spebs(totals)
+            out[:, :, rows[n]] = navinfo.block_spebs(totals)
         s_prev = s_now
     return out
 
@@ -251,16 +252,6 @@ class _Chunk(NamedTuple):
         )
 
 
-def _scenario_chunk(scenarios: list[Scenario]) -> _Chunk:
-    """The chunk of scenarios of equal shape."""
-    return _Chunk(
-        np.stack([s.geometry.paths for s in scenarios]),
-        np.stack([s.weights for s in scenarios]),
-        np.stack([s.coeffs for s in scenarios]),
-        tuple(s.priors for s in scenarios),
-    )
-
-
 def _drawn_chunk(cfg: ScenarioConfig, entropies) -> _Chunk:
     """The chunk of the trials drawn with the given entropy tuples: the
     scenarios `generate_scenario` would give, without building them."""
@@ -280,9 +271,7 @@ def _drawn_chunk(cfg: ScenarioConfig, entropies) -> _Chunk:
     )
 
 
-def _stacked_spebs(
-    chunk: _Chunk, modes, final_only: bool = False
-) -> list[dict[str, np.ndarray] | Exception]:
+def _stacked_spebs(chunk: _Chunk, modes, horizons) -> list[dict[str, np.ndarray] | Exception]:
     """Per-trial SPEBs of `_recursion` for a chunk. A failure is charged to
     the trial it came from: its entry is the exception, and the others are
     recomputed without it, which leaves their values unchanged (the step
@@ -296,7 +285,7 @@ def _stacked_spebs(
                 chunk.paths, chunk.weights, priors=chunk.priors, anchors=True
             )
             k = navinfo._temporal_matrices(chunk.paths, chunk.coeffs)
-            spebs = _recursion(s_full, s_anchor, k, modes, final_only)
+            spebs = _recursion(s_full, s_anchor, k, modes, horizons)
         except _TRIAL_FAILURES as exc:
             # every failure of the kernels and the recursion names its trials
             dropped = sorted({member[0] for member in exc.members})
@@ -310,26 +299,40 @@ def _stacked_spebs(
     return results
 
 
-def _trial_spebs(scenario: Scenario, modes, final_only: bool = False) -> dict[str, np.ndarray]:
-    """`_stacked_spebs` of one scenario; a failure raises."""
-    [result] = _stacked_spebs(_scenario_chunk([scenario]), modes, final_only)
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def _run_chunk(
-    cfg: ScenarioConfig, entropies, modes, final_only: bool = False
+    cfg: ScenarioConfig, entropies, modes, horizons
 ) -> list[dict[str, np.ndarray] | Exception]:
     """`_stacked_spebs` of the trials drawn with the given entropy tuples."""
-    return _stacked_spebs(_drawn_chunk(cfg, entropies), modes, final_only)
+    return _stacked_spebs(_drawn_chunk(cfg, entropies), modes, horizons)
 
 
-def _truncated(scenario: Scenario, num_steps: int) -> Scenario:
-    geometry = ScenarioGeometry(
-        scenario.geometry.paths[:, :num_steps], scenario.geometry.num_agents
+def _audit_spebs(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Final-step SPEBs (horizons, Na) of `cfg`'s audit trial at every
+    horizon, by the carry-over recursion and by dense marginalization of the
+    joint EFIM over the horizon's steps. The trial is `cfg` cut to at most
+    3 agents, 1..3 anchors and 4 steps, fully connected, drawn with the
+    audit entropy as the sweeps draw their chunks; its ranging and velocity
+    matrices are built once and serve both paths."""
+    small = replace(
+        cfg,
+        num_agents=min(cfg.num_agents, 3),
+        num_anchors=max(min(cfg.num_anchors, 3), 1),
+        num_steps=min(cfg.num_steps, 4),
+        connectivity=None,
     )
-    return replace(scenario, geometry=geometry, pairs=scenario.pairs[:num_steps])
+    chunk = _drawn_chunk(small, [(_AUDIT_ENTROPY,)])
+    s = navinfo._spatial_matrices(chunk.paths, chunk.weights)
+    k = navinfo._temporal_matrices(chunk.paths, chunk.coeffs)
+    horizons = range(1, small.num_steps + 1)
+    [[recursive]] = _recursion(s, s, k, (CoopMode.JOINT,), horizons)  # no anchor-only read
+    finals = [
+        navinfo._dense_marginal_efim(
+            navinfo.JointEfim._from_layout(0, *navinfo._band_layout(s[0, :h], k[0, : h - 1])),
+            {(agent, h - 1) for agent in range(small.num_agents)},
+        ).matrix
+        for h in horizons
+    ]
+    return recursive, navinfo.block_spebs(np.stack(finals))
 
 
 def _audit_recursion(cfg: ScenarioConfig) -> None:
@@ -339,52 +342,34 @@ def _audit_recursion(cfg: ScenarioConfig) -> None:
     block-tridiagonal sweep, which is the recursion itself."""
     if cfg.num_agents == 0:
         return
-    small = replace(
-        cfg,
-        num_agents=min(cfg.num_agents, 3),
-        num_anchors=max(min(cfg.num_anchors, 3), 1),
-        num_steps=min(cfg.num_steps, 4),
-        connectivity=None,
-    )
-    scenario = generate_scenario(small, (_AUDIT_ENTROPY,))
     try:
-        spebs = _trial_spebs(scenario, (CoopMode.JOINT,))[CoopMode.JOINT.value]
-        dense = [_dense_final_spebs(scenario, h) for h in range(1, small.num_steps + 1)]
+        recursive, direct = _audit_spebs(cfg)
     except _TRIAL_FAILURES as exc:
         raise AuditError(
             f"audit trial failed (seed={cfg.seed}, entropy={_AUDIT_ENTROPY:#x}): {exc}"
         ) from exc
-    for horizon, (direct, recursive) in enumerate(zip(dense, spebs), start=1):
-        # Both paths report +inf for an unobservable agent (one anchor leaves
-        # the rotation about it unobserved); the other bounds must be finite
-        # and agree.
-        unbounded = np.isposinf(direct)
-        if not np.array_equal(unbounded, np.isposinf(recursive)):
-            raise AuditError(
-                f"carry-over recursion disagrees with marginalization "
-                f"(seed={cfg.seed}, horizon={horizon}, +inf bounds differ)"
-            )
-        direct, recursive = direct[~unbounded], recursive[~unbounded]
-        rel = np.abs(direct - recursive) / np.maximum(np.abs(direct), 1e-30)
-        if not (rel < AUDIT_TOL).all():
-            raise AuditError(
-                f"carry-over recursion disagrees with marginalization "
-                f"(seed={cfg.seed}, horizon={horizon}, rel={rel.max():.3e})"
-            )
-
-
-def _dense_final_spebs(scenario: Scenario, horizon: int) -> np.ndarray:
-    """Final-step SPEBs of the scenario's first `horizon` steps by dense
-    marginalization of the assembled joint EFIM."""
-    full = navinfo.assemble_position_efim(_truncated(scenario, horizon))
-    na = scenario.geometry.num_agents
-    final = navinfo._dense_marginal_efim(full, {(k, horizon - 1) for k in range(na)})
-    return navinfo.block_spebs(final.matrix)
+    # Both paths report +inf for an unobservable agent (one anchor leaves the
+    # rotation about it unobserved); the other bounds must be finite and
+    # agree. Zeros stand in for the +inf bounds, so no inf - inf is taken.
+    unbounded = np.isposinf(direct)
+    differ = (unbounded != np.isposinf(recursive)).any(axis=1)
+    direct, recursive = np.where(unbounded, 0.0, direct), np.where(unbounded, 0.0, recursive)
+    rel = np.abs(direct - recursive) / np.maximum(np.abs(direct), 1e-30)
+    failing = differ | ~(rel < AUDIT_TOL).all(axis=1)
+    if failing.any():
+        row = int(failing.argmax())
+        detail = "+inf bounds differ" if differ[row] else f"rel={rel[row].max():.3e}"
+        raise AuditError(
+            f"carry-over recursion disagrees with marginalization "
+            f"(seed={cfg.seed}, horizon={row + 1}, {detail})"
+        )
 
 
 def _aggregate(values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error over trials; any non-finite trial makes the
-    mean infinite and the error undefined."""
+    mean infinite and the error undefined. `stacked[:, finite]` comes out
+    column-major, so numpy sums each column pairwise on its own: a column's
+    result does not depend on how many others there are."""
     stacked = np.stack(values)
     n = stacked.shape[0]
     finite = np.isfinite(stacked).all(axis=0)
@@ -406,12 +391,12 @@ def check_trials(trials: int) -> None:
         raise ConfigError("trials must be >= 1")
 
 
-def _chunk_means(cfg, entropies, modes, final_only):
+def _chunk_means(cfg, entropies, modes, horizons):
     """`_run_chunk`'s trials, each its exception or, per mode, the network-average
     SPEB per step; a chunk keeps no SPEB array of its trials."""
     return [
         r if isinstance(r, Exception) else {mode: s.mean(axis=1) for mode, s in r.items()}
-        for r in _run_chunk(cfg, entropies, modes, final_only)
+        for r in _run_chunk(cfg, entropies, modes, horizons)
     ]
 
 
@@ -461,9 +446,9 @@ def _run_shares(calls, shares) -> dict:
     return outcomes
 
 
-def _sweep(cfg, points, modes, trials: int, final_only=False, denominator=None):
-    """Per-trial `_chunk_means` of each sweep point (config, entropy prefix),
-    in trial order, and the failed-trial count.
+def _sweep(cfg, points, modes, trials: int, horizons, denominator=None):
+    """Per-trial `_chunk_means` at the sorted `horizons` of each sweep point
+    (config, entropy prefix), in trial order, and the failed-trial count.
 
     Chunks of at most CHUNK_TRIALS and ceil(trials x points / workers) trials
     go costliest (agents x steps x trials) first to the least-loaded of one
@@ -478,7 +463,7 @@ def _sweep(cfg, points, modes, trials: int, final_only=False, denominator=None):
     chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
     tasks = [(p, chunk) for p in range(len(points)) for chunk in chunks]
     calls = [
-        partial(_chunk_means, points[p][0], [(*points[p][1], t) for t in chunk], modes, final_only)
+        partial(_chunk_means, points[p][0], [(*points[p][1], t) for t in chunk], modes, horizons)
         for p, chunk in tasks
     ] + [partial(_audit_recursion, cfg)]
     weights = [points[p][0].num_agents * points[p][0].num_steps * len(c) for p, c in tasks] + [0]
@@ -513,18 +498,23 @@ def _mode_means(results, modes):
 def sweep_time(cfg: ScenarioConfig, steps=None, modes=ALL_MODES, trials: int = 500) -> SpebTable:
     """Network-average SPEB at the final step, per horizon length and mode.
 
-    One trajectory of cfg.num_steps serves every horizon: the carry-over
-    state after n steps is exactly the marginalized history of the n-step
-    problem, so each trial yields the whole curve in a single pass.
+    One trajectory serves every horizon: the carry-over state after n steps
+    is exactly the marginalized history of the n-step problem, so each trial
+    yields the whole curve in a single pass, bounded at the requested steps
+    only.
     """
     step_list = list(steps) if steps is not None else list(range(1, cfg.num_steps + 1))
     if not step_list or min(step_list) < 1 or max(step_list) > cfg.num_steps:
         raise ConfigError("step counts must fall in 1..num_steps")
+    horizons = sorted(set(step_list))
     points = [(cfg, ())] if cfg.num_agents else []
-    per_point, failed = _sweep(cfg, points, modes, trials, denominator=trials)
+    per_point, failed = _sweep(cfg, points, modes, trials, horizons, denominator=trials)
+    row = {v: i for i, v in enumerate(horizons)}
     table = SpebTable(failed_trials=failed)
     for mode, mean, se, n in _mode_means(sum(per_point, []), modes):
-        table.rows += [SpebRow(mode, v, float(mean[v - 1]), float(se[v - 1]), n) for v in step_list]
+        table.rows += [
+            SpebRow(mode, v, float(mean[row[v]]), float(se[row[v]]), n) for v in step_list
+        ]
     return table
 
 
@@ -535,7 +525,7 @@ def sweep_nodes(cfg: ScenarioConfig, agent_counts, modes=ALL_MODES, trials: int 
     if not counts or min(counts) < 1:
         raise ConfigError("agent counts must be >= 1")
     points = [(replace(cfg, num_agents=count), (count,)) for count in counts]
-    per_point, failed = _sweep(cfg, points, modes, trials, final_only=True)
+    per_point, failed = _sweep(cfg, points, modes, trials, (cfg.num_steps,))
     table = SpebTable(failed_trials=failed)
     for count, results in zip(counts, per_point):
         for mode, mean, err, n in _mode_means(results, modes):

@@ -4,13 +4,18 @@ Everything here is deliberately written against raw numpy (no navlim
 geometry or assembly helpers): dense joint Fisher information matrices built
 from per-measurement Jacobians, brute-force Schur complements, and
 finite-difference Hessians. Tests compare the package's structured
-assemblies against these.
+assemblies against these. The exception is the sweep audit's former
+reference path at the end, kept as it was: one built scenario per horizon,
+assembled and marginalized by navlim's own dense path.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from navlim import navinfo, simkit
+from navlim.models import ScenarioGeometry
 
 
 @dataclass(frozen=True)
@@ -471,3 +476,63 @@ def extend_carries_by_solve(carries: list, d: np.ndarray, b: np.ndarray, count: 
         x = np.linalg.solve(np.linalg.cholesky(d[n] - carries[n]), b[n])
         carries[n + 1 : n + 2] = [x.T @ x]
     return carries[count]
+
+
+# ---------------------------------------------------------------------------
+# the sweep audit's former path: a generated scenario and one rebuilt,
+# assembled and densely marginalized scenario per horizon
+
+
+def scenario_chunk(scenarios):
+    """The sweep chunk of scenarios of equal shape."""
+    return simkit._Chunk(
+        np.stack([s.geometry.paths for s in scenarios]),
+        np.stack([s.weights for s in scenarios]),
+        np.stack([s.coeffs for s in scenarios]),
+        tuple(s.priors for s in scenarios),
+    )
+
+
+def trial_spebs(scenario, modes) -> dict:
+    """The sweep recursion's SPEBs of one scenario at every horizon; a
+    failure raises."""
+    horizons = range(1, scenario.geometry.num_steps + 1)
+    [result] = simkit._stacked_spebs(scenario_chunk([scenario]), modes, horizons)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def truncated(scenario, num_steps: int):
+    """The scenario's first `num_steps` steps."""
+    geometry = ScenarioGeometry(
+        scenario.geometry.paths[:, :num_steps], scenario.geometry.num_agents
+    )
+    return replace(scenario, geometry=geometry, pairs=scenario.pairs[:num_steps])
+
+
+def dense_final_spebs(scenario, horizon: int) -> np.ndarray:
+    """Final-step SPEBs of the scenario's first `horizon` steps by dense
+    marginalization of the assembled joint EFIM."""
+    full = navinfo.assemble_position_efim(truncated(scenario, horizon))
+    na = scenario.geometry.num_agents
+    final = navinfo._dense_marginal_efim(full, {(k, horizon - 1) for k in range(na)})
+    return navinfo.block_spebs(final.matrix)
+
+
+def audit_spebs_by_rebuild(cfg) -> tuple[np.ndarray, np.ndarray]:
+    """`simkit._audit_spebs` by the former path: the audit trial generated as
+    a scenario, its recursion SPEBs, and per horizon the dense SPEBs of the
+    truncated scenario, each assembled and marginalized on its own."""
+    small = replace(
+        cfg,
+        num_agents=min(cfg.num_agents, 3),
+        num_anchors=max(min(cfg.num_anchors, 3), 1),
+        num_steps=min(cfg.num_steps, 4),
+        connectivity=None,
+    )
+    scenario = simkit.generate_scenario(small, (simkit._AUDIT_ENTROPY,))
+    joint = simkit.CoopMode.JOINT
+    recursive = trial_spebs(scenario, (joint,))[joint.value]
+    dense = [dense_final_spebs(scenario, h) for h in range(1, small.num_steps + 1)]
+    return recursive, np.stack(dense)

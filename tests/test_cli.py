@@ -4,13 +4,11 @@ import math
 import os
 import signal
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from navlim import cli, simkit
-from navlim.models import ScenarioGeometry
 from oracles import inline_random_walks
 
 
@@ -569,17 +567,15 @@ def test_integer_agents_draw_the_inline_random_walk(tmp_path):
 
 
 def test_audit_failure_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
-    real = simkit.generate_scenario
+    real = simkit._draw_paths
 
     def coincident_audit(cfg, entropy=()):
-        scenario = real(cfg, entropy)
-        if entropy != (simkit._AUDIT_ENTROPY,):
-            return scenario
-        paths = scenario.geometry.paths.copy()
-        paths[0, 1] = paths[cfg.num_agents, 1]  # agent 0 on the first anchor
-        return replace(scenario, geometry=ScenarioGeometry(paths, cfg.num_agents))
+        paths = real(cfg, entropy)
+        if entropy == (simkit._AUDIT_ENTROPY,):
+            paths[0, 1] = paths[cfg.num_agents, 1]  # agent 0 on the first anchor
+        return paths
 
-    monkeypatch.setattr(simkit, "generate_scenario", coincident_audit)
+    monkeypatch.setattr(simkit, "_draw_paths", coincident_audit)
     argv = ["sweep-time", "--trials", "3", "--agents", "2", "--steps", "1..3", "--seed", "5"]
     assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err

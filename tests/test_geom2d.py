@@ -6,11 +6,8 @@ from hypothesis import given, strategies as st
 
 from navlim.geom2d import (
     Eigen2,
-    adjugate2,
     eigen2,
     info_ellipse,
-    is_psd2,
-    normalize_angle,
     r_cross,
     r_dir,
     rotation,
@@ -45,7 +42,6 @@ def test_r_dir_projector(phi):
     assert np.trace(m) == pytest.approx(1.0, abs=1e-14)
     np.testing.assert_allclose(m @ m, m, atol=1e-14)
     np.testing.assert_allclose(m + r_dir(phi + math.pi / 2), np.eye(2), atol=1e-14)
-    assert is_psd2(m)
 
 
 def test_r_cross_zero_angle():
@@ -109,31 +105,6 @@ def test_eigen2_roundtrip_random_symmetric():
         np.testing.assert_allclose(e.reconstruct(), m, atol=1e-12 * scale)
 
 
-def test_adjugate_examples():
-    np.testing.assert_allclose(
-        adjugate2(np.array([[2.0, 1.0], [1.0, 3.0]])), [[3, -1], [-1, 2]]
-    )
-    np.testing.assert_allclose(adjugate2(np.eye(2)), np.eye(2))
-
-
-@given(angles)
-def test_adjugate_rank1_rotates(phi):
-    np.testing.assert_allclose(
-        adjugate2(r_dir(phi)), r_dir(phi + math.pi / 2), atol=1e-14
-    )
-
-
-def test_adjugate_identity_property():
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        m = rng.uniform(-10, 10, size=(2, 2))
-        m = 0.5 * (m + m.T)
-        scale = max(1.0, float(np.abs(m).max()) ** 2)
-        np.testing.assert_allclose(
-            m @ adjugate2(m), np.linalg.det(m) * np.eye(2), atol=1e-13 * scale
-        )
-
-
 def test_info_ellipse_circle():
     e = info_ellipse(4.0 * np.eye(2))
     assert e.semi_major == pytest.approx(2.0)
@@ -159,11 +130,6 @@ def test_info_ellipse_rejects_singular():
         info_ellipse(r_dir(0.3))
     with pytest.raises(ValueError, match="not positive definite"):
         info_ellipse(np.diag([1.0, -0.5]))
-
-
-def test_normalize_angle():
-    assert normalize_angle(2 * math.pi + 0.25) == pytest.approx(0.25)
-    assert normalize_angle(-0.25) == pytest.approx(2 * math.pi - 0.25)
 
 
 def test_rotation_matches_unit_vector():

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import navlim.simkit as simkit
 from navlim.blockfim import block_diag
@@ -31,6 +32,7 @@ from navlim.simkit import (
     sweep_nodes,
     sweep_time,
 )
+from oracles import audit_spebs_by_rebuild, scenario_chunk, trial_spebs, truncated
 
 
 def small_cfg(**kw):
@@ -114,7 +116,7 @@ def test_radius_connectivity_limits_pairs():
 
 def run_trial(cfg, trial, modes=ALL_MODES):
     """SPEB curves of every mode for the trial's generated scenario."""
-    return simkit._trial_spebs(generate_scenario(cfg, (trial,)), modes)
+    return trial_spebs(generate_scenario(cfg, (trial,)), modes)
 
 
 def test_run_trial_reproducible():
@@ -151,7 +153,7 @@ def test_trial_joint_against_marginalization():
     record = run_trial(cfg, 3)
     scenario = generate_scenario(cfg, (3,))
     for horizon in (1, 2, 4):
-        sub = simkit._truncated(scenario, horizon)
+        sub = truncated(scenario, horizon)
         full = assemble_position_efim(sub)
         final = marginal_efim(full, [(k, horizon - 1) for k in range(2)])
         oracle = block_spebs(final.matrix)
@@ -187,10 +189,29 @@ def test_sweep_time_rows_and_ordering():
     assert all(r.trials == 3 for r in rows)
 
 
-def test_sweep_time_step_subset():
+def test_sweep_time_step_subset(monkeypatch):
+    # 12 trials: enough for numpy's pairwise sums to differ from sums in
+    # trial order, were a lone horizon summed otherwise than the whole curve
+    on_cpus(monkeypatch, 1)  # every chunk runs in this process
+    monkeypatch.setattr(simkit, "_audit_recursion", lambda cfg_: None)
+    seen, real = [], simkit.navinfo.block_spebs
+
+    def recorded(matrix):
+        seen.append(matrix.tobytes())
+        return real(matrix)
+
+    monkeypatch.setattr(simkit.navinfo, "block_spebs", recorded)
     cfg = small_cfg(num_steps=4)
-    table = sweep_time(cfg, steps=[2, 4], trials=2)
-    assert sorted({r.sweep_value for r in table.rows}) == [2, 4]
+    full = {(r.mode, r.sweep_value): r for r in sweep_time(cfg, trials=12).rows}
+    per_horizon = seen.copy()
+    assert len(per_horizon) == 4
+    for steps in ([2, 4], [4], [1], [3, 1, 3]):
+        seen.clear()
+        table = sweep_time(cfg, steps=steps, trials=12)
+        assert seen == [per_horizon[h - 1] for h in sorted(set(steps))]
+        assert len(table.rows) == len(ALL_MODES) * len(steps)
+        for row in table.rows:
+            assert row == full[(row.mode, row.sweep_value)]
     with pytest.raises(ConfigError):
         sweep_time(cfg, steps=[0], trials=2)
     with pytest.raises(ConfigError):
@@ -220,9 +241,9 @@ def test_sweep_failure_counting_and_threshold(monkeypatch):
     calls = {"n": 0}
     real = simkit._run_chunk
 
-    def flaky(cfg_, entropies, modes=ALL_MODES, final_only=False):
+    def flaky(cfg_, entropies, modes=ALL_MODES, horizons=None):
         calls["n"] += 1
-        out = real(cfg_, entropies, modes, final_only)
+        out = real(cfg_, entropies, modes, horizons)
         failure = np.linalg.LinAlgError("synthetic failure")
         return [failure if entropy == (1,) else r for entropy, r in zip(entropies, out)]
 
@@ -237,8 +258,8 @@ def test_sweep_failures_within_budget_are_counted(monkeypatch):
     cfg = small_cfg(num_steps=2)
     real = simkit._run_chunk
 
-    def flaky(cfg_, entropies, modes=ALL_MODES, final_only=False):
-        out = real(cfg_, entropies, modes, final_only)
+    def flaky(cfg_, entropies, modes=ALL_MODES, horizons=None):
+        out = real(cfg_, entropies, modes, horizons)
         failure = np.linalg.LinAlgError("synthetic failure")
         return [failure if entropy == (0,) else r for entropy, r in zip(entropies, out)]
 
@@ -252,15 +273,38 @@ def test_audit_runs_and_detects_corruption(monkeypatch):
     cfg = small_cfg()
     simkit._audit_recursion(cfg)  # should pass silently
 
-    real = simkit._trial_spebs
+    real = simkit._recursion
 
-    def corrupted(scenario, modes):
-        out = real(scenario, modes)
-        return {key: value * 1.01 for key, value in out.items()}
+    def corrupted(*args):
+        return real(*args) * 1.01
 
-    monkeypatch.setattr(simkit, "_trial_spebs", corrupted)
+    monkeypatch.setattr(simkit, "_recursion", corrupted)
     with pytest.raises(simkit.AuditError):
         simkit._audit_recursion(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 4),
+    st.integers(1, 4),
+    st.sampled_from([0, 1, 7, 42, 20110829, 2**31 - 1]),
+)
+def test_audit_values_are_bitwise_the_rebuilt_scenarios(na, nb, t, seed):
+    # the kernel pass of the drawn audit trial against the former path: a
+    # generated scenario, rebuilt, assembled and marginalized per horizon
+    cfg = small_cfg(num_agents=na, num_anchors=nb, num_steps=t, seed=seed)
+    recursive, direct = simkit._audit_spebs(cfg)
+    want_recursive, want_direct = audit_spebs_by_rebuild(cfg)
+    assert recursive.tobytes() == want_recursive.tobytes()
+    assert direct.tobytes() == want_direct.tobytes()
+    simkit._audit_recursion(cfg)
+
+
+def stacked_spebs(scenarios):
+    """`_stacked_spebs` of the chunk of the scenarios at every horizon."""
+    horizons = range(1, scenarios[0].geometry.num_steps + 1)
+    return simkit._stacked_spebs(scenario_chunk(scenarios), ALL_MODES, horizons)
 
 
 def _coincident(scenario):
@@ -275,10 +319,10 @@ def test_chunk_failure_drops_only_its_trial():
     cfg = small_cfg(num_agents=3, num_steps=4)
     scenarios = [generate_scenario(cfg, (trial,)) for trial in range(5)]
     scenarios[2] = _coincident(scenarios[2])
-    chunk = simkit._stacked_spebs(simkit._scenario_chunk(scenarios), ALL_MODES)
+    chunk = stacked_spebs(scenarios)
     assert isinstance(chunk[2], GeometryError)
     for i in (0, 1, 3, 4):
-        [alone] = simkit._stacked_spebs(simkit._scenario_chunk([scenarios[i]]), ALL_MODES)
+        [alone] = stacked_spebs([scenarios[i]])
         for mode in ALL_MODES:
             assert chunk[i][mode.value].tobytes() == alone[mode.value].tobytes()
 
@@ -292,11 +336,11 @@ def test_chunk_failures_name_each_trials_first_coincident_pair():
         for k, node, n in moves:
             paths[k, n] = paths[node, n]
         scenarios[i] = replace(scenarios[i], geometry=ScenarioGeometry(paths, 3))
-    chunk = simkit._stacked_spebs(simkit._scenario_chunk(scenarios), ALL_MODES)
+    chunk = stacked_spebs(scenarios)
     assert str(chunk[0]) == "undefined direction: nodes 1 and 4 coincide at step 3"
     assert str(chunk[2]) == "undefined direction: nodes 0 and 2 coincide at step 2"
     for i in (1, 3):
-        [alone] = simkit._stacked_spebs(simkit._scenario_chunk([scenarios[i]]), ALL_MODES)
+        [alone] = stacked_spebs([scenarios[i]])
         for mode in ALL_MODES:
             assert chunk[i][mode.value].tobytes() == alone[mode.value].tobytes()
 
@@ -315,10 +359,10 @@ def test_recursion_failure_drops_only_its_trial(monkeypatch):
     scenarios = [generate_scenario(cfg, (trial,)) for trial in range(4)]
     scenarios[1] = replace(scenarios[1], priors=((2, 1, np.full((2, 2), np.nan)),))
     monkeypatch.setattr(np.linalg, "eigh", fails_on_nan)
-    chunk = simkit._stacked_spebs(simkit._scenario_chunk(scenarios), ALL_MODES)
+    chunk = stacked_spebs(scenarios)
     assert isinstance(chunk[1], np.linalg.LinAlgError)
     for i in (0, 2, 3):
-        [alone] = simkit._stacked_spebs(simkit._scenario_chunk([scenarios[i]]), ALL_MODES)
+        [alone] = stacked_spebs([scenarios[i]])
         for mode in ALL_MODES:
             assert chunk[i][mode.value].tobytes() == alone[mode.value].tobytes()
 
@@ -348,7 +392,7 @@ def test_sweep_recursion_reads_the_scenario_models():
         range_model=RangeModel(sigma_range=0.3, table={(0, 3, 2): 40.0}),
         velocity_model=VelocityModel(5.0, 2.0, 1.0, table={(1, 2): (0.5, 8.0, 0.0)}),
     )
-    got = simkit._trial_spebs(scenario, ALL_MODES)
+    got = trial_spebs(scenario, ALL_MODES)
     na, t = 3, 4
     for mode in ALL_MODES:
         ref = scenario
@@ -365,7 +409,7 @@ def test_sweep_recursion_reads_the_scenario_models():
                 carry = carry_over_step(k_full, s[n - 1], carry)
             want[n] = block_spebs(s[n] + carry)
         np.testing.assert_array_equal(got[mode.value], want)
-    plain = simkit._trial_spebs(base, ALL_MODES)
+    plain = trial_spebs(base, ALL_MODES)
     assert not np.array_equal(plain[CoopMode.JOINT.value], got[CoopMode.JOINT.value])
 
 
@@ -495,10 +539,10 @@ def test_a_chunk_exception_propagates_and_no_thread_outlives_the_sweep(monkeypat
     on_cpus(monkeypatch, workers)
     real = simkit._run_chunk
 
-    def broken(cfg_, entropies, modes=ALL_MODES, final_only=False):
+    def broken(cfg_, entropies, modes=ALL_MODES, horizons=None):
         if (2, 0) in entropies:
             raise RuntimeError("broken chunk")
-        return real(cfg_, entropies, modes, final_only)
+        return real(cfg_, entropies, modes, horizons)
 
     monkeypatch.setattr(simkit, "_run_chunk", broken)
     with pytest.raises(RuntimeError, match="^broken chunk$"):
@@ -540,7 +584,7 @@ def test_an_interrupted_sweep_kills_its_workers(monkeypatch):
     on_cpus(monkeypatch, 3)
     parent = os.getpid()
 
-    def chunk(cfg_, entropies, modes=ALL_MODES, final_only=False):
+    def chunk(cfg_, entropies, modes=ALL_MODES, horizons=None):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(60)
@@ -557,7 +601,7 @@ def test_an_interrupted_sweep_kills_its_workers(monkeypatch):
 def test_failure_budget_wins_over_a_failing_audit(monkeypatch, workers):
     on_cpus(monkeypatch, workers)
 
-    def all_fail(cfg_, entropies, modes=ALL_MODES, final_only=False):
+    def all_fail(cfg_, entropies, modes=ALL_MODES, horizons=None):
         return [np.linalg.LinAlgError("synthetic failure") for _ in entropies]
 
     def failing_audit(cfg_):

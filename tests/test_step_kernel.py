@@ -33,6 +33,7 @@ from oracles import (
     band_matrix,
     scatter_mobility,
     scatter_spatial_matrices,
+    scenario_chunk,
     velocity_matrices,
 )
 
@@ -255,7 +256,7 @@ def chunks(draw):
 @settings(max_examples=75, deadline=None)
 @given(chunks())
 def test_chunk_kernel_is_bytewise_the_scatter_reference_per_trial(scenarios):
-    chunk = simkit._scenario_chunk(scenarios)
+    chunk = scenario_chunk(scenarios)
     full, anchors = navinfo._spatial_matrices(
         chunk.paths, chunk.weights, priors=chunk.priors, anchors=True
     )
@@ -283,7 +284,7 @@ def test_drawn_chunk_is_the_chunk_of_generated_scenarios(na, nb, t, radius, seed
     )
     entropies = [(na, trial) for trial in range(3)]
     drawn = simkit._drawn_chunk(cfg, entropies)
-    built = simkit._scenario_chunk([generate_scenario(cfg, e) for e in entropies])
+    built = scenario_chunk([generate_scenario(cfg, e) for e in entropies])
     for field in ("paths", "weights", "coeffs"):
         assert getattr(drawn, field).tobytes() == getattr(built, field).tobytes()
     assert drawn.priors == built.priors
