@@ -32,8 +32,6 @@ from .models import (
     Scenario,
     ScenarioGeometry,
     VelocityModel,
-    full_pairs,
-    radius_pairs,
     range_intensity_from_sigmas,
     range_intensity_via_reduction,
     spatial_block,

@@ -6,8 +6,10 @@ block of the kept coordinates. Rank-deficient eliminated blocks are handled
 by a symmetric pseudo-inverse: eigenvalues below PINV_RCOND * |lambda|_max
 are treated as exact zeros. If a discarded null direction carries
 cross-information, the reduction is undefined and `SingularBlockError` is
-raised. `eliminate_hmm_chain` removes a whole chain of per-step nuisances
-coupled step to step, in time order.
+raised. A stacked call raises for the whole stack when any one matrix
+fails, as `np.linalg.eigh` does, without naming it. `eliminate_hmm_chain`
+removes a whole chain of per-step nuisances coupled step to step, in time
+order.
 """
 
 from collections.abc import Sequence
@@ -24,34 +26,7 @@ LEAK_TOL = 1e-8
 
 
 class SingularBlockError(Exception):
-    """An eliminated block is singular beyond the pseudo-inverse tolerance.
-
-    `members` holds the stack index of every failing matrix, () for a
-    single matrix."""
-
-    def __init__(self, message: str, members: tuple[tuple[int, ...], ...] = ((),)):
-        super().__init__(message)
-        self.members = members
-
-
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh over a stack of matrices. A LinAlgError names the
-    matrices that failed in `members`, as SingularBlockError does."""
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        exc.members = tuple(
-            idx for idx in np.ndindex(a.shape[:-2]) if not _eigh_converges(a[idx])
-        )
-        raise
-
-
-def _eigh_converges(m: np.ndarray) -> bool:
-    try:
-        np.linalg.eigh(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    """An eliminated block is singular beyond the pseudo-inverse tolerance."""
 
 
 def _reduce(
@@ -72,14 +47,14 @@ def _reduce(
     generalized inverse chosen); otherwise `SingularBlockError` is raised.
 
     Leading axes stack independent reductions (a 2-D call is a stack of
-    one); a failure names the matrices it came from in `members`.
+    one); a leak in any of them raises.
     """
     nuisance = 0.5 * (nuisance + _t(nuisance))
     if nuisance.shape[-1] == 0:
         return target.copy()
     diag = np.clip(np.diagonal(nuisance, axis1=-2, axis2=-1), 0.0, None)
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    w, v = _eigh(nuisance / scale[..., :, None] / scale[..., None, :])
+    w, v = np.linalg.eigh(nuisance / scale[..., :, None] / scale[..., None, :])
     cutoff = PINV_RCOND * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
     null = np.abs(w) <= cutoff
     v_descaled = v / scale[..., :, None]
@@ -87,13 +62,11 @@ def _reduce(
         lead = null.shape[:-1]
         cross_b = np.broadcast_to(cross, (*lead, *cross.shape[-2:]))
         back_b = np.broadcast_to(cross_back, (*lead, *cross_back.shape[-2:]))
-        leaking = tuple(
-            idx
+        if any(
+            null[idx].any() and _leaks(cross_b[idx], back_b[idx], v_descaled[idx][:, null[idx]])
             for idx in np.ndindex(lead)
-            if null[idx].any() and _leaks(cross_b[idx], back_b[idx], v_descaled[idx][:, null[idx]])
-        )
-        if leaking:
-            raise SingularBlockError(f"singular nuisance block in {context}", leaking)
+        ):
+            raise SingularBlockError(f"singular nuisance block in {context}")
     inv_w = np.where(null, 0.0, 1.0) / np.where(null, 1.0, w)
     return target - (cross @ v_descaled) @ ((inv_w[..., :, None] * _t(v_descaled)) @ cross_back)
 

@@ -118,12 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--cases", type=int, default=1000)
     p_verify.add_argument("--list", action="store_true", help="list identity names and exit")
-    p_verify.add_argument(
-        "--inject-failure",
-        default=None,
-        metavar="IDENTITY",
-        help="test hook: corrupt the named identity's tolerance to force a failure",
-    )
 
     p_ell = sub.add_parser("ellipse", help="information ellipses of a scenario file")
     p_ell.set_defaults(run=cmd_ellipse)
@@ -607,7 +601,7 @@ def _identity_banding(rng: np.random.Generator, cases: int, tol: float) -> None:
         for n in range(t):
             for m in range(n + 2, t):
                 blk = j.matrix[2 * na * n : 2 * na * (n + 1), 2 * na * m : 2 * na * (m + 1)]
-                if tol < 0 or blk.any():
+                if blk.any():
                     raise AssertionError(f"case {case}: nonzero block ({n}, {m})")
 
 
@@ -627,9 +621,6 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     if args.cases < 1:
         raise ConfigError("--cases must be >= 1")
-    names = {name for name, _, _, _ in _IDENTITIES}
-    if args.inject_failure is not None and args.inject_failure not in names:
-        raise ConfigError(f"unknown identity {args.inject_failure!r}")
     seed = args.seed if args.seed is not None else _default_seed()
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -637,9 +628,8 @@ def cmd_verify(args) -> int:
     for index, (name, func, tol, divisor) in enumerate(_IDENTITIES):
         rng = np.random.default_rng([seed, index])
         cases = max(1, args.cases // divisor)
-        use_tol = -1.0 if args.inject_failure == name else tol
         try:
-            func(rng, cases, use_tol)
+            func(rng, cases, tol)
         except AssertionError as exc:
             failures += 1
             print(f"FAIL {name} (seed={seed}): {exc}")

@@ -5,12 +5,14 @@ intensities. A ranging link between two nodes contributes a rank-1 block
 along the inter-node direction; a velocity measurement contributes a block
 expressed in the frame of the step displacement; a Gaussian-random-walk
 mobility prior contributes the classic tridiagonal inverse-covariance stripe.
+The chunk kernels `spatial_block` and `temporal_block` raise GeometryError
+for a whole chunk of trials; the message names the node pair or agent and
+step, never the trial.
 """
 
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from . import blockfim
 # undefined there.
 ZERO_DISPLACEMENT = 1e-12
 
-# Relative distance from the radius below which `radius_pairs` re-checks a
+# Relative distance from the radius below which `within_radius` re-checks a
 # pair with the per-pair norm (row norms agree with it to about 1e-16).
 _RADIUS_TIE = 1e-12
 
@@ -234,39 +236,14 @@ class ScenarioGeometry:
     def num_steps(self) -> int:
         return self.paths.shape[1]
 
-    def pair_vector(self, k: int, j: int, n: int) -> np.ndarray:
-        return self.paths[j, n] - self.paths[k, n]
-
-    def pair_distance(self, k: int, j: int, n: int) -> float:
-        return float(np.linalg.norm(self.pair_vector(k, j, n)))
-
-
-def full_pairs(geometry: ScenarioGeometry) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All measured pairs per step: every agent-agent and agent-anchor pair."""
-    pairs = []
-    for k in range(geometry.num_agents):
-        for j in range(k + 1, geometry.num_nodes):
-            pairs.append((k, j))
-    ordered = tuple(pairs)
-    return tuple(ordered for _ in range(geometry.num_steps))
-
-
-def radius_pairs(geometry: ScenarioGeometry, radius: float) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Pairs within the ranging radius, evaluated per step."""
-    k, j = np.triu_indices(geometry.num_nodes, 1)
-    k, j = k[k < geometry.num_agents], j[k < geometry.num_agents]
-    inside = within_radius(geometry.paths[None], geometry.num_agents, radius)[0]
-    pairs = list(zip(k.tolist(), j.tolist()))
-    return tuple(tuple(compress(pairs, row)) for row in inside[:, k, j].tolist())
-
 
 def within_radius(paths: np.ndarray, num_agents: int, radius: float) -> np.ndarray:
     """Whether agent a and node p != a are within the ranging radius, per
     trial and step: shape (trials, T, agents, nodes) for paths (trials,
     nodes, T, 2), symmetric between agents."""
     dist = _agent_offsets(paths, num_agents)[2]
-    # These lengths may differ from the per-pair norm of `pair_distance` in
-    # the last bit; pairs that close to the radius are decided by the latter.
+    # These lengths may differ from the per-pair norm in the last bit; pairs
+    # that close to the radius are decided by the latter.
     inside = dist <= radius
     for c, n, a, p in np.argwhere(np.abs(dist - radius) <= _RADIUS_TIE * radius):
         inside[c, n, a, p] = np.linalg.norm(paths[c, p, n] - paths[c, a, n]) <= radius
@@ -348,17 +325,13 @@ class Scenario:
 
 
 def _pair_index(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(k, j, n) index arrays of a per-step pair listing, in listing order.
-    Steps sharing one listing object (as `full_pairs` builds them) convert
-    it once."""
-    converted: dict[int, np.ndarray] = {}
+    """(k, j, n) index arrays of a per-step pair listing, in listing order."""
+    per_step = []
     for step_pairs in pairs:
-        if id(step_pairs) not in converted:
-            arr = np.array(step_pairs, dtype=int)
-            if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
-                raise ValueError("pairs must be (k, j) index tuples")
-            converted[id(step_pairs)] = arr.reshape(-1, 2)
-    per_step = [converted[id(step_pairs)] for step_pairs in pairs]
+        arr = np.array(step_pairs, dtype=int)
+        if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
+            raise ValueError("pairs must be (k, j) index tuples")
+        per_step.append(arr.reshape(-1, 2))
     flat = np.concatenate(per_step) if per_step else np.zeros((0, 2), dtype=int)
     steps = np.repeat(np.arange(len(per_step)), [len(a) for a in per_step])
     return flat[:, 0], flat[:, 1], steps
@@ -373,9 +346,10 @@ def spatial_block(paths: np.ndarray, weights: np.ndarray, first: int = 0) -> np.
     steps first..first+steps-1, zero where a pair is not measured. Block
     [c, n, a, p], of shape (2, 2), has u the unit vector from agent a to
     node p at step first+n; given equal weights, the blocks of (a, p) and
-    (p, a) are equal bitwise. A measured pair whose nodes coincide raises GeometryError for
-    the first trial that has one, naming its first such pair (k, j), k < j,
-    in step order, then pair order; the error's `members` holds ((trial,),).
+    (p, a) are equal bitwise. A measured pair whose nodes coincide raises
+    GeometryError naming the first such pair (k, j), k < j, of the first
+    trial that has one, in step order, then pair order; the message does
+    not name the trial.
     """
     na = weights.shape[-2]
     dx, dy, dist = _agent_offsets(paths, na, first, first + weights.shape[1])
@@ -383,13 +357,11 @@ def spatial_block(paths: np.ndarray, weights: np.ndarray, first: int = 0) -> np.
     coincide = (weights != 0.0) & (dist <= ZERO_DISPLACEMENT) & upper
     if coincide.any():
         at = np.argwhere(coincide)[0]
-        exc = GeometryError(
+        raise GeometryError(
             "undefined direction: nodes {} and {} coincide at step {}".format(
                 at[2], at[3], first + at[1]
             )
         )
-        exc.members = ((int(at[0]),),)
-        raise exc
     scale = np.where(dist > 0.0, dist, 1.0)
     dx /= scale
     dy /= scale
@@ -415,8 +387,8 @@ def temporal_block(paths: np.ndarray, coeffs: np.ndarray, first: int = 1) -> np.
     and L = [[along, couple], [couple, across]], in elementwise arithmetic
     that does not depend on the chunk's shape. Isotropic intensities (along
     == across, couple == 0) give exactly along * I, so a zero displacement
-    is acceptable only there; elsewhere it raises GeometryError for the
-    first trial that has one, with `members` ((trial,),).
+    is acceptable only there; elsewhere it raises GeometryError naming the
+    agent and step of the first trial that has one, but not the trial.
     """
     if first < 1:
         raise ValueError("step displacement needs n >= 1")
@@ -430,13 +402,11 @@ def temporal_block(paths: np.ndarray, coeffs: np.ndarray, first: int = 1) -> np.
         dist = np.linalg.norm(disp, axis=-1)
         still = dist <= ZERO_DISPLACEMENT
         if still.any():
-            trial, n, k = np.argwhere(turn)[np.argmax(still)]
-            exc = GeometryError(
+            _, n, k = np.argwhere(turn)[np.argmax(still)]
+            raise GeometryError(
                 "zero displacement with direction-dependent intensities "
                 f"(agent {k}, step {first + n})"
             )
-            exc.members = ((int(trial),),)
-            raise exc
         c, s = disp[:, 0] / dist, disp[:, 1] / dist
         a, b, x = along[turn], across[turn], couple[turn]
         # R L entry by entry, then (R L) R^T

@@ -18,7 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from .blockfim import (
-    _eigh,
     _reduce,
     ChainBlocks,
     block_diag,
@@ -177,7 +176,7 @@ def _spatial_matrices(
 
     An agent's diagonal block sums the blocks of its peers in the order
     a+1, ..., nodes-1, 0, ..., a-1 (unmeasured peers add exact zeros). For a
-    sorted listing without repeats, as `full_pairs` and `radius_pairs` give,
+    sorted listing without repeats, as `simkit.build_scenario` gives,
     that is the pairs it opens before those it closes, each in listing
     order: the sweep CSVs depend on that order to the last bit. Agent-agent
     blocks enter negated between the two agents, as +0.0 where unmeasured.
@@ -650,7 +649,7 @@ def carry_over_step(
     out = 0.5 * (out + np.swapaxes(out, -1, -2))
     if out.shape[-1] == 0:
         return out
-    w, v = _eigh(out)
+    w, v = np.linalg.eigh(out)
     scale = np.abs(k).max(axis=(-2, -1), initial=0.0)[..., None]
     w = np.where(w > _CARRY_FLOOR_FACTOR * w.shape[-1] * scale, w, 0.0)
     return (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
@@ -831,7 +830,7 @@ def _scaled_eigh(matrix: np.ndarray):
     diag = np.clip(np.diagonal(matrix, axis1=-2, axis2=-1), 0.0, None)
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
     scaled = matrix / scale[..., :, None] / scale[..., None, :]
-    w, v = _eigh(scaled)
+    w, v = np.linalg.eigh(scaled)
     cutoff = _SPEB_NULL_FACTOR * max(w.shape[-1], 1) * np.abs(w).max(axis=-1, initial=0.0)
     return w, v, scale, cutoff
 

@@ -14,6 +14,7 @@ import pickle
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -27,8 +28,6 @@ from .models import (
     Scenario,
     ScenarioGeometry,
     VelocityModel,
-    full_pairs,
-    radius_pairs,
     random_walks,
     within_radius,
 )
@@ -185,13 +184,14 @@ def generate_scenario(cfg: ScenarioConfig, extra_entropy: tuple[int, ...] = ()) 
 
 def build_scenario(cfg: ScenarioConfig, paths: np.ndarray) -> Scenario:
     """The scenario of `cfg` over node paths (nodes, T, 2), agents first:
-    full or radius pairs, the configured range, velocity and mobility
-    models."""
+    each step's measured pairs (k, j), k < j, in row-major order, and the
+    configured range, velocity and mobility models."""
     geometry = ScenarioGeometry(paths, cfg.num_agents)
-    if cfg.connectivity is None:
-        pairs = full_pairs(geometry)
-    else:
-        pairs = radius_pairs(geometry, cfg.connectivity)
+    na, nodes, t = geometry.num_agents, geometry.num_nodes, geometry.num_steps
+    k, j = np.nonzero(np.arange(nodes) > np.arange(na)[:, None])
+    measured = np.broadcast_to(_measured(cfg, geometry.paths[None]), (1, t, na, nodes))[0]
+    listing = list(zip(k.tolist(), j.tolist()))
+    pairs = tuple(tuple(compress(listing, row)) for row in measured[:, k, j].tolist())
     return Scenario(
         geometry=geometry,
         pairs=pairs,
@@ -242,14 +242,14 @@ class _Chunk(NamedTuple):
     coeffs: np.ndarray
     priors: tuple
 
-    def without(self, positions) -> "_Chunk":
-        keep = np.delete(np.arange(len(self.paths)), positions)
-        return _Chunk(
-            self.paths[keep],
-            self.weights[keep],
-            self.coeffs[keep],
-            tuple(self.priors[i] for i in keep),
-        )
+
+def _measured(cfg: ScenarioConfig, paths: np.ndarray) -> np.ndarray:
+    """Whether agent a ranges node p under `cfg`'s connectivity, for paths
+    (trials, nodes, T, 2): shape (trials, T, Na, nodes) for a ranging
+    radius, else (Na, nodes), every node but the agent itself."""
+    if cfg.connectivity is None:
+        return np.arange(paths.shape[1]) != np.arange(cfg.num_agents)[:, None]
+    return within_radius(paths, cfg.num_agents, cfg.connectivity)
 
 
 def _drawn_chunk(cfg: ScenarioConfig, entropies) -> _Chunk:
@@ -257,11 +257,7 @@ def _drawn_chunk(cfg: ScenarioConfig, entropies) -> _Chunk:
     scenarios `generate_scenario` would give, without building them."""
     paths = np.stack([_draw_paths(cfg, entropy) for entropy in entropies])
     na, t = cfg.num_agents, cfg.num_steps
-    if cfg.connectivity is None:
-        measured = np.arange(paths.shape[1]) != np.arange(na)[:, None]
-    else:
-        measured = within_radius(paths, na, cfg.connectivity)
-    weights = np.where(measured, cfg.range_intensity, 0.0)
+    weights = np.where(_measured(cfg, paths), cfg.range_intensity, 0.0)
     trials = len(paths)
     return _Chunk(
         paths,
@@ -273,30 +269,28 @@ def _drawn_chunk(cfg: ScenarioConfig, entropies) -> _Chunk:
 
 def _stacked_spebs(chunk: _Chunk, modes, horizons) -> list[dict[str, np.ndarray] | Exception]:
     """Per-trial SPEBs of `_recursion` for a chunk. A failure is charged to
-    the trial it came from: its entry is the exception, and the others are
-    recomputed without it, which leaves their values unchanged (the step
-    kernels work elementwise across trials, and stacked numpy linear
-    algebra is bitwise equal to per-matrix calls)."""
-    results: list = [None] * len(chunk.paths)
-    live = list(range(len(results)))
-    while live:
-        try:
-            s_full, s_anchor = navinfo._spatial_matrices(
-                chunk.paths, chunk.weights, priors=chunk.priors, anchors=True
-            )
-            k = navinfo._temporal_matrices(chunk.paths, chunk.coeffs)
-            spebs = _recursion(s_full, s_anchor, k, modes, horizons)
-        except _TRIAL_FAILURES as exc:
-            # every failure of the kernels and the recursion names its trials
-            dropped = sorted({member[0] for member in exc.members})
-            for pos in reversed(dropped):
-                results[live.pop(pos)] = exc
-            chunk = chunk.without(dropped)
-            continue
-        for pos, i in enumerate(live):
-            results[i] = {mode.value: spebs[pos, m] for m, mode in enumerate(modes)}
-        break
-    return results
+    the trial it came from: a failing chunk is split in halves and each is
+    run again, down to one-trial chunks, whose entry is their exception.
+    The other trials' values do not change (the step kernels work
+    elementwise across trials, and stacked numpy linear algebra is bitwise
+    equal to per-matrix calls)."""
+    try:
+        s_full, s_anchor = navinfo._spatial_matrices(
+            chunk.paths, chunk.weights, priors=chunk.priors, anchors=True
+        )
+        k = navinfo._temporal_matrices(chunk.paths, chunk.coeffs)
+        spebs = _recursion(s_full, s_anchor, k, modes, horizons)
+    except _TRIAL_FAILURES as exc:
+        trials = len(chunk.paths)
+        if trials == 1:
+            return [exc]
+        halves = (slice(None, trials // 2), slice(trials // 2, None))
+        return [
+            entry
+            for part in halves
+            for entry in _stacked_spebs(_Chunk(*(f[part] for f in chunk)), modes, horizons)
+        ]
+    return [{mode.value: trial[m] for m, mode in enumerate(modes)} for trial in spebs]
 
 
 def _run_chunk(
@@ -446,7 +440,7 @@ def _run_shares(calls, shares) -> dict:
     return outcomes
 
 
-def _sweep(cfg, points, modes, trials: int, horizons, denominator=None):
+def _sweep(cfg, points, modes, trials: int, horizons):
     """Per-trial `_chunk_means` at the sorted `horizons` of each sweep point
     (config, entropy prefix), in trial order, and the failed-trial count.
 
@@ -454,8 +448,8 @@ def _sweep(cfg, points, modes, trials: int, horizons, denominator=None):
     go costliest (agents x steps x trials) first to the least-loaded of one
     worker per CPU, then `cfg`'s audit. Raised in order: a lost worker; the
     first chunk exception in sweep order; SweepNumericalError beyond
-    FAILURE_BUDGET ("failed/denominator trials failed", or "failed trials
-    failed" without a denominator); the audit's error.
+    FAILURE_BUDGET ("failed/attempted trials failed", attempted being trials
+    x points); the audit's error.
     """
     check_trials(trials)
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -479,9 +473,11 @@ def _sweep(cfg, points, modes, trials: int, horizons, denominator=None):
             raise outcomes[i]
         results[p] += outcomes.get(i) or ()
     failed = sum(isinstance(r, Exception) for per_point in results for r in per_point)
-    if failed > FAILURE_BUDGET * trials * len(points):
-        shown = f"{failed}/{denominator}" if denominator else failed
-        raise SweepNumericalError(f"{shown} trials failed numerically (seed={cfg.seed})")
+    attempted = trials * len(points)
+    if failed > FAILURE_BUDGET * attempted:
+        raise SweepNumericalError(
+            f"{failed}/{attempted} trials failed numerically (seed={cfg.seed})"
+        )
     if isinstance(outcomes.get(len(tasks)), BaseException):
         raise outcomes[len(tasks)]
     return results, failed
@@ -508,7 +504,7 @@ def sweep_time(cfg: ScenarioConfig, steps=None, modes=ALL_MODES, trials: int = 5
         raise ConfigError("step counts must fall in 1..num_steps")
     horizons = sorted(set(step_list))
     points = [(cfg, ())] if cfg.num_agents else []
-    per_point, failed = _sweep(cfg, points, modes, trials, horizons, denominator=trials)
+    per_point, failed = _sweep(cfg, points, modes, trials, horizons)
     row = {v: i for i, v in enumerate(horizons)}
     table = SpebTable(failed_trials=failed)
     for mode, mean, se, n in _mode_means(sum(per_point, []), modes):

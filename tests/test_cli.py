@@ -272,17 +272,16 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_injected_failure_named(capsys):
-    code = cli.main(
-        ["verify", "--seed", "42", "--cases", "40", "--inject-failure", "weighted-sum-split"]
-    )
+def test_verify_injected_failure_named(capsys, monkeypatch):
+    identities = [
+        (name, func, -1.0 if name == "weighted-sum-split" else tol, divisor)
+        for name, func, tol, divisor in cli._IDENTITIES
+    ]
+    monkeypatch.setattr(cli, "_IDENTITIES", identities)
+    code = cli.main(["verify", "--seed", "42", "--cases", "40"])
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL weighted-sum-split (seed=42)" in out
-
-
-def test_verify_unknown_injection(capsys):
-    assert cli.main(["verify", "--inject-failure", "nope"]) == 2
 
 
 # ---------------------------------------------------------------------------

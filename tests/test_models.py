@@ -11,8 +11,6 @@ from navlim.models import (
     Scenario,
     ScenarioGeometry,
     VelocityModel,
-    full_pairs,
-    radius_pairs,
     range_intensity_from_sigmas,
     range_intensity_via_reduction,
     spatial_block,
@@ -20,6 +18,7 @@ from navlim.models import (
     velocity_intensities,
 )
 from navlim.navinfo import bayesian_efim
+from navlim.simkit import ScenarioConfig, build_scenario
 from oracles import fd_hessian
 
 
@@ -260,16 +259,24 @@ def test_geometry_properties():
     paths[2] = [[0.0, 4.0], [0.0, 4.0]]
     geom = ScenarioGeometry(paths, num_agents=1)
     assert geom.num_anchors == 2
-    assert geom.pair_distance(0, 1, 0) == pytest.approx(3.0)
+    assert (geom.num_nodes, geom.num_steps) == (3, 2)
+
+
+def listed_pairs(paths, num_agents, radius=None):
+    """`build_scenario`'s pair listing of node paths (nodes, T, 2)."""
+    nodes, t = paths.shape[:2]
+    cfg = ScenarioConfig(
+        num_agents=num_agents, num_anchors=nodes - num_agents, num_steps=t, connectivity=radius
+    )
+    return build_scenario(cfg, paths).pairs
 
 
 def test_full_and_radius_pairs():
     paths = np.zeros((3, 1, 2))
     paths[1, 0] = [1.0, 0.0]
     paths[2, 0] = [10.0, 0.0]
-    geom = ScenarioGeometry(paths, num_agents=2)
-    assert full_pairs(geom) == (((0, 1), (0, 2), (1, 2)),)
-    assert radius_pairs(geom, 2.0) == (((0, 1),),)
+    assert listed_pairs(paths, 2) == (((0, 1), (0, 2), (1, 2)),)
+    assert listed_pairs(paths, 2, 2.0) == (((0, 1),),)
 
 
 def test_scenario_validation():
@@ -282,15 +289,15 @@ def test_scenario_validation():
         Scenario(geometry=geom, pairs=((),), priors=((5, 0, np.eye(2)),))
 
 
-def _radius_pairs_per_pair(geom, radius):
+def _radius_pairs_per_pair(paths, num_agents, radius):
     return tuple(
         tuple(
             (k, j)
-            for k in range(geom.num_agents)
-            for j in range(k + 1, geom.num_nodes)
-            if geom.pair_distance(k, j, n) <= radius
+            for k in range(num_agents)
+            for j in range(k + 1, paths.shape[0])
+            if np.linalg.norm(paths[j, n] - paths[k, n]) <= radius
         )
-        for n in range(geom.num_steps)
+        for n in range(paths.shape[1])
     )
 
 
@@ -300,19 +307,17 @@ def test_radius_pairs_matches_per_pair_reference():
         nodes = int(rng.integers(1, 9))
         na = int(rng.integers(0, nodes + 1))
         paths = rng.uniform(0.0, 20.0, size=(nodes, int(rng.integers(1, 6)), 2))
-        geom = ScenarioGeometry(paths, num_agents=na)
         radius = float(rng.uniform(0.5, 25.0))
-        assert radius_pairs(geom, radius) == _radius_pairs_per_pair(geom, radius)
+        assert listed_pairs(paths, na, radius) == _radius_pairs_per_pair(paths, na, radius)
 
 
 def test_radius_pairs_keeps_a_pair_exactly_at_the_radius():
     # 3-4-5 triangles: every distance below is exact in floating point
     paths = np.array([[[0.0, 0.0]], [[3.0, 4.0]], [[-6.0, 8.0]], [[5.0, 0.0]]])
-    geom = ScenarioGeometry(paths, num_agents=2)
-    assert radius_pairs(geom, 5.0) == (((0, 1), (0, 3), (1, 3)),)
-    assert radius_pairs(geom, np.nextafter(5.0, 0.0)) == (((1, 3),),)
-    assert radius_pairs(geom, 10.0) == _radius_pairs_per_pair(geom, 10.0)
-    assert (0, 2) in radius_pairs(geom, 10.0)[0]
+    assert listed_pairs(paths, 2, 5.0) == (((0, 1), (0, 3), (1, 3)),)
+    assert listed_pairs(paths, 2, np.nextafter(5.0, 0.0)) == (((1, 3),),)
+    assert listed_pairs(paths, 2, 10.0) == _radius_pairs_per_pair(paths, 2, 10.0)
+    assert (0, 2) in listed_pairs(paths, 2, 10.0)[0]
 
 
 def test_scenario_validation_names_the_first_bad_pair():

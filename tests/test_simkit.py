@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import navlim.simkit as simkit
 from navlim.blockfim import block_diag
@@ -107,7 +107,7 @@ def test_radius_connectivity_limits_pairs():
     s = generate_scenario(cfg)
     for n, step_pairs in enumerate(s.pairs):
         for k, j in step_pairs:
-            assert s.geometry.pair_distance(k, j, n) <= 5.0
+            assert np.linalg.norm(s.geometry.paths[j, n] - s.geometry.paths[k, n]) <= 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -345,26 +345,79 @@ def test_chunk_failures_name_each_trials_first_coincident_pair():
             assert chunk[i][mode.value].tobytes() == alone[mode.value].tobytes()
 
 
-def test_recursion_failure_drops_only_its_trial(monkeypatch):
-    # eigh raising on NaN stands in for a non-converging eigensolver; the
-    # NaN prior poisons one trial's matrices only
-    real = np.linalg.eigh
+def fails_on_nan(eigh):
+    """`eigh` raising on NaN input, a stand-in for a non-converging eigensolver."""
 
-    def fails_on_nan(a):
+    def patched(a, *args, **kwargs):
         if np.isnan(a).any():
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(a)
+        return eigh(a, *args, **kwargs)
 
+    return patched
+
+
+def test_recursion_failure_drops_only_its_trial(monkeypatch):
+    # the NaN prior poisons one trial's matrices only
     cfg = small_cfg(num_agents=3, num_steps=4)
     scenarios = [generate_scenario(cfg, (trial,)) for trial in range(4)]
     scenarios[1] = replace(scenarios[1], priors=((2, 1, np.full((2, 2), np.nan)),))
-    monkeypatch.setattr(np.linalg, "eigh", fails_on_nan)
+    monkeypatch.setattr(np.linalg, "eigh", fails_on_nan(np.linalg.eigh))
     chunk = stacked_spebs(scenarios)
     assert isinstance(chunk[1], np.linalg.LinAlgError)
     for i in (0, 2, 3):
         [alone] = stacked_spebs([scenarios[i]])
         for mode in ALL_MODES:
             assert chunk[i][mode.value].tobytes() == alone[mode.value].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["kernel", "recursion"]),
+    st.integers(1, 12),
+    st.dictionaries(st.integers(0, 11), st.integers(0, 3)),
+)
+@example("kernel", 12, {5: 2})
+@example("recursion", 12, {11: 1})
+def test_a_failing_chunk_gives_each_trial_its_own_result(stage, trials, failing):
+    # trial i fails at step failing[i]: at the kernel stage agent 0 stands
+    # on the first anchor, at the recursion stage a NaN prior reaches the
+    # eigensolver
+    cfg = small_cfg(num_agents=3, num_steps=4)
+    faults = [failing.get(i) for i in range(trials)]
+    drawn = simkit._drawn_chunk(cfg, [(trial,) for trial in range(trials)])
+    paths, priors = drawn.paths.copy(), list(drawn.priors)
+    for i, step in enumerate(faults):
+        if step is not None and stage == "kernel":
+            paths[i, 0, step] = paths[i, cfg.num_agents, step]
+        elif step is not None:
+            priors[i] = ((0, step, np.full((2, 2), np.nan)),)
+    chunk = simkit._Chunk(paths, drawn.weights, drawn.coeffs, tuple(priors))
+    horizons = range(1, cfg.num_steps + 1)
+    passes = []
+    real = simkit.navinfo._spatial_matrices
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", fails_on_nan(np.linalg.eigh))
+        patch.setattr(simkit.navinfo, "_spatial_matrices", counted)
+        got = simkit._stacked_spebs(chunk, ALL_MODES, horizons)
+        chunk_passes = len(passes)
+        alone = [
+            simkit._stacked_spebs(simkit._Chunk(*(f[i : i + 1] for f in chunk)), ALL_MODES, horizons)
+            for i in range(trials)
+        ]
+    failed = sum(step is not None for step in faults)
+    assert chunk_passes <= 1 + 2 * failed * (trials - 1).bit_length()  # ceil(log2 trials)
+    for entry, [want], step in zip(got, alone, faults):
+        if step is None:
+            assert entry.keys() == want.keys()
+            assert all(entry[m].tobytes() == want[m].tobytes() for m in want)
+        else:
+            assert isinstance(want, Exception) and type(entry) is type(want)
+            assert str(entry) == str(want)
 
 
 def test_sweep_counts_a_coincident_trial_as_failed(monkeypatch):
@@ -613,7 +666,7 @@ def test_failure_budget_wins_over_a_failing_audit(monkeypatch, workers):
     monkeypatch.setattr(simkit, "_run_chunk", all_fail)
     with pytest.raises(SweepNumericalError, match="4/4"):
         sweep_time(small_cfg(), trials=4)
-    with pytest.raises(SweepNumericalError, match="^8 trials"):
+    with pytest.raises(SweepNumericalError, match="^8/8 trials"):
         sweep_nodes(small_cfg(), [1, 2], trials=4)
 
 

@@ -3,7 +3,7 @@
 Every assembly path (joint EFIM, per-step matrices, the independent-
 parameter EFIM) must give the same bytes as `oracles.scatter_spatial_matrices`
 plus `oracles.velocity_matrices` for the sorted, duplicate-free pair listings
-that `full_pairs` and `radius_pairs` produce, plus `oracles.scatter_mobility`
+that `simkit.build_scenario` produces, plus `oracles.scatter_mobility`
 for the random-walk prior; signed zeros count. Unsorted or repeated listings
 may sum in another order and are held to 1e-12 of the matrix scale.
 """
@@ -274,16 +274,23 @@ def test_chunk_kernel_is_bytewise_the_scatter_reference_per_trial(scenarios):
     st.integers(1, 8),
     st.integers(0, 4),
     st.integers(1, 6),
-    st.sampled_from([None, 0.5, 4.0, 12.0]),
+    st.sampled_from([None, 0.5, 4.0, 12.0, "tie"]),
     st.integers(0, 2**31 - 1),
 )
 def test_drawn_chunk_is_the_chunk_of_generated_scenarios(na, nb, t, radius, seed):
     cfg = ScenarioConfig(
-        num_agents=na, num_anchors=nb, num_steps=t, connectivity=radius, seed=seed,
+        num_agents=na, num_anchors=nb, num_steps=t, seed=seed,
         vel_along=3.0, vel_across=1.0, vel_couple=0.5,
     )
     entropies = [(na, trial) for trial in range(3)]
+    tie = radius == "tie" and na + nb > 1
+    if radius == "tie":  # agent 0 of the first trial meets the last node at the radius
+        paths = simkit._draw_paths(cfg, entropies[0])
+        radius = float(np.linalg.norm(paths[-1, 0] - paths[0, 0])) if tie else 0.5
+    cfg = replace(cfg, connectivity=radius)
     drawn = simkit._drawn_chunk(cfg, entropies)
+    if tie:
+        assert drawn.weights[0, 0, 0, -1] == cfg.range_intensity
     built = scenario_chunk([generate_scenario(cfg, e) for e in entropies])
     for field in ("paths", "weights", "coeffs"):
         assert getattr(drawn, field).tobytes() == getattr(built, field).tobytes()
