@@ -8,8 +8,8 @@ are treated as exact zeros. If a discarded null direction carries
 cross-information, the reduction is undefined and `SingularBlockError` is
 raised. A stacked call raises for the whole stack when any one matrix
 fails, as `np.linalg.eigh` does, without naming it. `eliminate_hmm_chain`
-removes a whole chain of per-step nuisances coupled step to step, in time
-order.
+removes a chain of per-step nuisances coupled step to step by one Schur
+complement of its block-tridiagonal nuisance matrix.
 """
 
 from collections.abc import Sequence
@@ -122,7 +122,8 @@ class ChainBlocks:
       cross_same[n]     state(n)-nuisance(n) cross-information
       cross_next[n]     state(n)-nuisance(n+1) cross-information
 
-    State and nuisance dimensions may vary per step.
+    State and nuisance dimensions, fixed by `state_direct` and `nuis_diag`,
+    may vary per step; each block must fit its slot. An omitted sequence is 0.
     """
 
     state_direct: tuple[np.ndarray, ...]
@@ -132,17 +133,26 @@ class ChainBlocks:
     cross_next: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        t = len(self.state_direct)
-        if t < 1:
+        if len(self.state_direct) < 1:
             raise ValueError("chain length must be >= 1")
-        if len(self.nuis_diag) != t:
+        if len(self.nuis_diag) != len(self.state_direct):
             raise ValueError("nuis_diag length mismatch")
-        if self.nuis_offdiag and len(self.nuis_offdiag) != t - 1:
-            raise ValueError("nuis_offdiag length mismatch")
-        if self.cross_same and len(self.cross_same) != t:
-            raise ValueError("cross_same length mismatch")
-        if self.cross_next and len(self.cross_next) != t - 1:
-            raise ValueError("cross_next length mismatch")
+        s = [len(np.atleast_1d(b)) for b in self.state_direct]
+        g = [len(np.atleast_1d(b)) for b in self.nuis_diag]
+        slots = {
+            "state_direct": list(zip(s, s)),
+            "nuis_diag": list(zip(g, g)),
+            "nuis_offdiag": list(zip(g, g[1:])),
+            "cross_same": list(zip(s, g)),
+            "cross_next": list(zip(s, g[1:])),
+        }
+        for name, shapes in slots.items():
+            parts = getattr(self, name)
+            if parts and len(parts) != len(shapes):
+                raise ValueError(f"{name} length mismatch")
+            for n, (block, shape) in enumerate(zip(parts, shapes)):
+                if np.shape(block) != shape:
+                    raise ValueError(f"{name}[{n}] has shape {np.shape(block)}, expected {shape}")
 
     @property
     def length(self) -> int:
@@ -155,67 +165,58 @@ class ChainBlocks:
         return self.nuis_diag[n].shape[0]
 
 
-def _chain_part(parts: tuple[np.ndarray, ...], n: int, rows: int, cols: int) -> np.ndarray:
-    if parts and n < len(parts):
-        return np.asarray(parts[n], dtype=float)
-    return np.zeros((rows, cols))
+def _chain_reduction(chain: ChainBlocks) -> np.ndarray:
+    """A - X N^-1 X^T, symmetrized, over the state coordinates in step order.
 
-
-def eliminate_hmm_chain(chain: ChainBlocks) -> dict[tuple[int, int], np.ndarray]:
-    """Eliminate a hidden-Markov nuisance chain in time order.
-
-    Returns the state-state information contribution for every step pair
-    n <= m after the whole chain is removed. The forward pass keeps, per step,
-    the running nuisance block (its Schur complement given all earlier steps)
-    and the filled-in state-nuisance cross blocks; each must stay PD, else
-    `SingularBlockError` names the failing step.
+    N is the chain's block-tridiagonal nuisance information (its diagonal
+    blocks symmetrized), X its state-nuisance cross-information and A its
+    block-diagonal direct state information. Each step's running nuisance
+    block (its Schur complement given all earlier steps) must be PD, else
+    `SingularBlockError` names the first step where it is not; N is then PD
+    and one solve eliminates it.
     """
     t = chain.length
-    running: list[np.ndarray] = []
-    running_inv: list[np.ndarray] = []
+    s_at = np.cumsum([0, *map(chain.state_dim, range(t))])
+    g_at = np.cumsum([0, *map(chain.nuis_dim, range(t))])
+    s = [slice(*s_at[n : n + 2]) for n in range(t)]
+    g = [slice(*g_at[n : n + 2]) for n in range(t)]
+    nuis = block_diag(chain.nuis_diag)
+    cross = np.zeros((s_at[-1], g_at[-1]))
+    for n, block in enumerate(chain.nuis_offdiag):
+        nuis[g[n], g[n + 1]] = block
+        nuis[g[n + 1], g[n]] = np.transpose(block)
+    for n, block in enumerate(chain.cross_same):
+        cross[s[n], g[n]] = block
+    for n, block in enumerate(chain.cross_next):
+        cross[s[n], g[n + 1]] = block
+    nuis = 0.5 * (nuis + nuis.T)
+
     for n in range(t):
-        b = np.asarray(chain.nuis_diag[n], dtype=float)
-        b = 0.5 * (b + b.T)
+        b = nuis[g[n], g[n]]
         if n > 0:
-            off = _chain_part(chain.nuis_offdiag, n - 1, chain.nuis_dim(n - 1), chain.nuis_dim(n))
-            b = b - off.T @ running_inv[n - 1] @ off
+            off = nuis[g[n - 1], g[n]]
+            b = b - off.T @ running_inv @ off
         w = np.linalg.eigvalsh(b)
         if w.min() <= PINV_RCOND * max(1.0, w.max()):
             raise SingularBlockError(
                 f"nuisance chain block not positive definite at step {n}"
             )
-        running.append(b)
-        running_inv.append(np.linalg.inv(b))
+        running_inv = np.linalg.inv(b)
 
-    # cross[(a, l)]: state(a)-nuisance(l) cross-information once nuisances
-    # before step l are eliminated; fill-in propagates forward only.
-    cross: dict[tuple[int, int], np.ndarray] = {}
-    for a in range(t):
-        cross[(a, a)] = _chain_part(chain.cross_same, a, chain.state_dim(a), chain.nuis_dim(a))
-    for n in range(t - 1):
-        step = running_inv[n] @ _chain_part(
-            chain.nuis_offdiag, n, chain.nuis_dim(n), chain.nuis_dim(n + 1)
-        )
-        for a in range(n + 1):
-            fill = -cross[(a, n)] @ step
-            if a == n:
-                fill = fill + _chain_part(
-                    chain.cross_next, n, chain.state_dim(n), chain.nuis_dim(n + 1)
-                )
-            cross[(a, n + 1)] = fill
+    out = block_diag(chain.state_direct) - cross @ np.linalg.solve(nuis, cross.T)
+    return 0.5 * (out + out.T)
 
-    weighted = {(a, l): cross[(a, l)] @ running_inv[l] for (a, l) in cross}
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for n in range(t):
-        for m_ in range(n, t):
-            acc = np.zeros((chain.state_dim(n), chain.state_dim(m_)))
-            for l in range(m_, t):
-                acc -= weighted[(n, l)] @ cross[(m_, l)].T
-            if m_ == n:
-                acc = acc + np.asarray(chain.state_direct[n], dtype=float)
-                acc = 0.5 * (acc + acc.T)
-            out[(n, m_)] = acc
-    return out
+
+def eliminate_hmm_chain(chain: ChainBlocks) -> dict[tuple[int, int], np.ndarray]:
+    """State-state information for every step pair n <= m once a hidden-Markov
+    nuisance chain is removed: the blocks of `_chain_reduction`'s matrix."""
+    out = _chain_reduction(chain)
+    at = np.cumsum([0, *map(chain.state_dim, range(chain.length))])
+    return {
+        (n, m): out[at[n] : at[n + 1], at[m] : at[m + 1]]
+        for n in range(chain.length)
+        for m in range(n, chain.length)
+    }
 
 
 def block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:

@@ -54,17 +54,17 @@ def _default_seed() -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    """'1..20' -> [1, ..., 20]; '7' -> [7]."""
+    """'1..20' -> [1, ..., 20]; '7' -> [7]: step or agent counts, from 1 on."""
+    lo, dots, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo_i, hi_i = int(lo), int(hi)
-            if hi_i < lo_i:
-                raise ConfigError(f"empty range {text!r}")
-            return list(range(lo_i, hi_i + 1))
-        return [int(text)]
+        lo_i, hi_i = int(lo), int(hi if dots else lo)
     except ValueError:
         raise ConfigError(f"cannot parse range {text!r}")
+    if hi_i < lo_i:
+        raise ConfigError(f"empty range {text!r}")
+    if lo_i < 1:
+        raise ConfigError(f"range {text!r} must start at 1 or more")
+    return list(range(lo_i, hi_i + 1))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,6 +135,7 @@ def _parse_modes(text: str) -> tuple[CoopMode, ...]:
             out.append(CoopMode(name.strip()))
         except ValueError:
             raise ConfigError(f"unknown mode {name.strip()!r}")
+    simkit._check_modes(out)
     return tuple(out)
 
 

@@ -32,13 +32,17 @@ class GeometryError(ValueError):
     nodes leave the measurement direction undefined)."""
 
 
-def range_intensity_from_sigmas(sigma_range: float, sigma_bias: float = 0.0) -> float:
-    """Effective ranging intensity of a Gaussian range measurement with an
-    additive Gaussian bias prior: 1 / (sigma_range^2 + sigma_bias^2)."""
-    if sigma_range <= 0:
+def _check_sigmas(sigma_range: float | None, sigma_bias: float) -> None:
+    if sigma_range is not None and sigma_range <= 0:
         raise ValueError("sigma_range must be positive")
     if sigma_bias < 0:
         raise ValueError("sigma_bias must be >= 0")
+
+
+def range_intensity_from_sigmas(sigma_range: float, sigma_bias: float = 0.0) -> float:
+    """Effective ranging intensity of a Gaussian range measurement with an
+    additive Gaussian bias prior: 1 / (sigma_range^2 + sigma_bias^2)."""
+    _check_sigmas(sigma_range, sigma_bias)
     if math.isinf(sigma_bias):
         return 0.0
     return 1.0 / (sigma_range**2 + sigma_bias**2)
@@ -52,10 +56,7 @@ def range_intensity_via_reduction(sigma_range: float, sigma_bias: float = 0.0) -
     contributes info * [[1, 1], [1, 1]] over (distance, bias), the prior adds
     1/sigma_bias^2 on the bias, and the bias is then reduced out.
     """
-    if sigma_range <= 0:
-        raise ValueError("sigma_range must be positive")
-    if sigma_bias < 0:
-        raise ValueError("sigma_bias must be >= 0")
+    _check_sigmas(sigma_range, sigma_bias)
     info = 1.0 / sigma_range**2
     if sigma_bias == 0.0:
         # Perfectly known bias: nothing to eliminate.
@@ -101,10 +102,7 @@ class RangeModel:
             raise ValueError("give exactly one of intensity or sigma_range")
         if self.intensity is not None and self.intensity < 0:
             raise ValueError("intensity must be >= 0")
-        if self.sigma_range is not None and self.sigma_range <= 0:
-            raise ValueError("sigma_range must be positive")
-        if self.sigma_bias < 0:
-            raise ValueError("sigma_bias must be >= 0")
+        _check_sigmas(self.sigma_range, self.sigma_bias)
 
     def base_intensity(self) -> float:
         if self.intensity is not None:
@@ -159,11 +157,11 @@ class VelocityModel:
         return out
 
 
-def _check_intensity_triple(along: float, across: float, couple: float) -> None:
+def _check_intensity_triple(along: float, across: float, couple: float, error=ValueError) -> None:
     if along < 0 or across < 0 or along * across - couple**2 < -1e-12 * max(
         1.0, along * across
     ):
-        raise ValueError(
+        raise error(
             "velocity intensities [[along, couple], [couple, across]] must be PSD"
         )
 

@@ -18,11 +18,11 @@ from functools import cached_property
 import numpy as np
 
 from .blockfim import (
+    _chain_reduction,
     _reduce,
     ChainBlocks,
     block_diag,
     eliminate_block,
-    eliminate_hmm_chain,
 )
 from .geom2d import Eigen2, eigen2, r_cross, r_dir, unit_vector
 from .models import (
@@ -154,12 +154,6 @@ class JointEfim:
         """`_scaled_eigh` of the whole matrix, for the reads the sweep
         cannot serve."""
         return _scaled_eigh(self.matrix)
-
-
-def _scatter(matrix: np.ndarray, ri: slice, ci: slice, block: np.ndarray) -> None:
-    matrix[ri, ci] += block
-    if ri != ci:
-        matrix[ci, ri] += block.T
 
 
 def _spatial_matrices(
@@ -388,11 +382,12 @@ def bayesian_efim(
     """Joint position EFIM with hidden-Markov measurement-parameter chains.
 
     Each intra-node chain (key: agent) couples that agent's positions across
-    all step pairs once its nuisance sequence is eliminated. Each pairwise
-    chain (key: (agent, peer)) acts on the difference coordinate of the pair:
-    its contributions scatter positively onto both members' diagonals and
-    negatively between them; when the peer is an anchor only the agent side
-    has rows. Chain state slots must be 2-dimensional (positions).
+    all step pairs once its nuisance sequence is eliminated: its reduced
+    matrix R adds onto the agent's rows. Each pairwise chain (key: (agent,
+    peer)) acts on the difference coordinate of the pair: it adds
+    [[R, -R], [-R, R]] over the agent's and the peer's rows, or R alone when
+    the peer is an anchor, which has no rows. Chain state slots must be
+    2-dimensional (positions).
     """
     coords = position_coords(num_agents, num_steps)
     dim = 2 * len(coords)
@@ -405,14 +400,12 @@ def bayesian_efim(
         # added onto zeros, which turns the -0.0 between unlinked steps into +0.0
         mob += _lay_out(*_band_layout(diag, _mobility_links(mobility, diag)))
 
-    def rows(k: int, n: int) -> slice:
-        i = 2 * (n * num_agents + k)
-        return slice(i, i + 2)
-
+    # rows of agent 0's positions in step order; agent k's are 2k further on
+    first_agent = (2 * num_agents * np.arange(num_steps)[:, None] + np.arange(2)).ravel()
     for k, chain in (intra_chains or {}).items():
         _check_chain(chain, num_agents, num_steps, k)
-        for (n, m), g in eliminate_hmm_chain(chain).items():
-            _scatter(temp, rows(k, n), rows(k, m), g)
+        own = first_agent + 2 * k
+        temp[np.ix_(own, own)] += _chain_reduction(chain)
 
     for (k, peer), chain in (pair_chains or {}).items():
         _check_chain(chain, num_agents, num_steps, k)
@@ -420,13 +413,12 @@ def bayesian_efim(
             raise ValueError("pair chain needs two distinct nodes")
         if peer < 0:
             raise ValueError(f"chain references unknown node {peer}")
-        for (n, m), g in eliminate_hmm_chain(chain).items():
-            _scatter(spat, rows(k, n), rows(k, m), g)
-            if peer < num_agents:
-                _scatter(spat, rows(peer, n), rows(peer, m), g)
-                _scatter(spat, rows(k, n), rows(peer, m), -g)
-                if n != m:
-                    _scatter(spat, rows(peer, n), rows(k, m), -g)
+        reduced = _chain_reduction(chain)
+        own = first_agent + 2 * k
+        if peer < num_agents:
+            own = np.concatenate([own, first_agent + 2 * peer])
+            reduced = np.block([[reduced, -reduced], [-reduced, reduced]])
+        spat[np.ix_(own, own)] += reduced
     return BayesianEfim(coords, mob, temp, spat)
 
 
@@ -435,9 +427,8 @@ def _check_chain(chain: ChainBlocks, num_agents: int, num_steps: int, agent: int
         raise ValueError(f"chain references unknown agent {agent}")
     if chain.length != num_steps:
         raise ValueError("chain length must equal the number of steps")
-    for n in range(chain.length):
-        if chain.state_dim(n) != 2:
-            raise ValueError("chain state slots must be 2-D positions")
+    if any(chain.state_dim(n) != 2 for n in range(chain.length)):
+        raise ValueError("chain state slots must be 2-D positions")
 
 
 def marginal_efim(j: JointEfim, keep: Iterable[tuple[int, int]]) -> JointEfim:

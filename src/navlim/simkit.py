@@ -28,6 +28,7 @@ from .models import (
     Scenario,
     ScenarioGeometry,
     VelocityModel,
+    _check_intensity_triple,
     random_walks,
     within_radius,
 )
@@ -120,11 +121,10 @@ class ScenarioConfig:
             raise ConfigError("num_steps must be >= 1")
         if min(self.vel_along, self.vel_across, self.range_intensity) < 0:
             raise ConfigError("intensities must be >= 0")
-        if self.vel_along * self.vel_across - self.vel_couple**2 < 0:
-            raise ConfigError("velocity intensity triple must be PSD")
-        cov = self.step_cov_matrix()
-        if cov.shape != (2, 2) or np.linalg.eigvalsh(cov).min() <= 0:
-            raise ConfigError("step_cov must be a positive scalar or a PD 2x2 matrix")
+        _check_intensity_triple(self.vel_along, self.vel_across, self.vel_couple, ConfigError)
+        cov = self.step_cov_matrix()  # must be symmetric: `step_factor` factors its lower triangle
+        if cov.shape != (2, 2) or (cov != cov.T).any() or np.linalg.eigvalsh(cov).min() <= 0:
+            raise ConfigError("step_cov must be a positive scalar or a symmetric PD 2x2 matrix")
         if self.connectivity is not None and not 0 < self.connectivity < math.inf:
             raise ConfigError("connectivity radius must be positive and finite")
         if self.seed < 0:
@@ -385,6 +385,13 @@ def check_trials(trials: int) -> None:
         raise ConfigError("trials must be >= 1")
 
 
+def _check_modes(modes) -> None:
+    """ConfigError if a sweep's mode repeats: its rows would be written twice."""
+    for i, mode in enumerate(modes):
+        if mode in modes[:i]:
+            raise ConfigError(f"mode {mode.value!r} is repeated")
+
+
 def _chunk_means(cfg, entropies, modes, horizons):
     """`_run_chunk`'s trials, each its exception or, per mode, the network-average
     SPEB per step; a chunk keeps no SPEB array of its trials."""
@@ -452,6 +459,7 @@ def _sweep(cfg, points, modes, trials: int, horizons):
     x points); the audit's error.
     """
     check_trials(trials)
+    _check_modes(modes)
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     size = min(CHUNK_TRIALS, -(-trials * max(len(points), 1) // workers))
     chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]

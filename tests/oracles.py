@@ -4,18 +4,22 @@ Everything here is deliberately written against raw numpy (no navlim
 geometry or assembly helpers): dense joint Fisher information matrices built
 from per-measurement Jacobians, brute-force Schur complements, and
 finite-difference Hessians. Tests compare the package's structured
-assemblies against these. The exception is the sweep audit's former
-reference path at the end, kept as it was: one built scenario per horizon,
-assembled and marginalized by navlim's own dense path.
+assemblies against these. The exceptions, at the end, are former package
+paths kept as they were: the sweep audit's (one built scenario per horizon,
+assembled and marginalized by navlim's own dense path), and the
+hidden-Markov chain elimination by a forward pass with explicit fill-in,
+scattered into the Bayesian EFIM one block at a time.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from navlim import navinfo, simkit
-from navlim.models import ScenarioGeometry
+from navlim.blockfim import PINV_RCOND, ChainBlocks, SingularBlockError
+from navlim.models import MobilityModel, ScenarioGeometry
 
 
 @dataclass(frozen=True)
@@ -536,3 +540,131 @@ def audit_spebs_by_rebuild(cfg) -> tuple[np.ndarray, np.ndarray]:
     recursive = trial_spebs(scenario, (joint,))[joint.value]
     dense = [dense_final_spebs(scenario, h) for h in range(1, small.num_steps + 1)]
     return recursive, np.stack(dense)
+
+
+# ---------------------------------------------------------------------------
+# hidden-Markov chains by the former forward pass: the running nuisance
+# blocks in time order with explicit fill-in, scattered into the Bayesian
+# EFIM one 2x2 block at a time
+
+
+def _chain_part(parts: tuple[np.ndarray, ...], n: int, rows: int, cols: int) -> np.ndarray:
+    if parts and n < len(parts):
+        return np.asarray(parts[n], dtype=float)
+    return np.zeros((rows, cols))
+
+
+def eliminate_hmm_chain_forward(chain: ChainBlocks) -> dict[tuple[int, int], np.ndarray]:
+    """Eliminate a hidden-Markov nuisance chain in time order.
+
+    Returns the state-state information contribution for every step pair
+    n <= m after the whole chain is removed. The forward pass keeps, per step,
+    the running nuisance block (its Schur complement given all earlier steps)
+    and the filled-in state-nuisance cross blocks; each must stay PD, else
+    `SingularBlockError` names the failing step.
+    """
+    t = chain.length
+    running: list[np.ndarray] = []
+    running_inv: list[np.ndarray] = []
+    for n in range(t):
+        b = np.asarray(chain.nuis_diag[n], dtype=float)
+        b = 0.5 * (b + b.T)
+        if n > 0:
+            off = _chain_part(chain.nuis_offdiag, n - 1, chain.nuis_dim(n - 1), chain.nuis_dim(n))
+            b = b - off.T @ running_inv[n - 1] @ off
+        w = np.linalg.eigvalsh(b)
+        if w.min() <= PINV_RCOND * max(1.0, w.max()):
+            raise SingularBlockError(
+                f"nuisance chain block not positive definite at step {n}"
+            )
+        running.append(b)
+        running_inv.append(np.linalg.inv(b))
+
+    # cross[(a, l)]: state(a)-nuisance(l) cross-information once nuisances
+    # before step l are eliminated; fill-in propagates forward only.
+    cross: dict[tuple[int, int], np.ndarray] = {}
+    for a in range(t):
+        cross[(a, a)] = _chain_part(chain.cross_same, a, chain.state_dim(a), chain.nuis_dim(a))
+    for n in range(t - 1):
+        step = running_inv[n] @ _chain_part(
+            chain.nuis_offdiag, n, chain.nuis_dim(n), chain.nuis_dim(n + 1)
+        )
+        for a in range(n + 1):
+            fill = -cross[(a, n)] @ step
+            if a == n:
+                fill = fill + _chain_part(
+                    chain.cross_next, n, chain.state_dim(n), chain.nuis_dim(n + 1)
+                )
+            cross[(a, n + 1)] = fill
+
+    weighted = {(a, l): cross[(a, l)] @ running_inv[l] for (a, l) in cross}
+    out: dict[tuple[int, int], np.ndarray] = {}
+    for n in range(t):
+        for m_ in range(n, t):
+            acc = np.zeros((chain.state_dim(n), chain.state_dim(m_)))
+            for l in range(m_, t):
+                acc -= weighted[(n, l)] @ cross[(m_, l)].T
+            if m_ == n:
+                acc = acc + np.asarray(chain.state_direct[n], dtype=float)
+                acc = 0.5 * (acc + acc.T)
+            out[(n, m_)] = acc
+    return out
+
+
+def _scatter(matrix: np.ndarray, ri: slice, ci: slice, block: np.ndarray) -> None:
+    matrix[ri, ci] += block
+    if ri != ci:
+        matrix[ci, ri] += block.T
+
+
+def bayesian_efim_by_scatter(
+    num_agents: int,
+    num_steps: int,
+    mobility: MobilityModel | None = None,
+    intra_chains: Mapping[int, ChainBlocks] | None = None,
+    pair_chains: Mapping[tuple[int, int], ChainBlocks] | None = None,
+) -> navinfo.BayesianEfim:
+    """Joint position EFIM with hidden-Markov measurement-parameter chains.
+
+    Each intra-node chain (key: agent) couples that agent's positions across
+    all step pairs once its nuisance sequence is eliminated. Each pairwise
+    chain (key: (agent, peer)) acts on the difference coordinate of the pair:
+    its contributions scatter positively onto both members' diagonals and
+    negatively between them; when the peer is an anchor only the agent side
+    has rows. Chain state slots must be 2-dimensional (positions).
+    """
+    coords = navinfo.position_coords(num_agents, num_steps)
+    dim = 2 * len(coords)
+    mob = np.zeros((dim, dim))
+    temp = np.zeros((dim, dim))
+    spat = np.zeros((dim, dim))
+
+    if mobility is not None:
+        diag = np.zeros((num_steps, 2 * num_agents, 2 * num_agents))
+        # added onto zeros, which turns the -0.0 between unlinked steps into +0.0
+        links = navinfo._mobility_links(mobility, diag)
+        mob += navinfo._lay_out(*navinfo._band_layout(diag, links))
+
+    def rows(k: int, n: int) -> slice:
+        i = 2 * (n * num_agents + k)
+        return slice(i, i + 2)
+
+    for k, chain in (intra_chains or {}).items():
+        navinfo._check_chain(chain, num_agents, num_steps, k)
+        for (n, m), g in eliminate_hmm_chain_forward(chain).items():
+            _scatter(temp, rows(k, n), rows(k, m), g)
+
+    for (k, peer), chain in (pair_chains or {}).items():
+        navinfo._check_chain(chain, num_agents, num_steps, k)
+        if peer == k:
+            raise ValueError("pair chain needs two distinct nodes")
+        if peer < 0:
+            raise ValueError(f"chain references unknown node {peer}")
+        for (n, m), g in eliminate_hmm_chain_forward(chain).items():
+            _scatter(spat, rows(k, n), rows(k, m), g)
+            if peer < num_agents:
+                _scatter(spat, rows(peer, n), rows(peer, m), g)
+                _scatter(spat, rows(k, n), rows(peer, m), -g)
+                if n != m:
+                    _scatter(spat, rows(peer, n), rows(k, m), -g)
+    return navinfo.BayesianEfim(coords, mob, temp, spat)

@@ -9,7 +9,12 @@ from navlim.blockfim import (
     eliminate_hmm_chain,
 )
 from navlim.navinfo import JointEfim, marginal_efim
-from oracles import dense_chain_reduction, random_chain, random_spd
+from oracles import (
+    dense_chain_reduction,
+    eliminate_hmm_chain_forward,
+    random_chain,
+    random_spd,
+)
 
 
 def inverse_block_oracle(full: np.ndarray, size: int) -> np.ndarray:
@@ -220,6 +225,91 @@ def test_chain_validates_lengths():
             state_direct=(np.eye(2),),
             nuis_diag=(np.eye(2), np.eye(2)),
         )
+
+
+def _block_rel(ours: np.ndarray, want: np.ndarray) -> float:
+    """Relative Frobenius difference of one block; 0 only for equal zero blocks."""
+    diff = float(np.linalg.norm(ours - want))
+    return diff / float(np.linalg.norm(want)) if diff else 0.0
+
+
+def test_chain_reduction_matches_the_forward_pass():
+    rng = np.random.default_rng(120)
+    for case in range(240):
+        chain = ChainBlocks(**random_chain(rng, max_steps=8, max_dim=3)[0])
+        ours = eliminate_hmm_chain(chain)
+        want = eliminate_hmm_chain_forward(chain)
+        assert list(ours) == list(want)
+        for key, block in want.items():
+            assert ours[key].shape == block.shape
+            assert _block_rel(ours[key], block) <= 1e-12, (case, key)
+
+
+def test_chain_without_optional_sequences_matches_the_forward_pass():
+    rng = np.random.default_rng(121)
+    blocks = random_chain(rng, steps=4, state_dim=2)[0]
+    for omitted in ("nuis_offdiag", "cross_same", "cross_next"):
+        chain = ChainBlocks(**{**blocks, omitted: ()})
+        want = eliminate_hmm_chain_forward(chain)
+        for key, block in eliminate_hmm_chain(chain).items():
+            assert _block_rel(block, want[key]) <= 1e-12, (omitted, key)
+
+
+def _chain_with(**parts) -> dict:
+    """Blocks of a valid 2-step chain (2-D states, 1-D nuisances), with
+    `parts` replaced."""
+    return {
+        "state_direct": (np.eye(2), np.eye(2)),
+        "nuis_diag": (np.eye(1), np.eye(1)),
+        "nuis_offdiag": (np.zeros((1, 1)),),
+        "cross_same": (np.zeros((2, 1)), np.zeros((2, 1))),
+        "cross_next": (np.zeros((2, 1)),),
+        **parts,
+    }
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ({"nuis_offdiag": (np.zeros((1, 1)),) * 2}, "nuis_offdiag length mismatch"),
+        ({"cross_same": (np.zeros((2, 1)),)}, "cross_same length mismatch"),
+        ({"cross_next": (np.zeros((2, 1)),) * 2}, "cross_next length mismatch"),
+        (
+            {"state_direct": (np.eye(2), np.ones((2, 1)))},
+            r"state_direct\[1\] has shape \(2, 1\), expected \(2, 2\)",
+        ),
+        (
+            {"nuis_diag": (np.eye(1), np.ones(1))},
+            r"nuis_diag\[1\] has shape \(1,\), expected \(1, 1\)",
+        ),
+        (
+            {"nuis_offdiag": (np.zeros((1, 2)),)},
+            r"nuis_offdiag\[0\] has shape \(1, 2\), expected \(1, 1\)",
+        ),
+        # a 1x1 block in a 2x1 slot would broadcast into both state rows
+        (
+            {"cross_same": (np.ones((1, 1)), np.zeros((2, 1)))},
+            r"cross_same\[0\] has shape \(1, 1\), expected \(2, 1\)",
+        ),
+        (
+            {"cross_next": (np.zeros((2, 2)),)},
+            r"cross_next\[0\] has shape \(2, 2\), expected \(2, 1\)",
+        ),
+    ],
+    ids=[
+        "offdiag-length",
+        "cross-same-length",
+        "cross-next-length",
+        "state-not-square",
+        "nuisance-not-square",
+        "offdiag-shape",
+        "cross-same-broadcast",
+        "cross-next-shape",
+    ],
+)
+def test_chain_rejects_blocks_that_do_not_fit_their_slots(parts, message):
+    with pytest.raises(ValueError, match=message):
+        ChainBlocks(**_chain_with(**parts))
 
 
 def test_block_diag():

@@ -406,6 +406,7 @@ def test_scenario_missing_file(tmp_path):
         {"seed": "abc"},
         {"intensities": {"lambda_kk": 1, "nu_kk": 1, "xi_kk": 5, "lambda_kj": 1}},  # not PSD
         {"step_cov": [[1.0, 0.0], [0.0, -1.0]]},
+        {"step_cov": [[1.0, 0.9], [0.0, 1.0]]},  # asymmetric
         {"step_cov": math.nan},
         {"step_cov": None},
         {"area": [10, "a"]},
@@ -425,6 +426,9 @@ def test_scenario_missing_file(tmp_path):
         {"seed": -1},
         {"agents": True},
         {"T": True},
+        {"intensities": {"lambda_kk": 1, "nu_kk": 1, "xi_kk": 0}},
+        {"anchors": [1, 2]},
+        {"connectivity": "partial"},
     ],
 )
 def test_scenario_bad_values_exit_2(tmp_path, capsys, patch):
@@ -442,6 +446,25 @@ def test_scenario_bad_values_exit_2(tmp_path, capsys, patch):
     assert cli.main(["ellipse", "--scenario", str(path), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([], "scenario file must hold a JSON object"),
+        (
+            {"area": [10, 10], "anchors": [], "agents": 1, "intensities": {}},
+            "scenario key 'T' is required",
+        ),
+    ],
+)
+def test_scenario_not_an_object_or_without_t_exits_2(tmp_path, capsys, spec, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert cli.main(["ellipse", "--scenario", str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -605,6 +628,38 @@ def test_zero_trials_exit_2_before_the_out_dir(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err == "error: trials must be >= 1\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep-time", "--steps", "5..3"], "empty range '5..3'"),
+        (["sweep-time", "--steps", "0..3"], "range '0..3' must start at 1 or more"),
+        (["sweep-nodes", "--agents", "0..3"], "range '0..3' must start at 1 or more"),
+        (["sweep-time", "--modes", "joint,joint"], "mode 'joint' is repeated"),
+        (["sweep-nodes", "--modes", "spatial_only, joint,spatial_only"], "mode 'spatial_only' is repeated"),
+        (["sweep-time", "--range-intensity", "-1"], "intensities must be >= 0"),
+    ],
+)
+def test_a_bad_sweep_argument_exits_2_before_the_out_dir(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "out"
+    assert cli.main(argv + ["--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_verify_zero_cases_exits_2(capsys):
+    assert cli.main(["verify", "--cases", "0"]) == 2
+    assert capsys.readouterr().err == "error: --cases must be >= 1\n"
+
+
+def test_a_single_step_count_gives_one_row_per_mode(tmp_path):
+    argv = ["sweep-time", "--trials", "2", "--steps", "7", "--agents", "2", "--anchors", "2"]
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "sweep_time.csv")
+    assert [(r["mode"], r["sweep_value"]) for r in rows] == [
+        (mode.value, "7") for mode in simkit.ALL_MODES
+    ]
 
 
 def test_a_lost_sweep_worker_exits_4_with_one_line(tmp_path, monkeypatch, capsys):

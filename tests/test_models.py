@@ -95,6 +95,25 @@ def test_range_model_validation():
         RangeModel(intensity=-1.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        range_intensity_from_sigmas,
+        range_intensity_via_reduction,
+        lambda sigma_range, sigma_bias: RangeModel(sigma_range=sigma_range, sigma_bias=sigma_bias),
+    ],
+    ids=["closed-form", "reduction", "range-model"],
+)
+@pytest.mark.parametrize(
+    "sigmas, message",
+    [((0.0, 0.1), "sigma_range must be positive"), ((0.5, -0.1), "sigma_bias must be >= 0")],
+    ids=["range", "bias"],
+)
+def test_sigma_checks(make, sigmas, message):
+    with pytest.raises(ValueError, match=message):
+        make(*sigmas)
+
+
 def test_range_model_table_override():
     model = RangeModel(intensity=5.0, table={(0, 1, 2): 7.0})
     assert model.intensity_at(0, 1, 2) == 7.0

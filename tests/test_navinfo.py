@@ -37,6 +37,7 @@ from navlim.simkit import ScenarioConfig, generate_scenario
 from oracles import (
     GaussianCase,
     band_matrix,
+    bayesian_efim_by_scatter,
     dense_position_fim,
     extend_carries_by_solve,
     mobility_blocks,
@@ -623,6 +624,28 @@ def test_independent_params_rejects_unknown_state_info_coordinates():
     for cell in ((2, 0), (-1, 0), (0, 3), (0, -1)):
         with pytest.raises(ValueError, match="unknown coordinate"):
             independent_params_efim(scenario, state_info={cell: np.eye(2)})
+
+
+def test_bayesian_chains_match_the_block_scatter():
+    rng = np.random.default_rng(64)
+    na, t = 12, 40
+
+    def chain():
+        return ChainBlocks(**random_chain(rng, steps=t, state_dim=2)[0])
+
+    intra = {k: chain() for k in range(na)}
+    # one pair chain to an agent, one to an anchor (node na + 1), one overlapping
+    pair = {(0, 5): chain(), (3, na + 1): chain(), (5, 3): chain()}
+    mobility = MobilityModel(np.array([[1.0, 0.2], [0.2, 0.5]]))
+    ours = bayesian_efim(na, t, mobility=mobility, intra_chains=intra, pair_chains=pair)
+    want = bayesian_efim_by_scatter(na, t, mobility=mobility, intra_chains=intra, pair_chains=pair)
+    assert ours.coords == want.coords
+    assert ours.mobility.tobytes() == want.mobility.tobytes()
+    for part in ("temporal", "spatial"):
+        a, b = (getattr(x, part).reshape(na * t, 2, na * t, 2) for x in (ours, want))
+        diff = np.linalg.norm(a - b, axis=(1, 3))
+        scale = np.linalg.norm(b, axis=(1, 3))
+        assert (diff <= 1e-12 * scale).all(), part
 
 
 def test_bayesian_rejects_chain_keys_outside_the_nodes():

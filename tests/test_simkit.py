@@ -3,6 +3,7 @@ import os
 import signal
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -58,6 +59,29 @@ def test_config_validation():
         ScenarioConfig(step_cov=-1.0)
     with pytest.raises(ConfigError):
         ScenarioConfig(connectivity=0.0)
+
+
+def test_config_takes_the_velocity_models_triple_rule():
+    # along * across - couple^2 is -1 ulp here: round-off, PSD to VelocityModel
+    triple = (0.18944723618090453, 5.278514588859416, 1.0)
+    VelocityModel(*triple)
+    ScenarioConfig(vel_along=triple[0], vel_across=triple[1], vel_couple=triple[2])
+    with pytest.raises(ValueError, match="must be PSD"):
+        VelocityModel(1.0, 1.0, 1.001)
+    with pytest.raises(ConfigError, match="must be PSD"):
+        ScenarioConfig(vel_along=1.0, vel_across=1.0, vel_couple=1.001)
+
+
+def test_config_rejects_an_asymmetric_step_cov():
+    with pytest.raises(ConfigError, match="symmetric PD 2x2"):
+        ScenarioConfig(step_cov=np.array([[1.0, 0.9], [0.0, 1.0]]))
+    ScenarioConfig(step_cov=np.array([[1.0, 0.9], [0.9, 1.0]]))
+
+
+@pytest.mark.parametrize("sweep", [sweep_time, partial(sweep_nodes, agent_counts=[1, 2])])
+def test_sweeps_reject_a_repeated_mode(sweep):
+    with pytest.raises(ConfigError, match="mode 'joint' is repeated"):
+        sweep(small_cfg(), modes=(CoopMode.JOINT, CoopMode.SPATIAL_ONLY, CoopMode.JOINT), trials=2)
 
 
 def test_generate_scenario_deterministic():
