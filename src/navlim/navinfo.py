@@ -12,7 +12,7 @@ matrix.
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +28,6 @@ from .geom2d import Eigen2, eigen2, r_cross, r_dir, unit_vector
 from .models import (
     MobilityModel,
     Scenario,
-    range_intensity_via_reduction,
     spatial_block,
     temporal_block,
 )
@@ -83,12 +82,14 @@ class JointEfim:
     builder's band layout instead (`_layout`: the first step, the diagonal
     blocks and the blocks between consecutive steps, about
     2 * T * (2 * Na)^2 doubles) and lays `matrix` out from it on first
-    read; the sweep reads never need it. On first use the EFIM caches its
-    block-tridiagonal domain check with its D and B blocks (`_tridiagonal`,
-    about 2 * T * (2 * Na)^2 doubles), and its reads keep the forward and
-    backward Schur carries they compute, at most 2 * T * (2 * Na)^2 doubles
-    more; a read that takes the dense path keeps the eigendecomposition of
-    the whole matrix (`_dense_eigh`, (2 * Na * T)^2 doubles more).
+    read; the sweep reads never need it. Only such an EFIM can be read by
+    the block-tridiagonal sweep: on first use it caches its domain check
+    with its D and B blocks (`_tridiagonal`, about 2 * T * (2 * Na)^2
+    doubles), and its reads keep the forward and backward Schur carries they
+    compute, at most 2 * T * (2 * Na)^2 doubles more. An EFIM built from a
+    bare matrix, and any read that takes the dense path, keeps the
+    eigendecomposition of the whole matrix (`_dense_eigh`, (2 * Na * T)^2
+    doubles more).
     """
 
     def __init__(self, coords: tuple[tuple[int, int], ...], matrix: np.ndarray):
@@ -128,15 +129,6 @@ class JointEfim:
             raise ValueError(f"unknown coordinates: {[(agent, step)]}")
         i = self._pos[(agent, step)]
         return slice(2 * i, 2 * i + 2)
-
-    @property
-    def _bands(self) -> tuple[int, np.ndarray, np.ndarray] | None:
-        """(first step, D, B) of the builder's layout, symmetrized as
-        `_scan_bands` reads them off the matrix; None without a layout."""
-        if self._layout is None:
-            return None
-        start, d, upper = self._layout
-        return start, *_symmetric_bands(d, upper, upper.transpose(0, 2, 1))
 
     @cached_property
     def _tridiagonal(self) -> tuple[int, np.ndarray, np.ndarray, list, list] | None:
@@ -326,9 +318,10 @@ def independent_params_efim(
     """Joint position EFIM when measurement parameters are independent across
     time and of the positions.
 
-    Every measurement then contributes only within its own time step: the
-    ranging intensity of each pair is obtained by eliminating the
-    prior-augmented bias from the pair's (distance, bias) information, and
+    Every measurement then contributes only within its own time step: each
+    pair ranges with its `scenario.weights` intensity (for a sigma
+    `RangeModel`, the pair's (distance, bias) information with the
+    prior-augmented bias eliminated, 1 / (sigma_range^2 + sigma_bias^2)), and
     intra-node measurements enter as ready per-(agent, step) 2x2 blocks in
     `state_info`. The mobility prior, when present, keeps its usual
     consecutive-step stripe.
@@ -343,12 +336,6 @@ def independent_params_efim(
         )
     geom = scenario.geometry
     na, t = geom.num_agents, geom.num_steps
-    model = scenario.range_model
-    if model is not None and model.sigma_range is not None:
-        # pairs without a table entry take the intensity of the reduction
-        intensity = range_intensity_via_reduction(model.sigma_range, model.sigma_bias)
-        model = replace(model, intensity=intensity, sigma_range=None)
-        scenario = replace(scenario, range_model=model)
     diag = _scenario_spatial(scenario, 0, t)
     for (k, n), blk in (state_info or {}).items():
         if not (0 <= k < na and 0 <= n < t):
@@ -435,13 +422,15 @@ def marginal_efim(j: JointEfim, keep: Iterable[tuple[int, int]]) -> JointEfim:
     """Reduce the joint EFIM onto a subset of (agent, step) coordinates,
     preserving their inverse-information block.
 
-    When `keep` is every agent over a contiguous step window and `j` is in
-    the block-tridiagonal domain (see `_tridiagonal_blocks`), the steps
-    outside the window are eliminated by forward and backward Schur sweeps
-    in O(T * Na^3), which extend the carries earlier reads of `j` left; the
-    window's interior blocks are copied unchanged. Every
-    other input eliminates the dropped coordinates in one dense reduction,
-    O((Na * T)^3) (see `_dense_marginal_efim`).
+    When `keep` is every agent over a contiguous step window and `j` is a
+    builder's EFIM in the block-tridiagonal domain (see
+    `_tridiagonal_blocks`), the steps outside the window are eliminated by
+    forward and backward Schur sweeps in O(T * Na^3), which extend the
+    carries earlier reads of `j` left; the window's interior blocks are
+    copied unchanged. Every other input, a bare matrix included, eliminates
+    the dropped coordinates in one dense reduction, O((Na * T)^3) (see
+    `_dense_marginal_efim`). The result holds a bare matrix, so its own
+    reads are dense.
     """
     keep_set = set(keep)
     unknown = keep_set.difference(j.coords)
@@ -480,59 +469,22 @@ def _tridiagonal_blocks(j: JointEfim) -> tuple[int, np.ndarray, np.ndarray] | No
     run on, else None. D[n] is the symmetrized diagonal block of step n and
     B[n] the block between steps n and n+1, each 2Na x 2Na.
 
-    The domain, all visible from the input: the coords are in time-major
-    `position_coords` order; the matrix is bitwise zero beyond adjacent
-    steps; every inter-step block is negative definite; and the
-    time-collapsed matrix sum_{n,m} J_nm has a scaled smallest eigenvalue
-    above _COLLAPSED_MIN_EIG. For an EFIM of per-step information plus
-    links between consecutive steps these hold exactly when J is positive
-    definite: a null vector of such a J shifts every step by the same u,
-    and u is then a null vector of the collapsed matrix. The sweep's
-    Cholesky factors confirm it. Matrices of at most _SWEEP_MIN_DIM rows
-    stay dense.
-
-    The blocks come from `j._bands` where the builder handed them over (an
-    `assemble_position_efim` EFIM: its coords and banding hold by
-    construction), else from `_scan_bands`, which checks the coords and
-    reads the whole matrix. Either way `_check_bands` then decides the
-    numerical part of the domain.
+    The domain: `j` holds a builder's band layout (`_layout`, from
+    `assemble_position_efim` or `independent_params_efim`: time-major
+    `position_coords` and zeros beyond adjacent steps by construction); it
+    has more than _SWEEP_MIN_DIM rows; every inter-step block is negative
+    definite; and the time-collapsed matrix sum_{n,m} J_nm has a scaled
+    smallest eigenvalue above _COLLAPSED_MIN_EIG (`_check_bands`). For an
+    EFIM of per-step information plus links between consecutive steps the
+    last two hold exactly when J is positive definite: a null vector of
+    such a J shifts every step by the same u, and u is then a null vector
+    of the collapsed matrix. The sweep's Cholesky factors confirm it. A
+    `JointEfim` built from a bare matrix is always read densely.
     """
-    if 2 * len(j.coords) <= _SWEEP_MIN_DIM:
+    if j._layout is None or 2 * len(j.coords) <= _SWEEP_MIN_DIM:
         return None
-    bands = j._bands or _scan_bands(j)
-    return None if bands is None else _check_bands(*bands)
-
-
-def _symmetric_bands(
-    diag: np.ndarray, upper: np.ndarray, lower: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(D, B) of a block-tridiagonal matrix from its diagonal blocks and the
-    blocks above (upper[n]: steps n, n+1) and below (lower[n]: n+1, n) it."""
-    return 0.5 * (diag + diag.transpose(0, 2, 1)), 0.5 * (upper + lower.transpose(0, 2, 1))
-
-
-def _scan_bands(j: JointEfim) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """(first step, D, B) read off the matrix, or None unless the coords are
-    in `position_coords` order and the matrix is bitwise zero beyond
-    adjacent steps."""
-    coords = j.coords
-    start = coords[0][1]
-    na = sum(1 for _, n in coords if n == start)
-    steps = len(coords) // na
-    if coords != position_coords(na, start + steps, start):
-        return None
-    b = 2 * na
-    for n in range(steps):
-        row = j.matrix[n * b : (n + 1) * b]
-        if row[:, : max(n - 1, 0) * b].any() or row[:, (n + 2) * b :].any():
-            return None
-    blocks = j.matrix.reshape(steps, b, steps, b)
-    idx = np.arange(steps)
-    return start, *_symmetric_bands(
-        blocks[idx, :, idx, :],
-        blocks[idx[:-1], :, idx[1:], :],
-        blocks[idx[1:], :, idx[:-1], :],
-    )
+    start, d, upper = j._layout
+    return _check_bands(start, 0.5 * (d + d.transpose(0, 2, 1)), upper)
 
 
 def _check_bands(
@@ -601,12 +553,9 @@ def _sweep_window(j: JointEfim, lo: int, hi: int) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         return None
     size = d.shape[1]
-    if j._layout is None:
-        rows = slice(lo * size, (hi + 1) * size)
-        out = j.matrix[rows, rows].copy()
-    else:  # the same bytes, without laying out the whole matrix
-        _, diag, upper = j._layout
-        out = _lay_out(diag[lo : hi + 1], upper[lo:hi])
+    _, diag, upper = j._layout
+    # the bytes of a slice of the dense matrix, without laying it out
+    out = _lay_out(diag[lo : hi + 1], upper[lo:hi])
     out[:size, :size] -= head
     out[-size:, -size:] -= tail
     return 0.5 * (out + out.T)
@@ -682,9 +631,12 @@ def distributed_carry_over(
     na = len(k_now)
     if len(carry_prev) != na:
         raise ValueError("carry_prev and k_now must list the same agents")
-    total = np.asarray(s_prev_full, dtype=float) + block_diag(list(carry_prev))
-    if total.shape != (2 * na, 2 * na):
+    if any(np.shape(block) != (2, 2) for block in (*carry_prev, *k_now)):
+        raise ValueError("carry_prev and k_now blocks must be 2x2")
+    s_prev_full = np.asarray(s_prev_full, dtype=float)
+    if s_prev_full.shape != (2 * na, 2 * na):
         raise ValueError("s_prev_full must cover all agents of one step")
+    total = s_prev_full + block_diag(list(carry_prev))
     return [
         carry_over_step(np.asarray(k_now[k], dtype=float), individual)
         for k, individual in enumerate(individual_efims(total))
@@ -846,14 +798,14 @@ def speb_with_rank(j: JointEfim, agent: int, step: int) -> tuple[float, int]:
     reports how many null directions the matrix has.
 
     Inside the block-tridiagonal domain (see `_tridiagonal_blocks`: a
-    positive definite, time-banded EFIM in `position_coords` order) the
-    bound and the null count are read from the step's marginal 2Na x 2Na
-    EFIM, D_n - B_{n-1}^T F_{n-1}^-1 B_{n-1} - B_n G_{n+1}^-1 B_n^T, built
-    by forward and backward Schur sweeps in O(T * Na^3) that extend the
+    positive definite EFIM from a builder's band layout) the bound and the
+    null count are read from the step's marginal 2Na x 2Na EFIM,
+    D_n - B_{n-1}^T F_{n-1}^-1 B_{n-1} - B_n G_{n+1}^-1 B_n^T, built by
+    forward and backward Schur sweeps in O(T * Na^3) that extend the
     carries earlier reads of `j` left, so reading every bound of `j` costs
-    O(T * Na^3) in all. Every other input, singular or not banded, takes one
-    dense eigendecomposition of the whole matrix, O((Na * T)^3), which `j`
-    keeps for its later reads.
+    O(T * Na^3) in all. Every other input, singular or a bare matrix, takes
+    one dense eigendecomposition of the whole matrix, O((Na * T)^3), which
+    `j` keeps for its later reads.
     """
     rows = j.rows(agent, step)
     window = _sweep_window(j, step, step)

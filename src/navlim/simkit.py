@@ -385,11 +385,16 @@ def check_trials(trials: int) -> None:
         raise ConfigError("trials must be >= 1")
 
 
+def _check_unique(what: str, values) -> None:
+    """ConfigError if one of a sweep's values repeats: its rows would be
+    written twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{what} {value!r} is repeated")
+
+
 def _check_modes(modes) -> None:
-    """ConfigError if a sweep's mode repeats: its rows would be written twice."""
-    for i, mode in enumerate(modes):
-        if mode in modes[:i]:
-            raise ConfigError(f"mode {mode.value!r} is repeated")
+    _check_unique("mode", [mode.value for mode in modes])
 
 
 def _chunk_means(cfg, entropies, modes, horizons):
@@ -510,7 +515,8 @@ def sweep_time(cfg: ScenarioConfig, steps=None, modes=ALL_MODES, trials: int = 5
     step_list = list(steps) if steps is not None else list(range(1, cfg.num_steps + 1))
     if not step_list or min(step_list) < 1 or max(step_list) > cfg.num_steps:
         raise ConfigError("step counts must fall in 1..num_steps")
-    horizons = sorted(set(step_list))
+    _check_unique("step count", step_list)
+    horizons = sorted(step_list)
     points = [(cfg, ())] if cfg.num_agents else []
     per_point, failed = _sweep(cfg, points, modes, trials, horizons)
     row = {v: i for i, v in enumerate(horizons)}
@@ -528,6 +534,7 @@ def sweep_nodes(cfg: ScenarioConfig, agent_counts, modes=ALL_MODES, trials: int 
     counts = list(agent_counts)
     if not counts or min(counts) < 1:
         raise ConfigError("agent counts must be >= 1")
+    _check_unique("agent count", counts)
     points = [(replace(cfg, num_agents=count), (count,)) for count in counts]
     per_point, failed = _sweep(cfg, points, modes, trials, (cfg.num_steps,))
     table = SpebTable(failed_trials=failed)

@@ -4,6 +4,7 @@ import math
 import os
 import signal
 import warnings
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -246,6 +247,25 @@ def test_svg_emission_leaves_csv_identical(tmp_path):
     ).read_bytes()
     svg = (tmp_path / "both/sweep_time.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+@pytest.mark.parametrize(
+    "extra, series",
+    [
+        (["--steps", "5", "--agents", "2", "--anchors", "2"], 3),  # one x value
+        (["--steps", "5", "--agents", "2", "--anchors", "2", "--modes", "joint"], 1),  # flat
+        (["--steps", "1..3", "--agents", "1", "--anchors", "1"], 2),  # spatial_only all inf
+    ],
+)
+def test_svg_of_a_degenerate_sweep_is_well_formed(tmp_path, extra, series):
+    args = ["sweep-time", "--trials", "3", "--seed", "2", "--emit", "svg"]
+    assert cli.main(args + extra + ["--out-dir", str(tmp_path)]) == 0
+    root = ElementTree.parse(tmp_path / "sweep_time.svg").getroot()
+    lines = root.findall("{http://www.w3.org/2000/svg}polyline")
+    assert len(lines) == series
+    for line in lines:
+        coords = [float(v) for point in line.get("points").split() for v in point.split(",")]
+        assert all(0.0 <= v <= 640.0 for v in coords)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,12 @@ def test_temporal_block_zero_displacement():
         velocity_block(geom, 0, 1, VelocityModel(5.0, 4.0))
 
 
+def test_temporal_block_needs_a_transition_into_a_later_step():
+    paths = np.zeros((1, 1, 2, 2))
+    with pytest.raises(ValueError, match=r"^step displacement needs n >= 1$"):
+        temporal_block(paths, np.ones((1, 1, 1, 3)), first=0)
+
+
 def test_velocity_model_psd_validation():
     with pytest.raises(ValueError):
         VelocityModel(1.0, 1.0, 2.0)
@@ -267,8 +273,27 @@ def test_mobility_scalar_covariance_promoted():
     np.testing.assert_array_equal(model.step_cov, 2.0 * np.eye(2))
 
 
+def test_mobility_rejects_a_step_cov_that_is_neither_scalar_nor_2x2():
+    with pytest.raises(ValueError, match=r"^step_cov must be scalar or 2x2$"):
+        MobilityModel(np.array([1.0, 0.0, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # geometry and scenario plumbing
+
+
+@pytest.mark.parametrize(
+    "paths, num_agents, message",
+    [
+        (np.zeros((2, 3)), 1, "paths must have shape"),
+        (np.zeros((2, 3, 3)), 1, "paths must have shape"),
+        (np.zeros((2, 3, 2)), 3, "num_agents out of range"),
+        (np.zeros((2, 3, 2)), -1, "num_agents out of range"),
+    ],
+)
+def test_geometry_validation(paths, num_agents, message):
+    with pytest.raises(ValueError, match=message):
+        ScenarioGeometry(paths, num_agents=num_agents)
 
 
 def test_geometry_properties():
@@ -306,6 +331,12 @@ def test_scenario_validation():
         Scenario(geometry=geom, pairs=(((1, 0),),))  # k >= j
     with pytest.raises(ValueError):
         Scenario(geometry=geom, pairs=((),), priors=((5, 0, np.eye(2)),))
+    with pytest.raises(ValueError, match=r"^prior at unknown step 1$"):
+        Scenario(geometry=geom, pairs=((),), priors=((0, 1, np.eye(2)),))
+    with pytest.raises(ValueError, match=r"^prior blocks must be 2x2$"):
+        Scenario(geometry=geom, pairs=((),), priors=((0, 0, np.eye(3)),))
+    with pytest.raises(ValueError, match=r"^pairs must be \(k, j\) index tuples$"):
+        Scenario(geometry=geom, pairs=(((0, 1, 0),),))
 
 
 def _radius_pairs_per_pair(paths, num_agents, radius):

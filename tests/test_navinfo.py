@@ -34,6 +34,7 @@ from navlim.navinfo import (
     temporal_step_blocks,
 )
 from navlim.simkit import ScenarioConfig, generate_scenario
+from perfbench.workloads import DENSE_BOUND
 from oracles import (
     GaussianCase,
     band_matrix,
@@ -278,6 +279,20 @@ def test_distributed_single_agent_equals_centralized():
     np.testing.assert_allclose(dist[0], central, rtol=1e-10)
 
 
+def test_distributed_carry_over_rejects_mismatched_inputs():
+    k, s = np.eye(2), np.eye(4)
+    with pytest.raises(ValueError, match="must list the same agents"):
+        distributed_carry_over(s, [np.zeros((2, 2))], [k, k])
+    # blocks that fill the right total size but not one agent each
+    with pytest.raises(ValueError, match="blocks must be 2x2"):
+        distributed_carry_over(s, [np.eye(3), np.eye(1)], [k, k])
+    with pytest.raises(ValueError, match="blocks must be 2x2"):
+        distributed_carry_over(s, [np.zeros((2, 2))] * 2, [np.eye(3), np.eye(1)])
+    # a 3-agent step matrix for 2 agents: the check, not a broadcast error
+    with pytest.raises(ValueError, match="must cover all agents of one step"):
+        distributed_carry_over(np.eye(6), [np.zeros((2, 2))] * 2, [k, k])
+
+
 def test_distributed_block_diagonal_equals_centralized():
     rng = np.random.default_rng(34)
     ks = [_random_spd2(rng) for _ in range(3)]
@@ -358,6 +373,14 @@ def test_weighted_sum_random_reconstruction():
         recon = split.w_spatial * s + split.w_temporal * k
         direct = carry_over_step(k, s)
         assert rel_frobenius(recon, direct) < 1e-10
+
+
+def test_split_closed_forms_reject_a_singular_sum():
+    along = r_dir(0.0)  # both ingredients inform the x axis only
+    with pytest.raises(ValueError, match=r"^singular sum: \|S \+ K\| = 0$"):
+        decompose_weighted_sum(along, along)
+    with pytest.raises(ValueError, match=r"^singular sum$"):
+        axes_coupling_closed_form(Eigen2(3.0, 0.0, 0.0), along)
 
 
 def test_axes_coupling_vanishes_for_isotropic_spatial():
@@ -657,6 +680,20 @@ def test_bayesian_rejects_chain_keys_outside_the_nodes():
         bayesian_efim(2, 3, pair_chains={(-1, 0): chain})
     with pytest.raises(ValueError, match="unknown node"):
         bayesian_efim(2, 3, pair_chains={(0, -1): chain})
+    with pytest.raises(ValueError, match="two distinct nodes"):
+        bayesian_efim(2, 3, pair_chains={(1, 1): chain})
+
+
+def test_bayesian_rejects_chains_that_do_not_fit_the_positions():
+    rng = np.random.default_rng(65)
+    longer = ChainBlocks(**random_chain(rng, steps=4, state_dim=2)[0])
+    scalar = ChainBlocks(**random_chain(rng, steps=3, state_dim=1)[0])
+    for chains in ({"intra_chains": {0: longer}}, {"pair_chains": {(0, 1): longer}}):
+        with pytest.raises(ValueError, match="chain length must equal the number of steps"):
+            bayesian_efim(2, 3, **chains)
+    for chains in ({"intra_chains": {0: scalar}}, {"pair_chains": {(0, 1): scalar}}):
+        with pytest.raises(ValueError, match="state slots must be 2-D positions"):
+            bayesian_efim(2, 3, **chains)
 
 
 def test_independent_params_rejects_velocity():
@@ -744,6 +781,15 @@ def test_marginal_rejects_unknown_coordinates():
 def test_joint_efim_rejects_duplicate_coordinates():
     with pytest.raises(ValueError, match="duplicate coordinate"):
         navinfo.JointEfim(((0, 0), (0, 0)), np.eye(4))
+
+
+def test_joint_efim_rejects_a_matrix_of_the_wrong_size_and_any_attribute_write():
+    with pytest.raises(ValueError, match="matrix size does not match coordinate list"):
+        navinfo.JointEfim(((0, 0), (1, 0)), np.eye(2))
+    j = navinfo.JointEfim(((0, 0),), np.eye(2))
+    with pytest.raises(AttributeError, match="immutable"):
+        j.coords = ((1, 0),)
+    assert j.coords == ((0, 0),)
 
 
 def test_individual_efims_match_inverse_blocks():
@@ -866,6 +912,17 @@ def test_sweep_runs_at_full_size_without_dense_solves(monkeypatch):
     assert max(sizes) == 24
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_dense_bound_ops_pass_the_benchmarks_output_check(seed):
+    # the benchmark's 12 agents x 40 steps at a 10 m radius, over more seeds
+    # than its runs pick, bounded and checked as a timed op is
+    cfg = DENSE_BOUND.scenario_config(seed)
+    for index in range(3):
+        number = DENSE_BOUND.scenario_number(seed, index)
+        output = DENSE_BOUND.bound(generate_scenario(cfg, (number,))).tobytes()
+        assert DENSE_BOUND.check_op(seed, number, output) == []
+
+
 def singular_or_unbanded_efim(kind):
     if kind == "anchorless":
         return assemble_position_efim(
@@ -931,31 +988,20 @@ def test_each_efim_checks_its_domain_once(monkeypatch, kind):
         j = assemble_position_efim(generate_scenario(cfg))
     else:
         j = singular_or_unbanded_efim(kind)
-    checks, scans = [], []
-    real_check, real_scan = navinfo._check_bands, navinfo._scan_bands
+    checks = []
+    real_check = navinfo._check_bands
 
     def check(start, d, b):
         checks.append(d)
         return real_check(start, d, b)
 
-    def scan(efim):
-        scans.append(efim)
-        return real_scan(efim)
-
     monkeypatch.setattr(navinfo, "_check_bands", check)
-    monkeypatch.setattr(navinfo, "_scan_bands", scan)
-    bare = navinfo.JointEfim(j.coords, j.matrix)
     steps = sorted({n for _, n in j.coords})
-    # the assembled EFIM brings its blocks, one built from a bare matrix scans once
-    for efim, scanned in ((j, []), (bare, [bare])):
-        checks.clear()
-        scans.clear()
-        read_bound_or_window(efim, "window", steps[-1], steps[-1])
-        for k, n in efim.coords:
-            speb_with_rank(efim, k, n)
-        assert len(checks) == 1
-        assert scans == scanned
-        assert (efim._tridiagonal is not None) == (kind == "banded")
+    read_bound_or_window(j, "window", steps[-1], steps[-1])
+    for k, n in j.coords:
+        speb_with_rank(j, k, n)
+    assert len(checks) == 1
+    assert (j._tridiagonal is not None) == (kind == "banded")
 
 
 @st.composite
@@ -982,27 +1028,63 @@ def independent_efims(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(st.one_of(banded_efims(), independent_efims()), st.sampled_from([None, 0, 10**6]))
-def test_builder_blocks_equal_the_scanned_blocks(case, min_dim):
+def test_builder_efims_check_their_layout_at_the_cutoff_of_the_read(case, min_dim):
     j, _, _, _ = case
     default_min_dim = navinfo._SWEEP_MIN_DIM
-    bare = navinfo.JointEfim(j.coords, j.matrix)
-    assert bare._bands is None
-    start, d, b = j._bands
-    want_start, want_d, want_b = navinfo._scan_bands(bare)
-    assert start == want_start
-    assert d.tobytes() == want_d.tobytes() and d.shape == want_d.shape
-    assert b.tobytes() == want_b.tobytes() and b.shape == want_b.shape
     with pytest.MonkeyPatch.context() as mp:
         if min_dim is not None:  # patched after j was built
             mp.setattr(navinfo, "_SWEEP_MIN_DIM", min_dim)
-        got, want = j._tridiagonal, bare._tridiagonal
-    assert (got is None) == (want is None)
+        got = j._tridiagonal
     if 2 * len(j.coords) <= (default_min_dim if min_dim is None else min_dim):
         assert got is None
-    if want is not None:
-        assert got[0] == want[0]
-        assert got[1].tobytes() == want[1].tobytes()
-        assert got[2].tobytes() == want[2].tobytes()
+    if got is not None:
+        # the layout's diagonal blocks symmetrized, its links as they are
+        start, d, upper = j._layout
+        assert got[0] == start
+        assert got[1].tobytes() == (0.5 * (d + d.transpose(0, 2, 1))).tobytes()
+        assert got[2].tobytes() == upper.tobytes()
+
+
+def test_a_bare_copy_of_a_builder_efim_is_read_densely_with_the_same_bounds(monkeypatch):
+    cfg = ScenarioConfig(num_agents=12, num_anchors=4, num_steps=40, connectivity=10.0, seed=3)
+    j = assemble_position_efim(generate_scenario(cfg, (0,)))
+    bare = navinfo.JointEfim(j.coords, j.matrix)
+    assert j._tridiagonal is not None
+    assert bare._tridiagonal is None
+
+    def no_sweep(*args):
+        raise AssertionError("a bare matrix reached the sweep")
+
+    monkeypatch.setattr(navinfo, "_extend_carries", no_sweep)
+    last = [(k, 39) for k in range(12)]
+    got, got_final = [speb(bare, 0, n) for n in range(40)], marginal_efim(bare, last).matrix
+    monkeypatch.undo()
+    want, want_final = [speb(j, 0, n) for n in range(40)], marginal_efim(j, last).matrix
+    assert_bounds_agree(got, want)
+    assert np.linalg.norm(got_final - want_final) <= 1e-9 * np.linalg.norm(want_final)
+    assert_bounds_agree(block_spebs(got_final), block_spebs(want_final))
+
+
+def test_links_that_are_not_negative_definite_fail_the_check_and_read_densely(monkeypatch):
+    # rank-1 velocity blocks: the inter-step links are only semidefinite
+    cfg = ScenarioConfig(num_agents=5, num_anchors=4, num_steps=10, vel_across=0.0, seed=8)
+    j = assemble_position_efim(generate_scenario(cfg))
+    assert 2 * len(j.coords) > navinfo._SWEEP_MIN_DIM
+    failed = []
+    real_cholesky = np.linalg.cholesky
+
+    def cholesky(a, *args, **kwargs):
+        try:
+            return real_cholesky(a, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            failed.append(np.shape(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    assert j._tridiagonal is None
+    assert failed == [(9, 10, 10)]  # the check's one stacked factor of the links
+    for k, n in j.coords:
+        assert speb_with_rank(j, k, n) == dense_speb_with_rank(j, k, n)
 
 
 def test_every_bound_costs_one_forward_and_one_backward_pass(monkeypatch):
@@ -1055,7 +1137,7 @@ def test_reused_efim_reads_the_bytes_of_a_fresh_one(case, data):
         for kind, a, b in reads:
             if kind == "window":
                 b = min(a + b, j.coords[-1][1])
-            fresh = navinfo.JointEfim(j.coords, j.matrix)
+            fresh = navinfo.JointEfim._from_layout(*j._layout)
             assert read_bound_or_window(j, kind, a, b) == read_bound_or_window(fresh, kind, a, b)
 
 
@@ -1154,7 +1236,7 @@ def test_sweep_reads_never_lay_out_the_dense_matrix(monkeypatch, builder):
 def solve_oracle_window(j, lo, hi):
     """The sweep's marginal EFIM of all agents over steps lo..hi, its
     carries from `extend_carries_by_solve`."""
-    start, d, b = j._bands
+    start, d, b = j._tridiagonal[:3]
     lo, hi = lo - start, hi - start
     zero = np.zeros_like(d[0])
     head = extend_carries_by_solve([zero], d, b, lo)
@@ -1203,9 +1285,10 @@ def test_a_read_whose_last_schur_complement_is_indefinite_takes_the_dense_path()
     last = {(k, 11) for k in range(4)}
     # the last step's Schur complement, shifted to one negative eigenvalue
     shift = 1.5 * np.linalg.eigvalsh(navinfo._dense_marginal_efim(good, last).matrix)[0]
-    matrix = good.matrix.copy()
-    matrix[-8:, -8:] -= shift * np.eye(8)
-    j = navinfo.JointEfim(good.coords, matrix)
+    start, d, upper = good._layout
+    d = d.copy()
+    d[-1] -= shift * np.eye(8)
+    j = navinfo.JointEfim._from_layout(start, d, upper)
     assert j._tridiagonal is not None  # the domain check passes
     got = marginal_efim(j, last)
     assert got.matrix.tobytes() == navinfo._dense_marginal_efim(j, last).matrix.tobytes()

@@ -229,13 +229,15 @@ def test_sweep_time_step_subset(monkeypatch):
     full = {(r.mode, r.sweep_value): r for r in sweep_time(cfg, trials=12).rows}
     per_horizon = seen.copy()
     assert len(per_horizon) == 4
-    for steps in ([2, 4], [4], [1], [3, 1, 3]):
+    for steps in ([2, 4], [4], [1], [3, 1]):
         seen.clear()
         table = sweep_time(cfg, steps=steps, trials=12)
-        assert seen == [per_horizon[h - 1] for h in sorted(set(steps))]
+        assert seen == [per_horizon[h - 1] for h in sorted(steps)]
         assert len(table.rows) == len(ALL_MODES) * len(steps)
         for row in table.rows:
             assert row == full[(row.mode, row.sweep_value)]
+    with pytest.raises(ConfigError, match=r"^step count 3 is repeated$"):
+        sweep_time(cfg, steps=[3, 1, 3], trials=2)
     with pytest.raises(ConfigError):
         sweep_time(cfg, steps=[0], trials=2)
     with pytest.raises(ConfigError):
@@ -258,6 +260,26 @@ def test_sweep_nodes_rows():
     assert len(table.rows) == 3 * 2
     values = {(r.mode, r.sweep_value) for r in table.rows}
     assert ("joint", 1) in values and ("joint", 2) in values
+
+
+def test_sweep_nodes_rejects_repeated_and_nonpositive_agent_counts(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("a rejected sweep ran")
+
+    monkeypatch.setattr(simkit, "_sweep", no_sweep)
+    with pytest.raises(ConfigError, match=r"^agent count 2 is repeated$"):
+        sweep_nodes(small_cfg(), [2, 2], trials=3)
+    with pytest.raises(ConfigError, match=r"^agent counts must be >= 1$"):
+        sweep_nodes(small_cfg(), [0], trials=3)
+
+
+def test_lookup_of_a_missing_row_is_a_key_error():
+    table = SpebTable(rows=[SpebRow("joint", 2, 1.0, 0.1, 4)])
+    assert table.lookup(CoopMode.JOINT, 2) is table.rows[0]
+    with pytest.raises(KeyError):
+        table.lookup(CoopMode.JOINT, 3)
+    with pytest.raises(KeyError):
+        table.lookup(CoopMode.SPATIAL_ONLY, 2)
 
 
 def test_sweep_failure_counting_and_threshold(monkeypatch):

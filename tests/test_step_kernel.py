@@ -18,7 +18,6 @@ from navlim.models import (
     RangeModel,
     Scenario,
     VelocityModel,
-    range_intensity_via_reduction,
 )
 from navlim.navinfo import (
     assemble_position_efim,
@@ -176,11 +175,7 @@ def test_independent_params_efim_is_bytewise_the_scatter_reference(case, mobilit
     scenario = replace(scenario, velocity_model=None, mobility=mobility)
     na, t = scenario.geometry.num_agents, scenario.geometry.num_steps
     state_info = data.draw(state_infos(na, t))
-    model = scenario.range_model
-    if model.sigma_range is not None:
-        intensity = range_intensity_via_reduction(model.sigma_range, model.sigma_bias)
-        model = replace(model, intensity=intensity, sigma_range=None)
-    spatial = scatter_spatial_matrices(replace(scenario, range_model=model), 0, t)
+    spatial = scatter_spatial_matrices(scenario, 0, t)
     want = band_matrix(spatial, np.zeros((max(t - 1, 0), *spatial.shape[1:])))
     for (k, n), blk in state_info.items():
         rows = slice(2 * (n * na + k), 2 * (n * na + k) + 2)
