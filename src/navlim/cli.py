@@ -442,6 +442,8 @@ def _sweep_svg(table, x_label: str, width: int = 640, height: int = 420) -> str:
 
 def _ellipse_svg(scenario: Scenario, rows, width: int = 640, height: int = 640) -> str:
     geom = scenario.geometry
+    if not geom.num_nodes:  # an empty figure, as `_sweep_svg` draws without finite rows
+        return _svg_header(width, height) + "</svg>\n"
     margin = 40
     pts = geom.paths.reshape(-1, 2)
     lo = pts.min(axis=0) - 1.0

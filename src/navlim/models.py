@@ -266,10 +266,12 @@ class Scenario:
     k < j and k an agent. `priors` adds explicit 2x2 information blocks at
     (agent, step) coordinates, e.g. to pin a node.
 
-    Construction resolves the models into read-only kernel inputs: the
-    `spatial_block` weights (T, Na, nodes), a pair listed twice counting
-    twice, and the `temporal_block` coeffs (T-1, Na, 3) of the transitions
-    into steps 1..T-1, zero without a velocity model.
+    Construction, and `dataclasses.replace`, check the listing and resolve
+    it and the models into read-only kernel inputs: the `spatial_block`
+    weights (T, Na, nodes), a pair listed twice counting twice, and the
+    `temporal_block` coeffs (T-1, Na, 3) of the transitions into steps
+    1..T-1, zero without a velocity model. `simkit.build_scenario` hands
+    over inputs it resolved from its measured mask instead (`_resolved`).
     """
 
     geometry: ScenarioGeometry
@@ -314,12 +316,22 @@ class Scenario:
                 (t, na, nodes),
             )
             weights = np.bincount(cells, np.concatenate([lam, lam[peer]]), t * na * nodes)
+            weights = weights.astype(float, copy=False)  # int64 when no pair is listed
         coeffs = np.zeros((max(t - 1, 0), na, 3))
         if self.velocity_model is not None:
             coeffs = self.velocity_model.coeffs_at(np.arange(na), np.arange(1, t)[:, None])
         for name, array in (("weights", weights.reshape(t, na, nodes)), ("coeffs", coeffs)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+
+    @classmethod
+    def _resolved(cls, weights: np.ndarray, coeffs: np.ndarray, **fields) -> "Scenario":
+        """The scenario of the init `fields` whose read-only kernel inputs
+        are given: they must be what construction resolves from `pairs`,
+        which is neither checked nor read."""
+        s = object.__new__(cls)
+        s.__dict__.update(priors=(), **fields, weights=weights, coeffs=coeffs)
+        return s
 
 
 def _pair_index(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
 from itertools import compress
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -93,7 +94,8 @@ class ScenarioConfig:
     walk with per-step covariance `step_cov` (m^2, scalar means isotropic);
     anchors are placed uniformly and stay put. Intensities are in m^-2.
     `connectivity` is None for a fully measured network or a ranging radius
-    in meters. `seed` is a non-negative integer.
+    in meters. The counts and `seed` are integers (not bools), `seed`
+    non-negative.
     """
 
     area: tuple[float, float] = (20.0, 20.0)
@@ -109,6 +111,10 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_agents", "num_anchors", "num_steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         reals = ("area", "step_cov", "vel_along", "vel_across", "vel_couple", "range_intensity")
         for name in reals:
             if not np.isfinite(getattr(self, name)).all():
@@ -185,14 +191,20 @@ def generate_scenario(cfg: ScenarioConfig, extra_entropy: tuple[int, ...] = ()) 
 def build_scenario(cfg: ScenarioConfig, paths: np.ndarray) -> Scenario:
     """The scenario of `cfg` over node paths (nodes, T, 2), agents first:
     each step's measured pairs (k, j), k < j, in row-major order, and the
-    configured range, velocity and mobility models."""
+    configured range, velocity and mobility models.
+
+    Its `weights` and `coeffs` are `_measurements` of the paths as a chunk
+    of one, the sweeps' kernel inputs; they equal what `Scenario` resolves
+    from the pair listing, which is not resolved again."""
     geometry = ScenarioGeometry(paths, cfg.num_agents)
-    na, nodes, t = geometry.num_agents, geometry.num_nodes, geometry.num_steps
+    na, nodes = geometry.num_agents, geometry.num_nodes
+    measured, weights, coeffs = (a[0] for a in _measurements(cfg, geometry.paths[None]))
     k, j = np.nonzero(np.arange(nodes) > np.arange(na)[:, None])
-    measured = np.broadcast_to(_measured(cfg, geometry.paths[None]), (1, t, na, nodes))[0]
     listing = list(zip(k.tolist(), j.tolist()))
     pairs = tuple(tuple(compress(listing, row)) for row in measured[:, k, j].tolist())
-    return Scenario(
+    return Scenario._resolved(
+        weights,
+        coeffs,
         geometry=geometry,
         pairs=pairs,
         range_model=RangeModel(intensity=cfg.range_intensity),
@@ -243,28 +255,37 @@ class _Chunk(NamedTuple):
     priors: tuple
 
 
-def _measured(cfg: ScenarioConfig, paths: np.ndarray) -> np.ndarray:
-    """Whether agent a ranges node p under `cfg`'s connectivity, for paths
-    (trials, nodes, T, 2): shape (trials, T, Na, nodes) for a ranging
-    radius, else (Na, nodes), every node but the agent itself."""
+def _measurements(cfg: ScenarioConfig, paths: np.ndarray):
+    """Kernel inputs of node paths (trials, nodes, T, 2), agents first,
+    under `cfg`, each read-only and broadcast over the axes it does not
+    vary on: whether agent a ranges node p, (trials, T, Na, nodes), every
+    node but the agent itself without a ranging radius; the ranging weights
+    alike, zero where a pair is not measured; the velocity coeffs (trials,
+    T-1, Na, 3)."""
+    trials, nodes, t = paths.shape[:3]
+    na = cfg.num_agents
     if cfg.connectivity is None:
-        return np.arange(paths.shape[1]) != np.arange(cfg.num_agents)[:, None]
-    return within_radius(paths, cfg.num_agents, cfg.connectivity)
+        measured = np.arange(nodes) != np.arange(na)[:, None]
+    else:
+        measured = within_radius(paths, na, cfg.connectivity)
+    # + 0.0 makes an intensity of -0.0 the 0.0 that summing a listing gives
+    weights = np.where(measured, cfg.range_intensity + 0.0, 0.0)
+    velocity = np.array((cfg.vel_along, cfg.vel_across, cfg.vel_couple), dtype=float)
+    shape = (trials, t, na, nodes)
+    return (
+        np.broadcast_to(measured, shape),
+        np.broadcast_to(weights, shape),
+        np.broadcast_to(velocity, (trials, t - 1, na, 3)),
+    )
 
 
 def _drawn_chunk(cfg: ScenarioConfig, entropies) -> _Chunk:
     """The chunk of the trials drawn with the given entropy tuples: the
-    scenarios `generate_scenario` would give, without building them."""
+    kernel inputs of the scenarios `generate_scenario` would give, from the
+    same `_measurements`, without building them."""
     paths = np.stack([_draw_paths(cfg, entropy) for entropy in entropies])
-    na, t = cfg.num_agents, cfg.num_steps
-    weights = np.where(_measured(cfg, paths), cfg.range_intensity, 0.0)
-    trials = len(paths)
-    return _Chunk(
-        paths,
-        np.broadcast_to(weights, (trials, t, *weights.shape[-2:])),
-        np.broadcast_to((cfg.vel_along, cfg.vel_across, cfg.vel_couple), (trials, t - 1, na, 3)),
-        ((),) * trials,
-    )
+    _, weights, coeffs = _measurements(cfg, paths)
+    return _Chunk(paths, weights, coeffs, ((),) * len(paths))
 
 
 def _stacked_spebs(chunk: _Chunk, modes, horizons) -> list[dict[str, np.ndarray] | Exception]:

@@ -268,6 +268,20 @@ def test_svg_of_a_degenerate_sweep_is_well_formed(tmp_path, extra, series):
         assert all(0.0 <= v <= 640.0 for v in coords)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: with no ranging the audit's recursion and dense "
+    "marginalization disagree on which bounds are +inf (exit 3 at horizon 3)",
+)
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+def test_a_sweep_without_ranging_reports_every_bound_unbounded(tmp_path, seed):
+    args = ["sweep-time", "--trials", "3", "--steps", "1..4", "--agents", "3"]
+    args += ["--range-intensity", "0", "--seed", str(seed), "--out-dir", str(tmp_path)]
+    assert cli.main(args) == 0
+    rows = read_csv(tmp_path / "sweep_time.csv")
+    assert len(rows) == 12 and all(r["mean_speb_m2"] == "inf" for r in rows)
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -381,6 +395,24 @@ def test_ellipse_svg(tmp_path, demo_scenario):
     assert code == 0
     svg = (tmp_path / "ellipses.svg").read_text()
     assert "<ellipse" in svg
+
+
+@pytest.mark.parametrize("emit", ["svg", "both"])
+def test_ellipse_of_a_scenario_without_nodes_draws_an_empty_figure(tmp_path, emit):
+    spec = {
+        "area": [20, 20],
+        "anchors": [],
+        "agents": 0,
+        "T": 3,
+        "intensities": {"lambda_kk": 5, "nu_kk": 5, "xi_kk": 0, "lambda_kj": 5},
+    }
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert cli.main(["ellipse", "--scenario", str(path), "--out-dir", str(out), "--emit", emit]) == 0
+    assert read_csv(out / "ellipses.csv") == []
+    root = ElementTree.parse(out / "ellipses.svg").getroot()
+    assert [child.tag for child in root] == ["{http://www.w3.org/2000/svg}rect"]
 
 
 def test_scenario_unknown_key_rejected(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import os
 import signal
@@ -9,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import navlim.models as models
 import navlim.simkit as simkit
 from navlim.blockfim import block_diag
-from navlim.models import GeometryError, RangeModel, ScenarioGeometry, VelocityModel
+from navlim.cli import load_scenario
+from navlim.models import GeometryError, RangeModel, Scenario, ScenarioGeometry, VelocityModel
 from navlim.navinfo import (
     assemble_position_efim,
     block_spebs,
@@ -34,6 +38,7 @@ from navlim.simkit import (
     sweep_time,
 )
 from oracles import audit_spebs_by_rebuild, scenario_chunk, trial_spebs, truncated
+from perfbench.workloads import DENSE_BOUND
 
 
 def small_cfg(**kw):
@@ -59,6 +64,28 @@ def test_config_validation():
         ScenarioConfig(step_cov=-1.0)
     with pytest.raises(ConfigError):
         ScenarioConfig(connectivity=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("num_agents", 2.5),
+        ("num_agents", True),
+        ("num_anchors", 1.5),
+        ("num_steps", 2.5),
+        ("num_steps", True),
+        ("seed", 1.5),
+    ],
+)
+def test_config_rejects_a_count_that_is_not_an_integer(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        ScenarioConfig(**{field: value})
+
+
+def test_config_takes_numpy_integer_counts():
+    counts = dict(num_agents=np.int64(2), num_anchors=np.int32(1), num_steps=np.uint8(3))
+    cfg = ScenarioConfig(**counts, seed=np.int64(4))
+    assert generate_scenario(cfg).geometry.paths.shape == (3, 3, 2)
 
 
 def test_config_takes_the_velocity_models_triple_rule():
@@ -126,12 +153,106 @@ def test_generated_positions_uniform_mean():
     assert np.abs(positions.mean(axis=0) - 10.0).max() < 3 * se
 
 
+DIGEST_CONFIGS = {
+    "dense_bound_seed_7": DENSE_BOUND.scenario_config(7),
+    "dense_bound_seed_1112": DENSE_BOUND.scenario_config(1112),
+    "full_5x4x20_seed_7": ScenarioConfig(num_agents=5, num_anchors=4, num_steps=20, seed=7),
+    "coupled_velocity_radius_6": ScenarioConfig(
+        vel_along=3.0, vel_across=1.0, vel_couple=0.5, connectivity=6.0
+    ),
+    "one_step": ScenarioConfig(num_steps=1),
+    "no_agents": ScenarioConfig(num_agents=0),
+}
+DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "data", "scenario_digests.json")
+
+
+def scenario_digest(scenario) -> str:
+    """sha256 over a scenario's paths, pair listing, weights and coeffs."""
+    h = hashlib.sha256(scenario.geometry.paths.tobytes())
+    h.update(repr(scenario.pairs).encode())
+    h.update(scenario.weights.tobytes())
+    h.update(scenario.coeffs.tobytes())
+    return h.hexdigest()
+
+
+def scenario_digests() -> dict[str, list[str]]:
+    """Digests of `generate_scenario(cfg, (e,))`, e = 0..4, per named config."""
+    return {
+        name: [scenario_digest(generate_scenario(cfg, (e,))) for e in range(5)]
+        for name, cfg in DIGEST_CONFIGS.items()
+    }
+
+
+def test_generated_scenarios_keep_their_bytes():
+    with open(DIGESTS_PATH, encoding="utf-8") as fh:
+        assert scenario_digests() == json.load(fh)
+
+
 def test_radius_connectivity_limits_pairs():
     cfg = small_cfg(connectivity=5.0, num_agents=4, num_anchors=3)
     s = generate_scenario(cfg)
     for n, step_pairs in enumerate(s.pairs):
         for k, j in step_pairs:
             assert np.linalg.norm(s.geometry.paths[j, n] - s.geometry.paths[k, n]) <= 5.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    na=st.integers(0, 6),
+    nb=st.integers(0, 4),
+    t=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    connectivity=st.sampled_from(["full", "tie", "isolating", "drawn"]),
+    range_intensity=st.sampled_from([5.0, 0.37, 0.0]),
+    velocity=st.sampled_from([(5.0, 5.0, 0.0), (3.0, 1.0, 0.5)]),
+)
+def test_built_scenarios_hold_what_their_listing_resolves_to(
+    na, nb, t, seed, connectivity, range_intensity, velocity
+):
+    cfg = ScenarioConfig(
+        num_agents=na,
+        num_anchors=nb,
+        num_steps=t,
+        range_intensity=range_intensity,
+        vel_along=velocity[0],
+        vel_across=velocity[1],
+        vel_couple=velocity[2],
+        seed=seed,
+    )
+    paths = simkit._draw_paths(cfg)
+    if connectivity != "full":
+        radius = 8.0
+        if na and na + nb > 1 and connectivity == "tie":  # last node on agent 0's radius
+            radius = float(np.linalg.norm(paths[-1, t - 1] - paths[0, t - 1]))
+        elif na and na + nb > 1 and connectivity == "isolating":  # agent 0 meets no node
+            radius = 0.5 * float(np.linalg.norm(paths[1:] - paths[0], axis=-1).min())
+        cfg = replace(cfg, connectivity=radius)
+    built = simkit.build_scenario(cfg, paths)
+    listed = Scenario(
+        built.geometry, built.pairs, built.range_model, built.velocity_model, built.mobility
+    )
+    assert built == listed
+    for name in ("weights", "coeffs"):
+        got, want = getattr(built, name), getattr(listed, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert not got.flags.writeable
+
+
+def test_only_a_pair_listing_is_resolved_into_weights(tmp_path, monkeypatch):
+    calls = []
+    resolve = models._pair_index
+    monkeypatch.setattr(models, "_pair_index", lambda pairs: calls.append(1) or resolve(pairs))
+    scenario = generate_scenario(small_cfg(connectivity=8.0))
+    path = tmp_path / "scenario.json"
+    intensities = {"lambda_kk": 5, "nu_kk": 5, "xi_kk": 0, "lambda_kj": 5}
+    spec = {"area": [20, 20], "anchors": [[2, 3]], "agents": 2, "T": 3, "intensities": intensities}
+    path.write_text(json.dumps(spec))
+    load_scenario(str(path))
+    assert calls == []
+    Scenario(scenario.geometry, scenario.pairs, scenario.range_model)
+    assert len(calls) == 1
+    replace(scenario, range_model=RangeModel(intensity=1.0))
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +317,43 @@ def test_lone_agent_no_anchors_spatial_is_unbounded():
     cfg = small_cfg(num_agents=1, num_anchors=0)
     record = run_trial(cfg, 0, modes=(CoopMode.SPATIAL_ONLY,))
     assert np.isinf(record[CoopMode.SPATIAL_ONLY.value]).all()
+
+
+def assert_cooperation_never_hurts(spebs):
+    """The joint EFIM is each ablation's plus PSD blocks, so per horizon and
+    agent, wherever the smaller ablation bound is finite, the joint bound is
+    finite and not above it (1e-9 relative)."""
+    best = np.minimum(spebs["temporal_only"], spebs["spatial_only"])
+    bounded = np.isfinite(best)
+    joint = spebs["joint"][bounded]
+    assert np.isfinite(joint).all()
+    assert (joint <= best[bounded] * (1 + 1e-9)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    na=st.integers(1, 8),
+    nb=st.integers(1, 4),
+    t=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cooperation_never_hurts_on_full_networks(na, nb, t, seed):
+    cfg = ScenarioConfig(num_agents=na, num_anchors=nb, num_steps=t, seed=seed)
+    for spebs in simkit._run_chunk(cfg, [(i,) for i in range(4)], ALL_MODES, range(1, t + 1)):
+        if not isinstance(spebs, Exception):
+            assert_cooperation_never_hurts(spebs)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: on radius graphs the recursion gives joint bounds above "
+    "temporal_only (entropy 19) and +inf below a finite one (entropy 3)",
+)
+@pytest.mark.parametrize("entropy", [19, 3])
+def test_cooperation_never_hurts_on_a_radius_graph(entropy):
+    cfg = ScenarioConfig(num_agents=5, num_anchors=4, num_steps=10, connectivity=8.0, seed=11)
+    [spebs] = simkit._run_chunk(cfg, [(entropy,)], ALL_MODES, range(1, 11))
+    assert_cooperation_never_hurts(spebs)
 
 
 # ---------------------------------------------------------------------------
