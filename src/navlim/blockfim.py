@@ -38,23 +38,18 @@ def _reduce(
 ) -> np.ndarray:
     """target - cross @ pinv(nuisance) @ cross_back, with null-leak detection.
 
-    The eliminated block is diagonally scaled to unit diagonal before its
-    eigendecomposition so that wildly mixed scales (a 1e12 pinning prior next
-    to m^-2 information) cannot push genuine eigenvalues under the null
-    cutoff; the scaling is a congruence, so the null space is preserved
-    exactly. Discarding a null direction is only legal when no
+    The eliminated block's null directions are read from `_scaled_eigh`,
+    so mixed scales cannot push genuine eigenvalues under the cutoff.
+    Discarding a null direction is only legal when no
     cross-information enters it (the reduction is then independent of the
     generalized inverse chosen); otherwise `SingularBlockError` is raised.
 
     Leading axes stack independent reductions (a 2-D call is a stack of
     one); a leak in any of them raises.
     """
-    nuisance = 0.5 * (nuisance + _t(nuisance))
     if nuisance.shape[-1] == 0:
         return target.copy()
-    diag = np.clip(np.diagonal(nuisance, axis1=-2, axis2=-1), 0.0, None)
-    scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    w, v = np.linalg.eigh(nuisance / scale[..., :, None] / scale[..., None, :])
+    w, v, scale = _scaled_eigh(nuisance)
     cutoff = PINV_RCOND * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
     null = np.abs(w) <= cutoff
     v_descaled = v / scale[..., :, None]
@@ -69,6 +64,18 @@ def _reduce(
             raise SingularBlockError(f"singular nuisance block in {context}")
     inv_w = np.where(null, 0.0, 1.0) / np.where(null, 1.0, w)
     return target - (cross @ v_descaled) @ ((inv_w[..., :, None] * _t(v_descaled)) @ cross_back)
+
+
+def _scaled_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, v, scale): eigh of the symmetrized J scaled to D^-1 J D^-1, D =
+    sqrt(diag(J)) or 1 where that is not positive. The congruence keeps the
+    null space, and a 1e12 pinning prior next to m^-2 information no longer
+    drowns the small eigenvalues in round-off. Leading axes stack."""
+    matrix = 0.5 * (matrix + _t(matrix))
+    diag = np.clip(np.diagonal(matrix, axis1=-2, axis2=-1), 0.0, None)
+    scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    w, v = np.linalg.eigh(matrix / scale[..., :, None] / scale[..., None, :])
+    return w, v, scale
 
 
 def _leaks(cross: np.ndarray, cross_back: np.ndarray, null_basis: np.ndarray) -> bool:

@@ -251,11 +251,16 @@ def within_radius(paths: np.ndarray, num_agents: int, radius: float) -> np.ndarr
 
 def _agent_offsets(paths: np.ndarray, num_agents: int, first: int = 0, stop: int | None = None):
     """Offsets (dx, dy) from every agent to every node at steps first..stop-1
-    and their lengths, each of shape (trials, steps, agents, nodes)."""
+    and their lengths, each of shape (trials, steps, agents, nodes). A length
+    whose square overflows is recomputed by np.hypot."""
     x, y = np.moveaxis(paths[:, :, first:stop], -1, 0).swapaxes(2, 3)
     dx = x[:, :, None, :] - x[:, :, :num_agents, None]
     dy = y[:, :, None, :] - y[:, :, :num_agents, None]
-    return dx, dy, np.sqrt(dx * dx + dy * dy)
+    with np.errstate(over="ignore"):
+        dist = np.sqrt(dx * dx + dy * dy)
+    huge = np.isinf(dist)
+    dist[huge] = np.hypot(dx[huge], dy[huge])
+    return dx, dy, dist
 
 
 @dataclass(frozen=True)

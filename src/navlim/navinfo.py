@@ -20,6 +20,7 @@ import numpy as np
 from .blockfim import (
     _chain_reduction,
     _reduce,
+    _scaled_eigh,
     ChainBlocks,
     block_diag,
     eliminate_block,
@@ -87,9 +88,9 @@ class JointEfim:
     with its D and B blocks (`_tridiagonal`, about 2 * T * (2 * Na)^2
     doubles), and its reads keep the forward and backward Schur carries they
     compute, at most 2 * T * (2 * Na)^2 doubles more. An EFIM built from a
-    bare matrix, and any read that takes the dense path, keeps the
-    eigendecomposition of the whole matrix (`_dense_eigh`, (2 * Na * T)^2
-    doubles more).
+    bare matrix, and any read that takes the dense path, keeps what one
+    eigendecomposition of the whole matrix gives: every block's bound and
+    the null count (`_dense_bounds`, Na * T doubles and an integer).
     """
 
     def __init__(self, coords: tuple[tuple[int, int], ...], matrix: np.ndarray):
@@ -142,10 +143,10 @@ class JointEfim:
         return (*found, [zero], [zero])
 
     @cached_property
-    def _dense_eigh(self):
-        """`_scaled_eigh` of the whole matrix, for the reads the sweep
-        cannot serve."""
-        return _scaled_eigh(self.matrix)
+    def _dense_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_bounds` of the whole matrix, for the reads the sweep cannot
+        serve."""
+        return _bounds(self.matrix)
 
 
 def _spatial_matrices(
@@ -760,33 +761,34 @@ def axes_coupling_closed_form(
     return zeta1, zeta2, coupling
 
 
-def _scaled_eigh(matrix: np.ndarray):
-    """Eigendecomposition after two-sided diagonal scaling.
-
-    The congruence J -> D^-1 J D^-1 with D = sqrt(diag(J)) preserves the null
-    space but removes artificial conditioning from scale imbalance (a 1e12
-    pinning prior next to ordinary m^-2 information would otherwise drown the
-    small eigenvalues in round-off). Returns (eigenvalues, eigenvectors,
-    scale, null cutoff); leading axes stack independent matrices.
-    """
-    matrix = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
-    diag = np.clip(np.diagonal(matrix, axis1=-2, axis2=-1), 0.0, None)
-    scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    scaled = matrix / scale[..., :, None] / scale[..., None, :]
-    w, v = np.linalg.eigh(scaled)
-    cutoff = _SPEB_NULL_FACTOR * max(w.shape[-1], 1) * np.abs(w).max(axis=-1, initial=0.0)
-    return w, v, scale, cutoff
-
-
-def _block_speb(
-    w: np.ndarray, v: np.ndarray, scale: np.ndarray, rows: slice, cutoff: float
-) -> float:
-    mass = ((v[rows, :] / scale[rows, None]) ** 2).sum(axis=0)
-    null = w <= cutoff
-    if bool((null & (mass > NULL_SUPPORT_TOL)).any()):
-        return math.inf
-    keep = ~null
-    return float((mass[keep] / w[keep]).sum())
+def _bounds(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block SPEB (..., dim/2) of symmetric matrices of consecutive 2x2
+    blocks and each matrix's null-direction count (...): per block, the sum
+    of mass_i / w_i over the kept directions i of `_scaled_eigh` (mass_i:
+    eigenvector i's weight on the block), +inf where a null direction
+    touches it. Matrices with null directions are grouped by their number
+    k of kept directions; each block's kept terms are summed as a
+    contiguous row of k, which rounds as a sum over those terms alone."""
+    lead, dim = matrix.shape[:-2], matrix.shape[-1]
+    size, na = math.prod(lead), dim // 2
+    w, v, scale = _scaled_eigh(matrix.reshape(size, dim, dim))
+    cutoff = _SPEB_NULL_FACTOR * max(dim, 1) * np.abs(w).max(axis=-1, initial=0.0)
+    null = w <= cutoff[:, None]
+    # mass[m, k, i]: weight of eigenvector i on block k of matrix m
+    mass = ((v.reshape(size, na, 2, dim) / scale.reshape(size, na, 2, 1)) ** 2).sum(axis=-2)
+    out = (mass / np.where(null, 1.0, w)[:, None, :]).sum(axis=-1)
+    counts = null.sum(axis=-1)
+    singular = np.flatnonzero(counts)
+    if singular.size:
+        for k in np.unique(dim - counts[singular]):
+            group = singular[counts[singular] == dim - k]
+            kept = np.nonzero(~null[group])[1].reshape(len(group), 1, k)
+            terms = np.take_along_axis(mass[group], kept, -1)
+            terms /= np.take_along_axis(w[group, None], kept, -1)
+            out[group] = terms.sum(axis=-1)
+        touched = (null[singular, None, :] & (mass[singular] > NULL_SUPPORT_TOL)).any(axis=-1)
+        out[singular] = np.where(touched, math.inf, out[singular])
+    return out.reshape(*lead, na), counts.reshape(lead)
 
 
 def speb_with_rank(j: JointEfim, agent: int, step: int) -> tuple[float, int]:
@@ -804,18 +806,18 @@ def speb_with_rank(j: JointEfim, agent: int, step: int) -> tuple[float, int]:
     forward and backward Schur sweeps in O(T * Na^3) that extend the
     carries earlier reads of `j` left, so reading every bound of `j` costs
     O(T * Na^3) in all. Every other input, singular or a bare matrix, takes
-    one dense eigendecomposition of the whole matrix, O((Na * T)^3), which
-    `j` keeps for its later reads.
+    one dense eigendecomposition of the whole matrix, O((Na * T)^3), and `j`
+    keeps every block's bound and the null count it gives for its later
+    reads. Both paths read through `_bounds`, as `block_spebs` does.
     """
-    rows = j.rows(agent, step)
+    block = j.rows(agent, step).start // 2
     window = _sweep_window(j, step, step)
     if window is None:
-        w, v, scale, cutoff = j._dense_eigh
+        spebs, null_count = j._dense_bounds
     else:
-        w, v, scale, cutoff = _scaled_eigh(window)
-        rows = slice(2 * agent, 2 * agent + 2)
-    value = _block_speb(w, v, scale, rows, float(cutoff))
-    return value, int((w <= cutoff).sum())
+        spebs, null_count = _bounds(window)
+        block = agent
+    return float(spebs[block]), int(null_count)
 
 
 def speb(j: JointEfim, agent: int, step: int) -> float:
@@ -824,28 +826,11 @@ def speb(j: JointEfim, agent: int, step: int) -> float:
 
 
 def block_spebs(matrix: np.ndarray) -> np.ndarray:
-    """Per-block SPEB of a symmetric matrix of consecutive 2x2 blocks.
+    """Per-block SPEB of a symmetric matrix of consecutive 2x2 blocks, the
+    first value of `_bounds`.
 
     Used on single-step network matrices (2*Na x 2*Na): returns one value per
     agent, +inf where the null space touches the agent. Leading axes stack
     independent matrices: (..., 2*Na, 2*Na) gives (..., Na).
     """
-    matrix = np.asarray(matrix, dtype=float)
-    lead, dim = matrix.shape[:-2], matrix.shape[-1]
-    na = dim // 2
-    w, v, scale, cutoff = _scaled_eigh(matrix)
-    null = w <= cutoff[..., None]
-    # mass[..., k, i]: weight of eigenvector i on agent k's block
-    mass = (
-        (v.reshape(*lead, na, 2, dim) / scale.reshape(*lead, na, 2)[..., None]) ** 2
-    ).sum(axis=-2)
-    out = (mass / np.where(null, 1.0, w)[..., None, :]).sum(axis=-1)
-    # Null directions must drop out of the sum, and a masked row sum would
-    # round differently from the sum over kept directions alone, so
-    # matrices with null directions take the per-agent path.
-    for idx in map(tuple, np.argwhere(null.any(axis=-1))):
-        out[idx] = [
-            _block_speb(w[idx], v[idx], scale[idx], slice(2 * k, 2 * k + 2), cutoff[idx])
-            for k in range(na)
-        ]
-    return out
+    return _bounds(np.asarray(matrix, dtype=float))[0]

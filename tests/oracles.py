@@ -6,9 +6,10 @@ from per-measurement Jacobians, brute-force Schur complements, and
 finite-difference Hessians. Tests compare the package's structured
 assemblies against these. The exceptions, at the end, are former package
 paths kept as they were: the sweep audit's (one built scenario per horizon,
-assembled and marginalized by navlim's own dense path), and the
+assembled and marginalized by navlim's own dense path), the
 hidden-Markov chain elimination by a forward pass with explicit fill-in,
-scattered into the Bayesian EFIM one block at a time.
+scattered into the Bayesian EFIM one block at a time, and the per-block
+SPEB read.
 """
 
 import math
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from navlim import navinfo, simkit
-from navlim.blockfim import PINV_RCOND, ChainBlocks, SingularBlockError
+from navlim.blockfim import PINV_RCOND, ChainBlocks, SingularBlockError, _scaled_eigh
 from navlim.models import MobilityModel, ScenarioGeometry
 
 
@@ -668,3 +669,52 @@ def bayesian_efim_by_scatter(
                 if n != m:
                     _scatter(spat, rows(peer, n), rows(k, m), -g)
     return navinfo.BayesianEfim(coords, mob, temp, spat)
+
+
+# ---------------------------------------------------------------------------
+# SPEBs by the former per-block read: one eigendecomposition, then each
+# block's bound on its own, a 1-D sum over the kept directions
+
+
+def null_cutoff(w: np.ndarray) -> np.ndarray:
+    """The null cutoff the package applies to scaled eigenvalues `w`."""
+    return navinfo._SPEB_NULL_FACTOR * max(w.shape[-1], 1) * np.abs(w).max(axis=-1, initial=0.0)
+
+
+def speb_of_rows(w, v, scale, rows: slice, cutoff) -> float:
+    """SPEB of the block `rows` from a `_scaled_eigh`: +inf when a null
+    direction touches the block, else the sum over kept directions."""
+    mass = ((v[rows, :] / scale[rows, None]) ** 2).sum(axis=0)
+    null = w <= cutoff
+    if bool((null & (mass > navinfo.NULL_SUPPORT_TOL)).any()):
+        return math.inf
+    keep = ~null
+    return float((mass[keep] / w[keep]).sum())
+
+
+def block_spebs_by_block(matrix: np.ndarray) -> np.ndarray:
+    """`navinfo.block_spebs` by the former path: a row sum for matrices
+    without a null direction, `speb_of_rows` per block for the others."""
+    matrix = np.asarray(matrix, dtype=float)
+    lead, dim = matrix.shape[:-2], matrix.shape[-1]
+    na = dim // 2
+    w, v, scale = _scaled_eigh(matrix)
+    cutoff = null_cutoff(w)
+    null = w <= cutoff[..., None]
+    mass = (
+        (v.reshape(*lead, na, 2, dim) / scale.reshape(*lead, na, 2)[..., None]) ** 2
+    ).sum(axis=-2)
+    out = (mass / np.where(null, 1.0, w)[..., None, :]).sum(axis=-1)
+    for idx in map(tuple, np.argwhere(null.any(axis=-1))):
+        out[idx] = [
+            speb_of_rows(w[idx], v[idx], scale[idx], slice(2 * k, 2 * k + 2), cutoff[idx])
+            for k in range(na)
+        ]
+    return out
+
+
+def speb_with_rank_by_rows(matrix: np.ndarray, rows: slice) -> tuple[float, int]:
+    """SPEB of the block `rows` of `matrix` and the matrix's null count."""
+    w, v, scale = _scaled_eigh(matrix)
+    cutoff = null_cutoff(w)
+    return speb_of_rows(w, v, scale, rows, cutoff), int((w <= cutoff).sum())

@@ -39,6 +39,7 @@ from oracles import (
     GaussianCase,
     band_matrix,
     bayesian_efim_by_scatter,
+    block_spebs_by_block,
     dense_position_fim,
     extend_carries_by_solve,
     mobility_blocks,
@@ -49,6 +50,7 @@ from oracles import (
     rel_frobenius,
     scatter_mobility,
     scatter_spatial_matrices,
+    speb_with_rank_by_rows,
     velocity_local_info,
     velocity_matrices,
 )
@@ -249,8 +251,8 @@ def test_carry_over_and_block_spebs_stacks_equal_per_matrix_calls():
     stacked = carry_over_step(k_now, s_prev, carry)
     for idx in np.ndindex(2, 3):
         np.testing.assert_array_equal(stacked[idx], carry_over_step(k_now[idx], s_prev[idx], carry))
-    # a matrix with null directions (agent 1 uninformed) takes the per-agent
-    # path inside the stack
+    # a matrix with null directions (agent 1 uninformed) takes the null path
+    # inside the stack
     totals = s_prev + stacked
     totals[1, 2, 2:4, :] = totals[1, 2, :, 2:4] = 0.0
     spebs = block_spebs(totals)
@@ -466,6 +468,57 @@ def test_speb_partial_observability():
     j = navinfo.JointEfim(((0, 0), (1, 0)), matrix)
     assert speb(j, 0, 0) == pytest.approx(0.2)
     assert speb(j, 1, 0) == math.inf
+
+
+@st.composite
+def network_stacks(draw):
+    """Stacks of 1..6 symmetric 2Na x 2Na matrices, Na in 1..6, with 0 up to
+    2Na null directions: ranging networks of random links (rank-deficient
+    when links are few), random PSD matrices of any rank, all-zero ones,
+    some with agents' rows zeroed or pinned by a 1e12 prior."""
+    na = draw(st.integers(1, 6))
+    dim = 2 * na
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["ranging", "low_rank", "zero"]))
+        matrix = np.zeros((dim, dim))
+        if kind == "ranging":
+            p_link = draw(st.floats(0.0, 1.0))
+            for k in range(na):
+                for peer in range(k, na + 2):  # peers na, na + 1 are anchors
+                    if peer == k or rng.uniform() >= p_link:
+                        continue
+                    block = rng.uniform(0.1, 10.0) * r_dir(rng.uniform(0.0, 2.0 * math.pi))
+                    rk = slice(2 * k, 2 * k + 2)
+                    matrix[rk, rk] += block
+                    if peer < na:
+                        rp = slice(2 * peer, 2 * peer + 2)
+                        matrix[rp, rp] += block
+                        matrix[rk, rp] -= block
+                        matrix[rp, rk] -= block
+        elif kind == "low_rank":
+            a = rng.normal(size=(dim, draw(st.integers(0, dim))))
+            matrix = a @ a.T
+        for k in draw(st.sets(st.integers(0, na - 1))):
+            matrix[2 * k : 2 * k + 2, :] = matrix[:, 2 * k : 2 * k + 2] = 0.0
+        for k in draw(st.sets(st.integers(0, na - 1), max_size=1)):
+            matrix[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += 1e12 * np.eye(2)
+        stack.append(matrix)
+    return np.stack(stack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(network_stacks())
+def test_stacked_bounds_are_the_per_block_read_bitwise(stack):
+    got = block_spebs(stack)
+    na = stack.shape[-1] // 2
+    assert got.shape == (len(stack), na) and got.dtype == float
+    assert got.tobytes() == block_spebs_by_block(stack).tobytes()
+    for matrix in stack:
+        j = navinfo.JointEfim(navinfo.position_coords(na, 1), matrix)
+        for k in range(na):
+            assert speb_with_rank(j, k, 0) == speb_with_rank_by_rows(matrix, j.rows(k, 0))
 
 
 def test_loewner_monotonicity_under_augmentation():
@@ -816,9 +869,7 @@ def test_spatial_step_matrix_consistent_with_assembler():
 
 def dense_speb_with_rank(j, agent, step):
     """The dense bound: one eigendecomposition of the whole matrix."""
-    w, v, scale, cutoff = navinfo._scaled_eigh(j.matrix)
-    value = navinfo._block_speb(w, v, scale, j.rows(agent, step), cutoff)
-    return value, int((w <= cutoff).sum())
+    return speb_with_rank_by_rows(j.matrix, j.rows(agent, step))
 
 
 def assert_bounds_agree(got, want):
@@ -885,6 +936,25 @@ def test_sweep_matches_dense_path(case):
                 want_value, want_null = dense_speb_with_rank(j, k, step)
                 assert_bounds_agree([value], [want_value])
                 assert null_dim == want_null
+
+
+@settings(max_examples=25, deadline=None)
+@given(banded_efims(), st.booleans())
+def test_window_and_dense_reads_are_the_per_block_read_bitwise(case, sweep_every_size):
+    """`speb_with_rank` reads the step's window when the sweep serves `j`,
+    else the whole matrix: either way it is the per-block read of that
+    matrix."""
+    j, na, lo, _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        if sweep_every_size:
+            mp.setattr(navinfo, "_SWEEP_MIN_DIM", 0)
+        window = navinfo._sweep_window(j, lo, lo)
+        for k in range(na):
+            if window is None:
+                want = speb_with_rank_by_rows(j.matrix, j.rows(k, lo))
+            else:
+                want = speb_with_rank_by_rows(window, slice(2 * k, 2 * k + 2))
+            assert speb_with_rank(j, k, lo) == want
 
 
 def test_sweep_runs_at_full_size_without_dense_solves(monkeypatch):

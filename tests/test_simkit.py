@@ -188,6 +188,60 @@ def test_generated_scenarios_keep_their_bytes():
         assert scenario_digests() == json.load(fh)
 
 
+# Sweeps whose recursion matrices have null directions: radius graphs
+# isolate agents, no anchor leaves a translation (one anchor a rotation)
+# unobserved, and no ranging leaves spatial_only without information. On
+# radius graphs every sweep CSV row reads inf,nan, so only these digests
+# pin the bits of `block_spebs`' null path.
+NULL_PATH_CONFIGS = {
+    **{f"radius_{r}": ScenarioConfig(num_steps=10, connectivity=float(r)) for r in (5, 6, 8, 10, 12)},
+    "no_anchor": ScenarioConfig(num_steps=10, num_anchors=0),
+    "one_anchor": ScenarioConfig(num_steps=10, num_anchors=1),
+    "no_ranging": ScenarioConfig(num_steps=10, range_intensity=0.0),
+    "full": ScenarioConfig(num_steps=10),
+}
+NULL_PATH_DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "data", "null_path_digests.json")
+
+
+def null_path_digest(cfg: ScenarioConfig, trials: int = 128) -> str:
+    """sha256 over the per-trial `simkit._run_chunk` bounds of every mode
+    and horizon, or each failed trial's exception, in chunks as a sweep
+    runs them."""
+    h = hashlib.sha256()
+    horizons = range(1, cfg.num_steps + 1)
+    for lo in range(0, trials, simkit.CHUNK_TRIALS):
+        entropies = [(t,) for t in range(lo, min(lo + simkit.CHUNK_TRIALS, trials))]
+        for result in simkit._run_chunk(cfg, entropies, ALL_MODES, horizons):
+            if isinstance(result, Exception):
+                h.update(repr(result).encode())
+                continue
+            for mode in ALL_MODES:
+                h.update(result[mode.value].tobytes())
+    return h.hexdigest()
+
+
+def test_null_path_bounds_keep_their_bits():
+    with open(NULL_PATH_DIGESTS_PATH, encoding="utf-8") as fh:
+        want = json.load(fh)
+    assert {name: null_path_digest(cfg) for name, cfg in NULL_PATH_CONFIGS.items()} == want
+
+
+@pytest.mark.parametrize("area", [1e160, 1e200])
+def test_offsets_whose_square_overflows_keep_finite_bounds(area):
+    """Agent-node lengths past sqrt(max float) come from np.hypot, so the
+    bounds of a huge area are those of a smaller one (the 1 m walk steps
+    are negligible at both), not +inf."""
+
+    def bounds(side):
+        cfg = ScenarioConfig(area=(side, side), num_agents=2, num_steps=3)
+        results = simkit._run_chunk(cfg, [(t,) for t in range(4)], ALL_MODES, range(1, 4))
+        return np.stack([r[mode.value] for r in results for mode in ALL_MODES])
+
+    got = bounds(area)
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, bounds(1e150), rtol=1e-12, atol=0.0)
+
+
 def test_radius_connectivity_limits_pairs():
     cfg = small_cfg(connectivity=5.0, num_agents=4, num_anchors=3)
     s = generate_scenario(cfg)
