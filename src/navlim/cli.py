@@ -53,8 +53,10 @@ def _default_seed() -> int:
         raise ConfigError(f"NAVLIM_SEED must be an integer, got {text!r}")
 
 
-def _parse_range(text: str) -> list[int]:
-    """'1..20' -> [1, ..., 20]; '7' -> [7]: step or agent counts, from 1 on."""
+def _parse_range(text: str) -> range:
+    """'1..20' -> range(1, 21); '7' -> range(7, 8): step or agent counts,
+    from 1 on. Nothing is listed, so the config checks the last count
+    before a sweep lists the range."""
     lo, dots, hi = text.partition("..")
     try:
         lo_i, hi_i = int(lo), int(hi if dots else lo)
@@ -64,7 +66,7 @@ def _parse_range(text: str) -> list[int]:
         raise ConfigError(f"empty range {text!r}")
     if lo_i < 1:
         raise ConfigError(f"range {text!r} must start at 1 or more")
-    return list(range(lo_i, hi_i + 1))
+    return range(lo_i, hi_i + 1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,14 +167,14 @@ def _sweep_setup(
 
 def cmd_sweep_time(args) -> int:
     steps = _parse_range(args.steps)
-    cfg, modes = _sweep_setup(args, args.agents, max(steps))
+    cfg, modes = _sweep_setup(args, args.agents, steps[-1])
     table = simkit.sweep_time(cfg, steps=steps, modes=modes, trials=args.trials)
     return _emit_sweep(table, args, "sweep_time", "time steps")
 
 
 def cmd_sweep_nodes(args) -> int:
     counts = _parse_range(args.agents)
-    cfg, modes = _sweep_setup(args, max(counts), args.steps)
+    cfg, modes = _sweep_setup(args, counts[-1], args.steps)
     table = simkit.sweep_nodes(cfg, counts, modes=modes, trials=args.trials)
     return _emit_sweep(table, args, "sweep_nodes", "number of agents")
 

@@ -13,6 +13,7 @@ step, never the trial.
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -276,7 +277,8 @@ class Scenario:
     weights (T, Na, nodes), a pair listed twice counting twice, and the
     `temporal_block` coeffs (T-1, Na, 3) of the transitions into steps
     1..T-1, zero without a velocity model. `simkit.build_scenario` hands
-    over inputs it resolved from its measured mask instead (`_resolved`).
+    over inputs it resolved from its measured mask instead (`_resolved`),
+    and `pairs` is listed from that mask when first read.
     """
 
     geometry: ScenarioGeometry
@@ -330,13 +332,29 @@ class Scenario:
             object.__setattr__(self, name, array)
 
     @classmethod
-    def _resolved(cls, weights: np.ndarray, coeffs: np.ndarray, **fields) -> "Scenario":
-        """The scenario of the init `fields` whose read-only kernel inputs
-        are given: they must be what construction resolves from `pairs`,
-        which is neither checked nor read."""
+    def _resolved(
+        cls, measured: np.ndarray, weights: np.ndarray, coeffs: np.ndarray, **fields
+    ) -> "Scenario":
+        """The scenario of the init `fields` but `pairs`, whose read-only
+        kernel inputs are given: they must be what construction resolves
+        from the pairs (k, j), k < j, that `measured` (T, Na, nodes) marks
+        at each step. `pairs` lists those in row-major order when first
+        read."""
         s = object.__new__(cls)
-        s.__dict__.update(priors=(), **fields, weights=weights, coeffs=coeffs)
+        s.__dict__.update(priors=(), **fields, weights=weights, coeffs=coeffs, _measured=measured)
         return s
+
+    def __getattr__(self, name):
+        """`pairs` of a `_resolved` scenario, listed from its mask on first read."""
+        measured = self.__dict__.get("_measured")
+        if name != "pairs" or measured is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        na, nodes = measured.shape[1:]
+        k, j = np.nonzero(np.arange(nodes) > np.arange(na)[:, None])
+        listing = list(zip(k.tolist(), j.tolist()))
+        pairs = tuple(tuple(compress(listing, row)) for row in measured[:, k, j].tolist())
+        self.__dict__["pairs"] = pairs
+        return pairs
 
 
 def _pair_index(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

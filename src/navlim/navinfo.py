@@ -83,14 +83,18 @@ class JointEfim:
     builder's band layout instead (`_layout`: the first step, the diagonal
     blocks and the blocks between consecutive steps, about
     2 * T * (2 * Na)^2 doubles) and lays `matrix` out from it on first
-    read; the sweep reads never need it. Only such an EFIM can be read by
-    the block-tridiagonal sweep: on first use it caches its domain check
-    with its D and B blocks (`_tridiagonal`, about 2 * T * (2 * Na)^2
-    doubles), and its reads keep the forward and backward Schur carries they
-    compute, at most 2 * T * (2 * Na)^2 doubles more. An EFIM built from a
-    bare matrix, and any read that takes the dense path, keeps what one
-    eigendecomposition of the whole matrix gives: every block's bound and
-    the null count (`_dense_bounds`, Na * T doubles and an integer).
+    read; the sweep reads never need it. Its coordinates are every agent
+    over consecutive steps in `position_coords` order, so a coordinate's
+    block is computed from the layout's first step and shape, and `coords`
+    is listed only when read. Only such an EFIM can be read by the
+    block-tridiagonal sweep: on first use it caches its domain check with
+    its D and B blocks (`_tridiagonal`, about 2 * T * (2 * Na)^2 doubles),
+    and its reads keep the forward and backward Schur carries they compute,
+    at most 2 * T * (2 * Na)^2 doubles more. An EFIM built from a bare
+    matrix looks its coordinates up in a dict (`_pos`), and it and any read
+    that takes the dense path keep what one eigendecomposition of the whole
+    matrix gives: every block's bound and the null count (`_dense_bounds`,
+    Na * T doubles and an integer).
     """
 
     def __init__(self, coords: tuple[tuple[int, int], ...], matrix: np.ndarray):
@@ -107,12 +111,18 @@ class JointEfim:
         """The EFIM of all agents over steps start..start+len(d)-1 whose
         matrix `_lay_out(d, upper)` gives, not laid out until read."""
         j = object.__new__(cls)
-        coords = position_coords(d.shape[-1] // 2, start + len(d), start)
-        j.__dict__.update(coords=coords, _layout=(start, d, upper))
+        j.__dict__.update(_layout=(start, d, upper))
         return j
 
     def __setattr__(self, name, value):
         raise AttributeError("JointEfim is immutable")
+
+    @cached_property
+    def coords(self) -> tuple[tuple[int, int], ...]:
+        """(agent, step) of each 2x2 block in order; listed from `_layout`
+        on first read."""
+        start, d, _ = self._layout
+        return position_coords(d.shape[-1] // 2, start + len(d), start)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -125,10 +135,25 @@ class JointEfim:
     def _pos(self) -> dict[tuple[int, int], int]:
         return {c: i for i, c in enumerate(self.coords)}
 
+    def _index(self, coord) -> int | None:
+        """Block number of `coord` in `coords`, None when it is not one of
+        them. A layout's coordinates are matched by equality, as the dict
+        of a bare matrix's matches them: 1.0 and numpy integers name the
+        integer they equal."""
+        if self._layout is None:
+            return self._pos.get(coord)
+        start, d, _ = self._layout
+        agents, steps = range(d.shape[-1] // 2), range(start, start + len(d))
+        if isinstance(coord, tuple) and len(coord) == 2:
+            agent, step = coord
+            if agent in agents and step in steps:
+                return (int(step) - start) * len(agents) + int(agent)
+        return None
+
     def rows(self, agent: int, step: int) -> slice:
-        if (agent, step) not in self._pos:
+        i = self._index((agent, step))
+        if i is None:
             raise ValueError(f"unknown coordinates: {[(agent, step)]}")
-        i = self._pos[(agent, step)]
         return slice(2 * i, 2 * i + 2)
 
     @cached_property
@@ -434,13 +459,13 @@ def marginal_efim(j: JointEfim, keep: Iterable[tuple[int, int]]) -> JointEfim:
     reads are dense.
     """
     keep_set = set(keep)
-    unknown = keep_set.difference(j.coords)
+    unknown = [c for c in keep_set if j._index(c) is None]
     if unknown:
         raise ValueError(f"unknown coordinates: {sorted(unknown)}")
-    if keep_set:
+    if keep_set and j._layout is not None:
         lo = min(n for _, n in keep_set)
         hi = max(n for _, n in keep_set)
-        na = sum(1 for _, n in j.coords if n == lo)
+        na = j._layout[1].shape[-1] // 2
         if len(keep_set) == na * (hi - lo + 1):
             window = _sweep_window(j, lo, hi)
             if window is not None:
@@ -482,9 +507,11 @@ def _tridiagonal_blocks(j: JointEfim) -> tuple[int, np.ndarray, np.ndarray] | No
     of the collapsed matrix. The sweep's Cholesky factors confirm it. A
     `JointEfim` built from a bare matrix is always read densely.
     """
-    if j._layout is None or 2 * len(j.coords) <= _SWEEP_MIN_DIM:
+    if j._layout is None:
         return None
     start, d, upper = j._layout
+    if len(d) * d.shape[-1] <= _SWEEP_MIN_DIM:
+        return None
     return _check_bands(start, 0.5 * (d + d.transpose(0, 2, 1)), upper)
 
 
@@ -493,15 +520,23 @@ def _check_bands(
 ) -> tuple[int, np.ndarray, np.ndarray] | None:
     """(start, d, upper) when every inter-step block is negative definite
     and the time-collapsed matrix has a scaled smallest eigenvalue above
-    _COLLAPSED_MIN_EIG, else None."""
+    _COLLAPSED_MIN_EIG, else None.
+
+    A builder's links are block-diagonal over agents (`_temporal_matrices`,
+    `_mobility_links`), so only their (T-1, Na, 2, 2) agent blocks are
+    factored: a Cholesky factor of a block-diagonal matrix meets exactly
+    the pivots of its blocks."""
     links = upper.sum(axis=0)
     collapsed = d.sum(axis=0) + links + links.T
     diag = np.diag(collapsed)
     if not (diag > 0.0).all():
         return None
     scale = np.sqrt(diag)
+    na = upper.shape[-1] // 2
+    grid = upper.reshape(len(upper), na, 2, na, 2)
+    blocks = np.moveaxis(grid.diagonal(axis1=1, axis2=3), -1, 1)
     try:
-        np.linalg.cholesky(-0.5 * (upper + upper.transpose(0, 2, 1)))
+        np.linalg.cholesky(-0.5 * (blocks + blocks.swapaxes(-1, -2)))
     except np.linalg.LinAlgError:
         return None
     min_eig = np.linalg.eigvalsh(collapsed / scale[:, None] / scale[None, :])[0]

@@ -14,7 +14,6 @@ import pickle
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
-from itertools import compress
 from numbers import Integral
 from typing import NamedTuple
 
@@ -95,7 +94,8 @@ class ScenarioConfig:
     anchors are placed uniformly and stay put. Intensities are in m^-2.
     `connectivity` is None for a fully measured network or a ranging radius
     in meters. The counts and `seed` are integers (not bools), `seed`
-    non-negative.
+    non-negative, and the counts small enough that numpy can index the
+    path array (nodes, T, 2).
     """
 
     area: tuple[float, float] = (20.0, 20.0)
@@ -125,6 +125,12 @@ class ScenarioConfig:
             raise ConfigError("node counts must be >= 0")
         if self.num_steps < 1:
             raise ConfigError("num_steps must be >= 1")
+        # the bytes of the path array (nodes, T, 2) must fit numpy's index type
+        nodes = int(self.num_agents) + int(self.num_anchors)
+        if max(nodes, 1) * int(self.num_steps) * 16 > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"{nodes} nodes over {self.num_steps} steps are too many for one array of paths"
+            )
         if min(self.vel_along, self.vel_across, self.range_intensity) < 0:
             raise ConfigError("intensities must be >= 0")
         _check_intensity_triple(self.vel_along, self.vel_across, self.vel_couple, ConfigError)
@@ -195,18 +201,15 @@ def build_scenario(cfg: ScenarioConfig, paths: np.ndarray) -> Scenario:
 
     Its `weights` and `coeffs` are `_measurements` of the paths as a chunk
     of one, the sweeps' kernel inputs; they equal what `Scenario` resolves
-    from the pair listing, which is not resolved again."""
+    from the pair listing, which is not resolved again. The listing itself
+    is made from the measured mask only when `pairs` is first read."""
     geometry = ScenarioGeometry(paths, cfg.num_agents)
-    na, nodes = geometry.num_agents, geometry.num_nodes
     measured, weights, coeffs = (a[0] for a in _measurements(cfg, geometry.paths[None]))
-    k, j = np.nonzero(np.arange(nodes) > np.arange(na)[:, None])
-    listing = list(zip(k.tolist(), j.tolist()))
-    pairs = tuple(tuple(compress(listing, row)) for row in measured[:, k, j].tolist())
     return Scenario._resolved(
+        measured,
         weights,
         coeffs,
         geometry=geometry,
-        pairs=pairs,
         range_model=RangeModel(intensity=cfg.range_intensity),
         velocity_model=VelocityModel(cfg.vel_along, cfg.vel_across, cfg.vel_couple),
         mobility=MobilityModel(cfg.step_cov_matrix()),

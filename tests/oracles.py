@@ -8,8 +8,9 @@ assemblies against these. The exceptions, at the end, are former package
 paths kept as they were: the sweep audit's (one built scenario per horizon,
 assembled and marginalized by navlim's own dense path), the
 hidden-Markov chain elimination by a forward pass with explicit fill-in,
-scattered into the Bayesian EFIM one block at a time, and the per-block
-SPEB read.
+scattered into the Bayesian EFIM one block at a time, the per-block
+SPEB read, and the sweep's domain check with one factor of the stacked
+links.
 """
 
 import math
@@ -718,3 +719,28 @@ def speb_with_rank_by_rows(matrix: np.ndarray, rows: slice) -> tuple[float, int]
     w, v, scale = _scaled_eigh(matrix)
     cutoff = null_cutoff(w)
     return speb_of_rows(w, v, scale, rows, cutoff), int((w <= cutoff).sum())
+
+
+# ---------------------------------------------------------------------------
+# the sweep's domain check by the former link test: one Cholesky factor of
+# the stacked (T-1, 2Na, 2Na) links
+
+
+def check_bands_by_stacked_factor(start: int, d: np.ndarray, upper: np.ndarray):
+    """(start, d, upper) when every inter-step block is negative definite
+    and the time-collapsed matrix has a scaled smallest eigenvalue above
+    navinfo._COLLAPSED_MIN_EIG, else None."""
+    links = upper.sum(axis=0)
+    collapsed = d.sum(axis=0) + links + links.T
+    diag = np.diag(collapsed)
+    if not (diag > 0.0).all():
+        return None
+    scale = np.sqrt(diag)
+    try:
+        np.linalg.cholesky(-0.5 * (upper + upper.transpose(0, 2, 1)))
+    except np.linalg.LinAlgError:
+        return None
+    min_eig = np.linalg.eigvalsh(collapsed / scale[:, None] / scale[None, :])[0]
+    if not min_eig > navinfo._COLLAPSED_MIN_EIG:
+        return None
+    return start, d, upper

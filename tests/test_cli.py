@@ -700,6 +700,29 @@ def test_a_bad_sweep_argument_exits_2_before_the_out_dir(tmp_path, capsys, argv,
     assert not out_dir.exists()
 
 
+# a count beyond int64: no array of node paths can hold it
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-time", "--steps", "1..2", "--agents", HUGE],
+        ["sweep-nodes", "--steps", HUGE, "--agents", "1..2"],
+        ["sweep-time", "--steps", f"1..{HUGE}"],
+        ["sweep-nodes", "--agents", f"1..{HUGE}"],
+        ["sweep-time", "--steps", "1..2", "--anchors", HUGE],
+    ],
+)
+def test_counts_no_array_can_hold_exit_2_before_anything_is_built(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    assert cli.main(argv + ["--trials", "2", "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too many for one array of paths" in err
+    assert not out_dir.exists()
+
+
 def test_verify_zero_cases_exits_2(capsys):
     assert cli.main(["verify", "--cases", "0"]) == 2
     assert capsys.readouterr().err == "error: --cases must be >= 1\n"

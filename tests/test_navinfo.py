@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +43,7 @@ from oracles import (
     band_matrix,
     bayesian_efim_by_scatter,
     block_spebs_by_block,
+    check_bands_by_stacked_factor,
     dense_position_fim,
     extend_carries_by_solve,
     mobility_blocks,
@@ -1152,9 +1156,51 @@ def test_links_that_are_not_negative_definite_fail_the_check_and_read_densely(mo
 
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     assert j._tridiagonal is None
-    assert failed == [(9, 10, 10)]  # the check's one stacked factor of the links
+    assert failed == [(9, 5, 2, 2)]  # the check's one factor of the links' agent blocks
     for k, n in j.coords:
         assert speb_with_rank(j, k, n) == dense_speb_with_rank(j, k, n)
+
+
+# velocity and mobility intensities at which a link block is zero, barely
+# positive, ordinary, or (coupled) singular up to round-off
+LINK_SCALES = [0.0, 1e-300, 1e-12, 0.3, 5.0]
+
+
+@st.composite
+def link_edge_efims(draw):
+    """Builder EFIMs whose links sit near the edge of negative definiteness:
+    `assemble_position_efim` with velocity intensities from LINK_SCALES and
+    the coupling 0 or at the PSD edge +-sqrt(along * across), and
+    `independent_params_efim` with a random-walk prior whose step covariance
+    is ordinary, nearly singular or of tiny or huge scale."""
+    na = draw(st.integers(1, 6))
+    cfg = ScenarioConfig(
+        num_agents=na,
+        num_anchors=draw(st.integers(0, 3)),
+        num_steps=draw(st.integers(2, 8)),
+        connectivity=draw(st.one_of(st.none(), st.just(8.0))),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    if draw(st.booleans()):
+        along, across = draw(st.sampled_from(LINK_SCALES)), draw(st.sampled_from(LINK_SCALES))
+        couple = draw(st.sampled_from([0.0, 1.0, -1.0])) * math.sqrt(along * across)
+        cfg = replace(cfg, vel_along=along, vel_across=across, vel_couple=couple)
+        return assemble_position_efim(generate_scenario(cfg))
+    c = draw(st.sampled_from([0.0, 0.3, 1.0 - 1e-12, 1.0 - 1e-15]))
+    cov = draw(st.sampled_from([1e-300, 1.0, 1e150])) * np.array([[1.0, c], [c, 1.0]])
+    initial = draw(st.sampled_from([None, np.eye(2)]))
+    scenario = replace(generate_scenario(cfg), velocity_model=None)
+    return independent_params_efim(replace(scenario, mobility=MobilityModel(cov, initial)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(link_edge_efims())
+def test_the_link_check_on_agent_blocks_decides_as_the_stacked_factor(j):
+    start, d, upper = j._layout
+    d = 0.5 * (d + d.transpose(0, 2, 1))
+    with np.errstate(all="ignore"):  # a 1e-300 step covariance overflows the collapsed sum
+        got, want = navinfo._check_bands(start, d, upper), check_bands_by_stacked_factor(start, d, upper)
+    assert (got is None) == (want is None)
 
 
 def test_every_bound_costs_one_forward_and_one_backward_pass(monkeypatch):
@@ -1381,3 +1427,99 @@ def test_unknown_coordinate_is_the_same_value_error_at_every_entry_point():
         for read in reads:
             with pytest.raises(ValueError, match=r"^unknown coordinates: \[\(5, 0\)\]$"):
                 read()
+
+
+# ---------------------------------------------------------------------------
+# a builder's EFIM locates its coordinates by arithmetic and lists them on
+# first read
+
+
+def layout_efims():
+    """A 12x40 assembled EFIM, its window from step 7 on, and an
+    `independent_params_efim` with a random-walk prior, with their
+    (agents, first step, end step)."""
+    cfg = ScenarioConfig(num_agents=12, num_anchors=4, num_steps=40, connectivity=10.0, seed=3)
+    scenario = generate_scenario(cfg, (0,))
+    mobility = MobilityModel(np.array([[1.5, 0.3], [0.3, 0.8]]))
+    independent = replace(scenario, velocity_model=None, mobility=mobility)
+    return [
+        (assemble_position_efim(scenario), 12, 0, 40),
+        (assemble_position_efim(scenario, start_step=7), 12, 7, 40),
+        (independent_params_efim(independent), 12, 0, 40),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_reading_every_bound_lists_no_coordinates(index):
+    j, na, start, stop = layout_efims()[index]
+    for n in range(start, stop):
+        marginal_efim(j, [(k, n) for k in range(na)])
+        for k in range(na):
+            speb_with_rank(j, k, n)
+    assert "coords" not in j.__dict__ and "_pos" not in j.__dict__
+    assert j.coords == navinfo.position_coords(na, stop, start)
+    assert [j._index(c) for c in j.coords] == list(range(na * (stop - start)))
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_numpy_integer_coordinates_name_their_blocks(index):
+    j, na, start, stop = layout_efims()[index]
+    last = [(k, stop - 1) for k in range(na)]
+    want = marginal_efim(j, last)
+    got = marginal_efim(j, [(np.int64(k), np.int32(n)) for k, n in last])
+    assert (got.coords, got.matrix.tobytes()) == (want.coords, want.matrix.tobytes())
+    for k, n in [(0, start), (na - 1, stop - 1), (3, start + 5)]:
+        assert j.rows(np.int64(k), np.uint8(n)) == j.rows(k, n)
+        assert speb_with_rank(j, np.int16(k), np.int64(n)) == speb_with_rank(j, k, n)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_unknown_coordinates_raise_the_same_error(index):
+    j, na, start, stop = layout_efims()[index]
+    bare = navinfo.JointEfim(j.coords, j.matrix)  # located through a dict
+    for bad in [(na, start), (-1, start), (0, start - 1), (0, stop), (0.5, start), (0, start + 0.5)]:
+        message = f"unknown coordinates: {[bad]}"
+        for efim in (j, bare):
+            with pytest.raises(ValueError) as rows_error:
+                efim.rows(*bad)
+            with pytest.raises(ValueError) as speb_error:
+                speb(efim, *bad)
+            with pytest.raises(ValueError) as marginal_error:
+                marginal_efim(efim, [(0, start), bad])
+            for error in (rows_error, speb_error, marginal_error):
+                assert str(error.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the bits of the dense-bound workload's reads
+
+
+DENSE_DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "data", "dense_bound_digests.json")
+
+
+def dense_bound_digests() -> dict[str, str]:
+    """sha256 over `DENSE_BOUND.bound` of the first 3 observable scenarios
+    of seeds 0..19, and over every `speb_with_rank` of two 12x40
+    `independent_params_efim` EFIMs with a random-walk prior (full
+    connectivity, and a radius graph with an initial prior)."""
+    bounds = hashlib.sha256()
+    for seed in range(20):
+        cfg = DENSE_BOUND.scenario_config(seed)
+        for index in range(3):
+            scenario = generate_scenario(cfg, (DENSE_BOUND.scenario_number(seed, index),))
+            bounds.update(DENSE_BOUND.bound(scenario).tobytes())
+    ranks = hashlib.sha256()
+    for connectivity, initial in ((None, None), (10.0, np.eye(2))):
+        cfg = ScenarioConfig(num_agents=12, num_anchors=4, num_steps=40, connectivity=connectivity, seed=3)
+        mobility = MobilityModel(np.array([[1.5, 0.3], [0.3, 0.8]]), initial)
+        j = independent_params_efim(replace(generate_scenario(cfg), velocity_model=None, mobility=mobility))
+        for n in range(40):
+            for k in range(12):
+                value, null_dim = speb_with_rank(j, k, n)
+                ranks.update(np.float64(value).tobytes() + np.int64(null_dim).tobytes())
+    return {"dense_bound": bounds.hexdigest(), "independent_params_speb_with_rank": ranks.hexdigest()}
+
+
+def test_dense_bound_reads_keep_their_bits():
+    with open(DENSE_DIGESTS_PATH, encoding="utf-8") as fh:
+        assert dense_bound_digests() == json.load(fh)

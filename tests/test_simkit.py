@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import json
 import math
 import os
+import pickle
 import signal
 import time
 from dataclasses import replace
@@ -86,6 +88,25 @@ def test_config_takes_numpy_integer_counts():
     counts = dict(num_agents=np.int64(2), num_anchors=np.int32(1), num_steps=np.uint8(3))
     cfg = ScenarioConfig(**counts, seed=np.int64(4))
     assert generate_scenario(cfg).geometry.paths.shape == (3, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        dict(num_agents=2**62),
+        dict(num_anchors=np.int64(2**62)),  # numpy arithmetic would wrap around
+        dict(num_agents=0, num_anchors=0, num_steps=10**20),
+        dict(num_agents=1, num_anchors=0, num_steps=(2**63 - 1) // 16 + 1),
+    ],
+)
+def test_config_rejects_counts_no_path_array_can_hold(counts):
+    with pytest.raises(ConfigError, match="too many for one array of paths"):
+        ScenarioConfig(**counts)
+
+
+def test_config_takes_the_largest_counts_a_path_array_can_hold():
+    # nothing is allocated until a scenario is drawn
+    ScenarioConfig(num_agents=1, num_anchors=0, num_steps=(2**63 - 1) // 16)
 
 
 def test_config_takes_the_velocity_models_triple_rule():
@@ -307,6 +328,45 @@ def test_only_a_pair_listing_is_resolved_into_weights(tmp_path, monkeypatch):
     assert len(calls) == 1
     replace(scenario, range_model=RangeModel(intensity=1.0))
     assert len(calls) == 2
+
+
+def listing_of_weights(scenario) -> tuple:
+    """Per step, the pairs (k, j), k < j, k an agent, whose weight is
+    nonzero, in row-major order: the listing `Scenario` resolves to a
+    built scenario's weights when the range intensity is positive."""
+    na, nodes = scenario.geometry.num_agents, scenario.geometry.num_nodes
+    return tuple(
+        tuple((k, j) for k in range(na) for j in range(k + 1, nodes) if step[k, j] != 0.0)
+        for step in scenario.weights
+    )
+
+
+@pytest.mark.parametrize("connectivity", [None, 8.0])
+def test_a_generated_scenario_lists_its_pairs_on_first_read(monkeypatch, connectivity):
+    cfg = ScenarioConfig(num_agents=4, num_anchors=3, num_steps=6, connectivity=connectivity, seed=2)
+    listed = []
+    real = models.compress
+    monkeypatch.setattr(models, "compress", lambda *args: listed.append(1) or real(*args))
+    scenario = generate_scenario(cfg, (1,))
+    copies = [copy.deepcopy(scenario), pickle.loads(pickle.dumps(scenario))]
+    assert listed == [] and "pairs" not in scenario.__dict__
+    want = listing_of_weights(scenario)
+    assert scenario.pairs == want
+    assert len(listed) == cfg.num_steps  # one row of the mask per step, once
+    assert scenario.pairs is scenario.pairs and len(listed) == cfg.num_steps
+    public = Scenario(
+        scenario.geometry, want, scenario.range_model, scenario.velocity_model, scenario.mobility
+    )
+    assert public.weights.tobytes() == scenario.weights.tobytes()
+    copies += [copy.deepcopy(scenario), pickle.loads(pickle.dumps(scenario))]
+    for other in copies:
+        assert other.pairs == want
+        assert other.weights.tobytes() == scenario.weights.tobytes()
+        assert other == replace(other) and replace(other, pairs=want) == other
+    assert len(listed) == 3 * cfg.num_steps  # the copies made before the read list their own
+    assert scenario == public and scenario == replace(scenario)
+    fresh = generate_scenario(cfg, (1,))
+    assert fresh == replace(fresh) and fresh.pairs == want  # == lists it on the fly
 
 
 # ---------------------------------------------------------------------------
