@@ -54,13 +54,17 @@ def _reduce(
     null = np.abs(w) <= cutoff
     v_descaled = v / scale[..., :, None]
     if null.any():
-        lead = null.shape[:-1]
-        cross_b = np.broadcast_to(cross, (*lead, *cross.shape[-2:]))
-        back_b = np.broadcast_to(cross_back, (*lead, *cross_back.shape[-2:]))
-        if any(
-            null[idx].any() and _leaks(cross_b[idx], back_b[idx], v_descaled[idx][:, null[idx]])
-            for idx in np.ndindex(lead)
-        ):
+        basis = np.where(null[..., None, :], v_descaled, 0.0)
+        norms = np.linalg.norm(basis, axis=-2, keepdims=True)
+        basis = basis / np.where(norms > 0.0, norms, 1.0)
+        fro = (-2, -1)
+        ref = np.maximum(
+            1.0, np.maximum(np.linalg.norm(cross, axis=fro), np.linalg.norm(cross_back, axis=fro))
+        )
+        leak = np.maximum(
+            np.linalg.norm(cross @ basis, axis=fro), np.linalg.norm(_t(basis) @ cross_back, axis=fro)
+        )
+        if (leak > LEAK_TOL * ref).any():
             raise SingularBlockError(f"singular nuisance block in {context}")
     inv_w = np.where(null, 0.0, 1.0) / np.where(null, 1.0, w)
     return target - (cross @ v_descaled) @ ((inv_w[..., :, None] * _t(v_descaled)) @ cross_back)
@@ -76,19 +80,6 @@ def _scaled_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
     w, v = np.linalg.eigh(matrix / scale[..., :, None] / scale[..., None, :])
     return w, v, scale
-
-
-def _leaks(cross: np.ndarray, cross_back: np.ndarray, null_basis: np.ndarray) -> bool:
-    """Whether cross-information enters the (unnormalized) null directions
-    beyond round-off."""
-    norms = np.linalg.norm(null_basis, axis=0)
-    null_basis = null_basis / np.where(norms > 0.0, norms, 1.0)
-    ref = max(1.0, float(np.linalg.norm(cross)), float(np.linalg.norm(cross_back)))
-    leak = max(
-        float(np.linalg.norm(cross @ null_basis)),
-        float(np.linalg.norm(null_basis.T @ cross_back)),
-    )
-    return leak > LEAK_TOL * ref
 
 
 def _t(a: np.ndarray) -> np.ndarray:

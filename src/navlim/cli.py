@@ -23,9 +23,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import navinfo, simkit
-from .blockfim import block_diag
+from .blockfim import SingularBlockError, block_diag
 from .geom2d import Eigen2, eigen2, info_ellipse, r_dir
-from .models import GeometryError, Scenario, ScenarioGeometry, random_walks
+from .models import GeometryError, Scenario, random_walks
 from .simkit import (
     ALL_MODES,
     AuditError,
@@ -578,13 +578,7 @@ def _identity_anchor_equivalence(rng: np.random.Generator, cases: int, tol: floa
             scenario,
             priors=tuple((na - 1, n, 1e12 * np.eye(2)) for n in range(t)),
         )
-        as_anchor = replace(
-            scenario,
-            geometry=ScenarioGeometry(scenario.geometry.paths, na - 1),
-            pairs=tuple(
-                tuple(p for p in step if p[0] < na - 1) for step in scenario.pairs
-            ),
-        )
+        as_anchor = simkit.build_scenario(replace(cfg, num_agents=na - 1), scenario.geometry.paths)
         j_pinned = navinfo.assemble_position_efim(pinned)
         j_anchor = navinfo.assemble_position_efim(as_anchor)
         for k in range(na - 1):
@@ -654,7 +648,7 @@ def main(argv=None) -> int:
     except (ConfigError, simkit.SweepWorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_WORKER
-    except (SweepNumericalError, AuditError) as exc:
+    except (SweepNumericalError, AuditError, SingularBlockError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

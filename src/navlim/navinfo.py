@@ -633,22 +633,18 @@ def carry_over_step(
 
 def individual_efims(total: np.ndarray) -> list[np.ndarray]:
     """Per-agent 2x2 position information inside a one-step network matrix:
-    the inverse of each agent's block of the network-wide inverse."""
+    the inverse of each agent's block of the network-wide inverse, from one
+    stacked Schur complement."""
     total = np.asarray(total, dtype=float)
     na = total.shape[0] // 2
-    out = []
-    for k in range(na):
-        rows = np.arange(2 * k, 2 * k + 2)
-        rest = np.setdiff1d(np.arange(2 * na), rows)
-        out.append(
-            eliminate_block(
-                total[np.ix_(rows, rows)],
-                total[np.ix_(rows, rest)],
-                total[np.ix_(rest, rest)],
-                total[np.ix_(rest, rows)],
-            )
-        )
-    return out
+    # agent k's copy lists its own two rows first, then the others in order
+    rest = np.arange(2 * na - 2)
+    rest = rest + 2 * (rest >= 2 * np.arange(na)[:, None])
+    order = np.concatenate([2 * np.arange(na)[:, None] + [0, 1], rest], axis=1)
+    copies = total[order[:, :, None], order[:, None, :]]
+    return list(
+        eliminate_block(copies[:, :2, :2], copies[:, :2, 2:], copies[:, 2:, 2:], copies[:, 2:, :2])
+    )
 
 
 def distributed_carry_over(
@@ -660,9 +656,9 @@ def distributed_carry_over(
 
     Each agent first extracts its individual position information after the
     previous step's spatial cooperation (the inverse of its own block of the
-    network-wide inverse), then runs the scalar carry-over step against it.
-    Correlation between agents is deliberately dropped; the result is one 2x2
-    block per agent.
+    network-wide inverse), then runs the scalar carry-over step against it,
+    all agents in one stacked call. Correlation between agents is
+    deliberately dropped; the result is one 2x2 block per agent.
     """
     na = len(k_now)
     if len(carry_prev) != na:
@@ -672,11 +668,8 @@ def distributed_carry_over(
     s_prev_full = np.asarray(s_prev_full, dtype=float)
     if s_prev_full.shape != (2 * na, 2 * na):
         raise ValueError("s_prev_full must cover all agents of one step")
-    total = s_prev_full + block_diag(list(carry_prev))
-    return [
-        carry_over_step(np.asarray(k_now[k], dtype=float), individual)
-        for k, individual in enumerate(individual_efims(total))
-    ]
+    individual = individual_efims(s_prev_full + block_diag(list(carry_prev)))
+    return list(carry_over_step(np.reshape(k_now, (na, 2, 2)), np.reshape(individual, (na, 2, 2))))
 
 
 def spatial_step_matrix(scenario: Scenario, n: int) -> np.ndarray:

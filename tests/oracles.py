@@ -9,8 +9,9 @@ paths kept as they were: the sweep audit's (one built scenario per horizon,
 assembled and marginalized by navlim's own dense path), the
 hidden-Markov chain elimination by a forward pass with explicit fill-in,
 scattered into the Bayesian EFIM one block at a time, the per-block
-SPEB read, and the sweep's domain check with one factor of the stacked
-links.
+SPEB read, the sweep's domain check with one factor of the stacked
+links, and the distributed carry-over and `_reduce`'s leak test one agent
+or one matrix at a time.
 """
 
 import math
@@ -20,7 +21,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from navlim import navinfo, simkit
-from navlim.blockfim import PINV_RCOND, ChainBlocks, SingularBlockError, _scaled_eigh
+from navlim.blockfim import (
+    LEAK_TOL,
+    PINV_RCOND,
+    ChainBlocks,
+    SingularBlockError,
+    _scaled_eigh,
+    block_diag,
+    eliminate_block,
+)
 from navlim.models import MobilityModel, ScenarioGeometry
 
 
@@ -744,3 +753,67 @@ def check_bands_by_stacked_factor(start: int, d: np.ndarray, upper: np.ndarray):
     if not min_eig > navinfo._COLLAPSED_MIN_EIG:
         return None
     return start, d, upper
+
+
+# ---------------------------------------------------------------------------
+# the distributed carry-over by the former per-agent loop, and `_reduce`'s
+# null-leak test by the former per-matrix loop
+
+
+def individual_efims_by_agent(total: np.ndarray) -> list[np.ndarray]:
+    """Per-agent 2x2 position information inside a one-step network matrix:
+    the inverse of each agent's block of the network-wide inverse."""
+    total = np.asarray(total, dtype=float)
+    na = total.shape[0] // 2
+    out = []
+    for k in range(na):
+        rows = np.arange(2 * k, 2 * k + 2)
+        rest = np.setdiff1d(np.arange(2 * na), rows)
+        out.append(
+            eliminate_block(
+                total[np.ix_(rows, rows)],
+                total[np.ix_(rows, rest)],
+                total[np.ix_(rest, rest)],
+                total[np.ix_(rest, rows)],
+            )
+        )
+    return out
+
+
+def distributed_carry_over_by_agent(s_prev_full, carry_prev, k_now) -> list[np.ndarray]:
+    """`navinfo.distributed_carry_over` after its input checks, one
+    `carry_over_step` per agent."""
+    total = np.asarray(s_prev_full, dtype=float) + block_diag(list(carry_prev))
+    return [
+        navinfo.carry_over_step(np.asarray(k_now[k], dtype=float), individual)
+        for k, individual in enumerate(individual_efims_by_agent(total))
+    ]
+
+
+def _leaks(cross: np.ndarray, cross_back: np.ndarray, null_basis: np.ndarray) -> bool:
+    """Whether cross-information enters the (unnormalized) null directions
+    beyond round-off."""
+    norms = np.linalg.norm(null_basis, axis=0)
+    null_basis = null_basis / np.where(norms > 0.0, norms, 1.0)
+    ref = max(1.0, float(np.linalg.norm(cross)), float(np.linalg.norm(cross_back)))
+    leak = max(
+        float(np.linalg.norm(cross @ null_basis)),
+        float(np.linalg.norm(null_basis.T @ cross_back)),
+    )
+    return leak > LEAK_TOL * ref
+
+
+def reduce_leaks_by_matrix(cross: np.ndarray, nuisance: np.ndarray, cross_back: np.ndarray) -> bool:
+    """Whether `blockfim._reduce` finds a null-space leak in any matrix of a
+    stack, with the same null directions, tested one matrix at a time."""
+    w, v, scale = _scaled_eigh(nuisance)
+    cutoff = PINV_RCOND * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
+    null = np.abs(w) <= cutoff
+    v_descaled = v / scale[..., :, None]
+    lead = null.shape[:-1]
+    cross_b = np.broadcast_to(cross, (*lead, *cross.shape[-2:]))
+    back_b = np.broadcast_to(cross_back, (*lead, *cross_back.shape[-2:]))
+    return any(
+        null[idx].any() and _leaks(cross_b[idx], back_b[idx], v_descaled[idx][:, null[idx]])
+        for idx in np.ndindex(lead)
+    )

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from navlim.blockfim import (
     ChainBlocks,
     SingularBlockError,
+    _reduce,
     block_diag,
     eliminate_block,
     eliminate_hmm_chain,
@@ -14,6 +16,7 @@ from oracles import (
     eliminate_hmm_chain_forward,
     random_chain,
     random_spd,
+    reduce_leaks_by_matrix,
 )
 
 
@@ -341,3 +344,46 @@ def test_singular_leak_is_charged_to_its_own_matrix():
         eliminate_block(np.ones((2, 2, 1, 1)), cross, nuisance)
     with pytest.raises(SingularBlockError):
         eliminate_block(np.ones((1, 1)), cross[1, 0], nuisance[1, 0])
+
+
+@st.composite
+def reduction_stacks(draw):
+    """(target, cross, nuisance, cross_back) stacks that mix positive
+    definite nuisance blocks, singular ones whose cross-information stays in
+    their range, and singular ones whose cross-information, either side,
+    enters a null direction (also the axis case [[1, 0], [0, 0]] against
+    cross [[0, 1]])."""
+    s, g = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    kinds = draw(
+        st.lists(st.sampled_from(["pd", "singular", "leak", "back_leak", "axis"]), min_size=1, max_size=5)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for kind in kinds:
+        if kind == "pd":
+            nuisance = random_spd(rng, g, scale=10.0 ** rng.uniform(-6.0, 6.0))
+            cross = rng.normal(size=(s, g))
+        elif kind == "axis":
+            nuisance = np.diag([1.0] + [0.0] * (g - 1))
+            cross = np.zeros((s, g))
+            cross[0, -1] = 1.0
+        else:
+            basis = rng.normal(size=(g, int(rng.integers(0, g))))
+            nuisance = basis @ basis.T
+            cross = rng.normal(size=(s, basis.shape[1])) @ basis.T
+            if kind == "leak":
+                cross = cross + rng.normal(size=(s, g))
+        back = cross.T + (rng.normal(size=(g, s)) if kind == "back_leak" else 0.0)
+        parts.append((random_spd(rng, s), cross, nuisance, back))
+    return tuple(np.stack(blocks) for blocks in zip(*parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduction_stacks())
+def test_a_stack_raises_exactly_when_the_per_matrix_test_finds_a_leak(stack):
+    target, cross, nuisance, back = stack
+    if reduce_leaks_by_matrix(cross, nuisance, back):
+        with pytest.raises(SingularBlockError, match=r"^singular nuisance block in ctx$"):
+            _reduce(target, cross, nuisance, back, "ctx")
+    else:
+        assert _reduce(target, cross, nuisance, back, "ctx").shape == target.shape

@@ -9,7 +9,8 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from navlim import cli, simkit
+from navlim import cli, navinfo, simkit
+from navlim.blockfim import SingularBlockError
 from oracles import inline_random_walks
 
 
@@ -415,6 +416,63 @@ def test_ellipse_of_a_scenario_without_nodes_draws_an_empty_figure(tmp_path, emi
     assert [child.tag for child in root] == ["{http://www.w3.org/2000/svg}rect"]
 
 
+# Scenario files whose `ellipse` outputs are pinned by sha256: a full
+# network with velocity-axis coupling, a radius graph that isolates agent 1
+# at steps 3, 4 and 7, and a network without anchors.
+ELLIPSE_SPECS = {
+    "full_coupled": {
+        "area": [30, 20],
+        "anchors": [[2.0, 2.0], [27.0, 4.0], [15.0, 18.0]],
+        "agents": 4,
+        "T": 6,
+        "intensities": {"lambda_kk": 5, "nu_kk": 2, "xi_kk": 1.5, "lambda_kj": 4},
+        "step_cov": [[1.5, 0.3], [0.3, 0.8]],
+        "seed": 5,
+    },
+    "radius_isolating": {
+        "area": [30, 30],
+        "anchors": [[5.0, 5.0], [25.0, 25.0], [5.0, 25.0]],
+        "agents": 5,
+        "T": 8,
+        "intensities": {"lambda_kk": 5, "nu_kk": 5, "xi_kk": 0, "lambda_kj": 5},
+        "connectivity": {"radius": 12},
+        "seed": 4,
+    },
+    "no_anchor": {
+        "area": [20, 20],
+        "anchors": [],
+        "agents": 4,
+        "T": 5,
+        "intensities": {"lambda_kk": 3, "nu_kk": 1, "xi_kk": 0.5, "lambda_kj": 6},
+        "seed": 9,
+    },
+}
+ELLIPSE_DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "data", "ellipse_digests.json")
+
+
+def test_the_radius_ellipse_scenario_isolates_one_agent_at_some_steps(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(ELLIPSE_SPECS["radius_isolating"]))
+    scenario = cli.load_scenario(str(path))
+    ranged = {(n, node) for n, step in enumerate(scenario.pairs) for pair in step for node in pair}
+    isolated = [(n, k) for n in range(8) for k in range(5) if (n, k) not in ranged]
+    assert isolated == [(3, 1), (4, 1), (7, 1)]
+
+
+@pytest.mark.parametrize("name", sorted(ELLIPSE_SPECS))
+def test_ellipse_outputs_match_their_recorded_digests(tmp_path, capsys, name):
+    with open(ELLIPSE_DIGESTS_PATH, encoding="utf-8") as fh:
+        want = json.load(fh)[name]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(ELLIPSE_SPECS[name]))
+    assert cli.main(["ellipse", "--scenario", str(path), "--out-dir", str(tmp_path), "--emit", "both"]) == 0
+    got = {
+        stem: hashlib.sha256((tmp_path / stem).read_bytes()).hexdigest()
+        for stem in ("ellipses.csv", "ellipses.svg")
+    }
+    assert got == want
+
+
 def test_scenario_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"area": [10, 10], "bogus": 1}))
@@ -657,6 +715,37 @@ def test_audit_failure_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
     assert "seed=5" in err and f"entropy={simkit._AUDIT_ENTROPY:#x}" in err
     assert "coincide" in err
     assert not (tmp_path / "sweep_time.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_ellipse_whose_solve_fails_exits_3_with_one_line(tmp_path, capsys):
+    # the ranging blocks overflow to inf, and the eigensolver gives up
+    spec = {
+        "area": [20, 20],
+        "anchors": [[2.0, 2.0], [18.0, 3.0], [10.0, 18.0]],
+        "agents": 3,
+        "T": 3,
+        "intensities": {"lambda_kk": 5, "nu_kk": 5, "xi_kk": 0, "lambda_kj": 1e308},
+        "seed": 3,
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert cli.main(["ellipse", "--scenario", str(path), "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert not (out / "ellipses.csv").exists()
+
+
+def test_a_leaking_ellipse_reduction_exits_3_with_one_line(tmp_path, capsys, monkeypatch, demo_scenario):
+    def leaking(total):
+        raise SingularBlockError("singular nuisance block in eliminate_block")
+
+    monkeypatch.setattr(navinfo, "individual_efims", leaking)
+    out = tmp_path / "out"
+    assert cli.main(["ellipse", "--scenario", str(demo_scenario), "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: singular nuisance block in eliminate_block\n"
+    assert not (out / "ellipses.csv").exists()
 
 
 @pytest.mark.parametrize("seed", [7, 1112])

@@ -45,7 +45,9 @@ from oracles import (
     block_spebs_by_block,
     check_bands_by_stacked_factor,
     dense_position_fim,
+    distributed_carry_over_by_agent,
     extend_carries_by_solve,
+    individual_efims_by_agent,
     mobility_blocks,
     pair_blocks,
     random_gaussian_case,
@@ -342,6 +344,73 @@ def test_distributed_carries_less_per_agent_information():
             speb_d = np.trace(np.linalg.inv(carry_d[k]))
             speb_c = np.trace(np.linalg.inv(central_blk))
             assert speb_d >= speb_c * (1 - 1e-9)
+
+
+def _psd2(rng: np.random.Generator, kind: str) -> np.ndarray:
+    if kind == "zero":
+        return np.zeros((2, 2))
+    block = rng.uniform(0.1, 10.0) * r_dir(rng.uniform(0.0, 2.0 * math.pi))
+    return block if kind == "rank1" else block + _random_spd2(rng)
+
+
+@st.composite
+def distributed_steps(draw):
+    """One step of the distributed recursion for 0..12 agents: a ranging
+    matrix of random rank-1 links among the agents and to 0..3 anchors (no
+    link at all for zero ranging, and agents whose rows are zeroed, as a
+    radius graph isolates them), agents pinned by a 1e12 prior, and carry
+    and velocity blocks that are zero, rank-1 or positive definite."""
+    na = draw(st.integers(0, 12))
+    num_anchors = draw(st.integers(0, 3))
+    p_link = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = np.zeros((2 * na, 2 * na))
+    for k in range(na):
+        for peer in range(k + 1, na + num_anchors):
+            if rng.uniform() >= p_link:
+                continue
+            block = rng.uniform(0.1, 10.0) * r_dir(rng.uniform(0.0, 2.0 * math.pi))
+            rk = slice(2 * k, 2 * k + 2)
+            matrix[rk, rk] += block
+            if peer < na:
+                rp = slice(2 * peer, 2 * peer + 2)
+                matrix[rp, rp] += block
+                matrix[rk, rp] -= block
+                matrix[rp, rk] -= block
+    agents = st.integers(0, max(na - 1, 0))
+    if na:
+        for k in draw(st.sets(agents, max_size=3)):
+            matrix[2 * k : 2 * k + 2, :] = matrix[:, 2 * k : 2 * k + 2] = 0.0
+        for k in draw(st.sets(agents, max_size=2)):
+            matrix[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += 1e12 * np.eye(2)
+    kinds = st.lists(st.sampled_from(["zero", "rank1", "pd"]), min_size=na, max_size=na)
+    carries = [_psd2(rng, kind) for kind in draw(kinds)]
+    k_now = [_psd2(rng, kind) for kind in draw(kinds)]
+    return matrix, carries, k_now
+
+
+def _outcome(func, *args):
+    """The bytes of each returned block, or the exception raised."""
+    try:
+        return [block.tobytes() for block in func(*args)]
+    except (SingularBlockError, np.linalg.LinAlgError) as exc:
+        return repr(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(distributed_steps())
+def test_stacked_distributed_step_is_the_per_agent_loop_bitwise(step):
+    matrix, carries, k_now = step
+    total = matrix + block_diag(carries)
+    assert _outcome(individual_efims, total) == _outcome(individual_efims_by_agent, total)
+    assert _outcome(distributed_carry_over, matrix, carries, k_now) == _outcome(
+        distributed_carry_over_by_agent, matrix, carries, k_now
+    )
+
+
+def test_distributed_carry_over_of_no_agents_is_empty():
+    assert individual_efims(np.zeros((0, 0))) == []
+    assert distributed_carry_over(np.zeros((0, 0)), [], []) == []
 
 
 # ---------------------------------------------------------------------------
