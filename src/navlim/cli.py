@@ -326,6 +326,8 @@ def cmd_ellipse(args) -> int:
         except GeometryError as exc:
             raise ConfigError(f"invalid scenario geometry: {exc}")
         after = navinfo.individual_efims(s_n + block_diag(carry))
+        if not (np.isfinite(carry).all() and np.isfinite(after).all()):
+            raise np.linalg.LinAlgError(f"non-finite information at step {n}")
         for k in range(na):
             rows.append(_ellipse_row(k, n, "carry_over", carry[k]))
             rows.append(_ellipse_row(k, n, "after_spatial", after[k]))

@@ -171,9 +171,10 @@ def _check_intensity_triple(along: float, across: float, couple: float, error=Va
 class MobilityModel:
     """Gaussian random walk over positions with 2x2 step covariance (m^2).
 
-    `initial_prior`, when given, is a PD information block added at the first
-    step; the default walk alone carries no absolute reference and is
-    rank-deficient by the common-translation directions.
+    `step_cov` is symmetrized and must be positive definite. `initial_prior`,
+    when given, is a finite 2x2 information block added to every agent at
+    the first step; the default walk alone carries no absolute reference
+    and is rank-deficient by the common-translation directions.
     """
 
     step_cov: np.ndarray
@@ -185,7 +186,17 @@ class MobilityModel:
             cov = float(cov[0, 0]) * np.eye(2)
         if cov.shape != (2, 2):
             raise ValueError("step_cov must be scalar or 2x2")
-        object.__setattr__(self, "step_cov", 0.5 * (cov + cov.T))
+        cov = 0.5 * (cov + cov.T)
+        if not np.isfinite(cov).all():
+            raise ValueError("non-finite step_cov")
+        if np.linalg.eigvalsh(cov).min() <= 0:
+            raise ValueError("singular or indefinite step covariance")
+        object.__setattr__(self, "step_cov", cov)
+        if self.initial_prior is not None:
+            prior = np.asarray(self.initial_prior, dtype=float)
+            if prior.shape != (2, 2) or not np.isfinite(prior).all():
+                raise ValueError("initial_prior must be a finite 2x2 block")
+            object.__setattr__(self, "initial_prior", prior)
 
 
 def random_walks(
@@ -270,7 +281,9 @@ class Scenario:
 
     `pairs[n]` lists the ranging pairs measured at step n as (k, j) with
     k < j and k an agent. `priors` adds explicit 2x2 information blocks at
-    (agent, step) coordinates, e.g. to pin a node.
+    (agent, step) coordinates, e.g. to pin a node: they are the one way in
+    for single-step information about one position (intra-node
+    measurements included), and must be finite.
 
     Construction, and `dataclasses.replace`, check the listing and resolve
     it and the models into read-only kernel inputs: the `spatial_block`
@@ -308,8 +321,11 @@ class Scenario:
                 raise ValueError(f"prior on unknown agent {agent}")
             if not (0 <= step < t):
                 raise ValueError(f"prior at unknown step {step}")
-            if np.asarray(block).shape != (2, 2):
+            block = np.asarray(block)
+            if block.shape != (2, 2):
                 raise ValueError("prior blocks must be 2x2")
+            if not np.isfinite(block).all():
+                raise ValueError(f"non-finite prior on agent {agent} at step {step}")
         weights = np.zeros(t * na * nodes)
         if self.range_model is not None:
             lam = self.range_model.intensity_at(k, j, n)

@@ -175,14 +175,10 @@ class JointEfim:
 
 
 def _spatial_matrices(
-    paths: np.ndarray,
-    weights: np.ndarray,
-    first: int = 0,
-    priors: Sequence = (),
-    anchors: bool = False,
+    paths: np.ndarray, weights: np.ndarray, first: int = 0, anchors: bool = False
 ):
-    """Network ranging matrices of a chunk of trials, priors included, shape
-    (trials, steps, 2*Na, 2*Na), from the `spatial_block` inputs of steps
+    """Network ranging matrices of a chunk of trials, shape (trials, steps,
+    2*Na, 2*Na), from the `spatial_block` inputs of steps
     first..first+steps-1; with `anchors`, also the matrices of the
     agent-anchor pairs alone, as a second stack.
 
@@ -192,24 +188,16 @@ def _spatial_matrices(
     that is the pairs it opens before those it closes, each in listing
     order: the sweep CSVs depend on that order to the last bit. Agent-agent
     blocks enter negated between the two agents, as +0.0 where unmeasured.
-    `priors` holds per trial the (agent, step, block) priors, added to the
-    diagonal in order afterwards.
     """
     blocks = spatial_block(paths, weights, first)
-    trials, steps, na, nodes = blocks.shape[:4]
+    na, nodes = blocks.shape[2:4]
     comp = np.moveaxis(blocks, (-2, -1), (0, 1))
-    agents = np.arange(na)
-    peers = (agents[:, None] + np.arange(1, nodes)) % nodes
-    out = [_network_matrices(comp, peers, offdiag=True)]
-    if anchors:
-        anchor_peers = np.broadcast_to(np.arange(na, nodes), (na, nodes - na))
-        out.append(_network_matrices(comp, anchor_peers))
-    for stack in out:
-        for c, trial_priors in enumerate(priors):
-            for k, n, blk in trial_priors:
-                if first <= n < first + steps:
-                    stack[c, n - first, 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += blk
-    return tuple(out) if anchors else out[0]
+    peers = (np.arange(na)[:, None] + np.arange(1, nodes)) % nodes
+    full = _network_matrices(comp, peers, offdiag=True)
+    if not anchors:
+        return full
+    anchor_peers = np.broadcast_to(np.arange(na, nodes), (na, nodes - na))
+    return full, _network_matrices(comp, anchor_peers)
 
 
 def _network_matrices(comp: np.ndarray, peers: np.ndarray, offdiag: bool = False) -> np.ndarray:
@@ -247,9 +235,14 @@ def _temporal_matrices(paths: np.ndarray, coeffs: np.ndarray, first: int = 1) ->
 
 
 def _scenario_spatial(scenario: Scenario, first: int, stop: int) -> np.ndarray:
-    """`_spatial_matrices` of one scenario's steps first..stop-1."""
+    """`_spatial_matrices` of one scenario's steps first..stop-1, its
+    priors added to their agents' diagonal blocks in order afterwards."""
     weights = scenario.weights[None, first:stop]
-    return _spatial_matrices(scenario.geometry.paths[None], weights, first, (scenario.priors,))[0]
+    out = _spatial_matrices(scenario.geometry.paths[None], weights, first)[0]
+    for k, n, blk in scenario.priors:
+        if first <= n < stop:
+            out[n - first, 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += blk
+    return out
 
 
 def _mobility_links(mobility: MobilityModel | None, diag: np.ndarray) -> np.ndarray:
@@ -261,11 +254,9 @@ def _mobility_links(mobility: MobilityModel | None, diag: np.ndarray) -> np.ndar
     steps, size = diag.shape[:2]
     if mobility is None:
         return np.zeros((max(steps - 1, 0), size, size))
-    if np.linalg.eigvalsh(mobility.step_cov).min() <= 0:
-        raise ValueError("singular step covariance")
     if mobility.initial_prior is not None:
         for row in range(0, size, 2):
-            diag[0, row : row + 2, row : row + 2] += np.asarray(mobility.initial_prior, dtype=float)
+            diag[0, row : row + 2, row : row + 2] += mobility.initial_prior
     info = block_diag([np.linalg.inv(mobility.step_cov)] * (size // 2))
     return np.broadcast_to(info, (max(steps - 1, 0), size, size))
 
@@ -337,10 +328,7 @@ def assemble_position_efim(
     return JointEfim._from_layout(start_step, d, upper)
 
 
-def independent_params_efim(
-    scenario: Scenario,
-    state_info: Mapping[tuple[int, int], np.ndarray] | None = None,
-) -> JointEfim:
+def independent_params_efim(scenario: Scenario) -> JointEfim:
     """Joint position EFIM when measurement parameters are independent across
     time and of the positions.
 
@@ -349,7 +337,7 @@ def independent_params_efim(
     `RangeModel`, the pair's (distance, bias) information with the
     prior-augmented bias eliminated, 1 / (sigma_range^2 + sigma_bias^2)), and
     intra-node measurements enter as ready per-(agent, step) 2x2 blocks in
-    `state_info`. The mobility prior, when present, keeps its usual
+    `scenario.priors`. The mobility prior, when present, keeps its usual
     consecutive-step stripe.
 
     Velocity measurements spanning two steps do not fit this reduction; use
@@ -360,13 +348,7 @@ def independent_params_efim(
             "velocity measurements couple consecutive steps; "
             "this reduction handles single-step measurements only"
         )
-    geom = scenario.geometry
-    na, t = geom.num_agents, geom.num_steps
-    diag = _scenario_spatial(scenario, 0, t)
-    for (k, n), blk in (state_info or {}).items():
-        if not (0 <= k < na and 0 <= n < t):
-            raise ValueError(f"state_info at unknown coordinate ({k}, {n})")
-        diag[n, 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += np.asarray(blk, dtype=float)
+    diag = _scenario_spatial(scenario, 0, scenario.geometry.num_steps)
     return JointEfim._from_layout(0, *_band_layout(diag, _mobility_links(scenario.mobility, diag)))
 
 

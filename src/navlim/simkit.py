@@ -249,13 +249,12 @@ def _recursion(
 class _Chunk(NamedTuple):
     """Trials of one shape, stacked for the step kernels: node paths
     (trials, nodes, T, 2), ranging intensities (trials, T, Na, nodes) with
-    zeros for unmeasured pairs, velocity intensities (trials, T-1, Na, 3),
-    and each trial's priors."""
+    zeros for unmeasured pairs, and velocity intensities (trials, T-1, Na,
+    3). A sweep draws no priors, so a chunk carries none."""
 
     paths: np.ndarray
     weights: np.ndarray
     coeffs: np.ndarray
-    priors: tuple
 
 
 def _measurements(cfg: ScenarioConfig, paths: np.ndarray):
@@ -288,7 +287,7 @@ def _drawn_chunk(cfg: ScenarioConfig, entropies) -> _Chunk:
     same `_measurements`, without building them."""
     paths = np.stack([_draw_paths(cfg, entropy) for entropy in entropies])
     _, weights, coeffs = _measurements(cfg, paths)
-    return _Chunk(paths, weights, coeffs, ((),) * len(paths))
+    return _Chunk(paths, weights, coeffs)
 
 
 def _stacked_spebs(chunk: _Chunk, modes, horizons) -> list[dict[str, np.ndarray] | Exception]:
@@ -299,9 +298,7 @@ def _stacked_spebs(chunk: _Chunk, modes, horizons) -> list[dict[str, np.ndarray]
     elementwise across trials, and stacked numpy linear algebra is bitwise
     equal to per-matrix calls)."""
     try:
-        s_full, s_anchor = navinfo._spatial_matrices(
-            chunk.paths, chunk.weights, priors=chunk.priors, anchors=True
-        )
+        s_full, s_anchor = navinfo._spatial_matrices(chunk.paths, chunk.weights, anchors=True)
         k = navinfo._temporal_matrices(chunk.paths, chunk.coeffs)
         spebs = _recursion(s_full, s_anchor, k, modes, horizons)
     except _TRIAL_FAILURES as exc:

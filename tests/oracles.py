@@ -10,8 +10,9 @@ assembled and marginalized by navlim's own dense path), the
 hidden-Markov chain elimination by a forward pass with explicit fill-in,
 scattered into the Bayesian EFIM one block at a time, the per-block
 SPEB read, the sweep's domain check with one factor of the stacked
-links, and the distributed carry-over and `_reduce`'s leak test one agent
-or one matrix at a time.
+links, the distributed carry-over and `_reduce`'s leak test one agent
+or one matrix at a time, and the independent-parameter EFIM taking
+intra-node blocks beside the scenario's priors.
 """
 
 import math
@@ -499,12 +500,14 @@ def extend_carries_by_solve(carries: list, d: np.ndarray, b: np.ndarray, count: 
 
 
 def scenario_chunk(scenarios):
-    """The sweep chunk of scenarios of equal shape."""
+    """The sweep chunk of scenarios of equal shape and no priors: a chunk
+    carries none."""
+    if any(s.priors for s in scenarios):
+        raise ValueError("a sweep chunk carries no priors")
     return simkit._Chunk(
         np.stack([s.geometry.paths for s in scenarios]),
         np.stack([s.weights for s in scenarios]),
         np.stack([s.coeffs for s in scenarios]),
-        tuple(s.priors for s in scenarios),
     )
 
 
@@ -817,3 +820,29 @@ def reduce_leaks_by_matrix(cross: np.ndarray, nuisance: np.ndarray, cross_back: 
         null[idx].any() and _leaks(cross_b[idx], back_b[idx], v_descaled[idx][:, null[idx]])
         for idx in np.ndindex(lead)
     )
+
+
+# ---------------------------------------------------------------------------
+# the independent-parameter EFIM as it once took intra-node information: a
+# mapping of per-(agent, step) blocks added after the scenario's priors
+
+
+def independent_params_efim_with_state_info(scenario, state_info=None) -> navinfo.JointEfim:
+    """`navinfo.independent_params_efim` with the former `state_info`
+    argument: each (agent, step) block is added to that position's diagonal
+    block, in mapping order, after the scenario's priors and before the
+    mobility prior; only its coordinate is checked."""
+    if scenario.velocity_model is not None:
+        raise ValueError(
+            "velocity measurements couple consecutive steps; "
+            "this reduction handles single-step measurements only"
+        )
+    geom = scenario.geometry
+    na, t = geom.num_agents, geom.num_steps
+    diag = navinfo._scenario_spatial(scenario, 0, t)
+    for (k, n), blk in (state_info or {}).items():
+        if not (0 <= k < na and 0 <= n < t):
+            raise ValueError(f"state_info at unknown coordinate ({k}, {n})")
+        diag[n, 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += np.asarray(blk, dtype=float)
+    links = navinfo._mobility_links(scenario.mobility, diag)
+    return navinfo.JointEfim._from_layout(0, *navinfo._band_layout(diag, links))

@@ -737,6 +737,19 @@ def test_an_ellipse_whose_solve_fails_exits_3_with_one_line(tmp_path, capsys):
     assert not (out / "ellipses.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_ellipse_exits_3_with_one_line(tmp_path, capsys, demo_scenario):
+    # the ranging blocks overflow to inf, and the eigensolver still converges
+    # on the NaN it makes of them: no row may be written
+    spec = json.loads(demo_scenario.read_text())
+    spec["intensities"]["lambda_kj"] = 1e308
+    demo_scenario.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert cli.main(["ellipse", "--scenario", str(demo_scenario), "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: non-finite information at step 0\n"
+    assert not (out / "ellipses.csv").exists()
+
+
 def test_a_leaking_ellipse_reduction_exits_3_with_one_line(tmp_path, capsys, monkeypatch, demo_scenario):
     def leaking(total):
         raise SingularBlockError("singular nuisance block in eliminate_block")

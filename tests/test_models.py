@@ -278,6 +278,37 @@ def test_mobility_rejects_a_step_cov_that_is_neither_scalar_nor_2x2():
         MobilityModel(np.array([1.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "cov, message",
+    [
+        (np.diag([1.0, 0.0]), "singular or indefinite"),
+        (np.diag([1.0, -1.0]), "singular or indefinite"),
+        (-2.0, "singular or indefinite"),
+        (np.array([[1.0, 2.0], [0.0, 1.0]]), "singular or indefinite"),  # symmetrized: indefinite
+        (math.nan, "non-finite"),
+        (np.array([[1.0, 0.0], [0.0, math.inf]]), "non-finite"),
+    ],
+)
+def test_mobility_rejects_a_step_cov_that_is_not_positive_definite_when_built(cov, message):
+    with pytest.raises(ValueError, match=message):
+        MobilityModel(cov)
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [3.0, np.eye(3), np.ones(2), np.array([[1.0, 0.0], [0.0, math.nan]]), np.full((2, 2), math.inf)],
+)
+def test_mobility_rejects_an_initial_prior_that_is_not_a_finite_2x2(prior):
+    with pytest.raises(ValueError, match=r"^initial_prior must be a finite 2x2 block$"):
+        MobilityModel(np.eye(2), initial_prior=prior)
+
+
+def test_mobility_keeps_its_initial_prior_as_a_float_block():
+    model = MobilityModel(np.eye(2), initial_prior=[[2, 0], [0, 1]])
+    assert model.initial_prior.dtype == float
+    np.testing.assert_array_equal(model.initial_prior, np.diag([2.0, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # geometry and scenario plumbing
 
@@ -337,6 +368,15 @@ def test_scenario_validation():
         Scenario(geometry=geom, pairs=((),), priors=((0, 0, np.eye(3)),))
     with pytest.raises(ValueError, match=r"^pairs must be \(k, j\) index tuples$"):
         Scenario(geometry=geom, pairs=(((0, 1, 0),),))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_scenario_rejects_non_finite_priors(value):
+    geom = ScenarioGeometry(np.zeros((2, 2, 2)), num_agents=1)
+    block = np.eye(2)
+    block[1, 0] = value
+    with pytest.raises(ValueError, match=r"^non-finite prior on agent 0 at step 1$"):
+        Scenario(geometry=geom, pairs=((), ()), priors=((0, 0, np.eye(2)), (0, 1, block)))
 
 
 def _radius_pairs_per_pair(paths, num_agents, radius):

@@ -768,11 +768,19 @@ def test_independent_params_unobservable_bias():
     )
 
 
-def test_independent_params_rejects_unknown_state_info_coordinates():
+def test_independent_params_rejects_priors_at_unknown_coordinates():
+    # per-position blocks enter through `priors`, which `Scenario` checks
     scenario = replace(simple_scenario(seed=49), velocity_model=None)
-    for cell in ((2, 0), (-1, 0), (0, 3), (0, -1)):
-        with pytest.raises(ValueError, match="unknown coordinate"):
-            independent_params_efim(scenario, state_info={cell: np.eye(2)})
+    cases = [
+        ((2, 0, np.eye(2)), r"^prior on unknown agent 2$"),
+        ((-1, 0, np.eye(2)), r"^prior on unknown agent -1$"),
+        ((0, 3, np.eye(2)), r"^prior at unknown step 3$"),
+        ((0, -1, np.eye(2)), r"^prior at unknown step -1$"),
+        ((0, 0, 3.0), r"^prior blocks must be 2x2$"),  # a scalar once added to all four entries
+    ]
+    for prior, message in cases:
+        with pytest.raises(ValueError, match=message):
+            independent_params_efim(replace(scenario, priors=(prior,)))
 
 
 def test_bayesian_chains_match_the_block_scatter():
@@ -828,15 +836,17 @@ def test_independent_params_rejects_velocity():
         independent_params_efim(scenario)
 
 
-def test_independent_params_state_info_and_mobility():
+def test_independent_params_priors_and_mobility():
     paths = np.zeros((1, 2, 2))
     paths[0, 1] = [1.0, 0.0]
     geom = ScenarioGeometry(paths, num_agents=1)
     scenario = Scenario(
-        geometry=geom, pairs=((), ()), mobility=MobilityModel(np.eye(2))
+        geometry=geom,
+        pairs=((), ()),
+        mobility=MobilityModel(np.eye(2)),
+        priors=((0, 0, 3.0 * np.eye(2)),),
     )
-    state_info = {(0, 0): 3.0 * np.eye(2)}
-    j = independent_params_efim(scenario, state_info=state_info)
+    j = independent_params_efim(scenario)
     expect = np.zeros((4, 4))
     expect[:2, :2] = 3.0 * np.eye(2) + np.eye(2)
     expect[2:, 2:] = np.eye(2)
@@ -1163,9 +1173,11 @@ def independent_efims(draw):
     )
     initial = draw(st.sampled_from([None, np.eye(2)]))
     mobility = draw(st.sampled_from([None, MobilityModel(0.5 * np.eye(2), initial)]))
-    scenario = replace(generate_scenario(cfg), velocity_model=None, mobility=mobility)
     cells = draw(st.lists(st.tuples(st.integers(0, na - 1), st.integers(0, t - 1)), max_size=4))
-    j = independent_params_efim(scenario, {cell: 2.0 * np.eye(2) for cell in cells})
+    priors = tuple((k, n, 2.0 * np.eye(2)) for k, n in dict.fromkeys(cells))
+    j = independent_params_efim(
+        replace(generate_scenario(cfg), velocity_model=None, mobility=mobility, priors=priors)
+    )
     return j, na, 0, t - 1
 
 

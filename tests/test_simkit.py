@@ -674,18 +674,27 @@ def fails_on_nan(eigh):
     return patched
 
 
+def with_nan_weight(chunk, trial: int, agent: int, step: int):
+    """The chunk with a NaN ranging intensity from `agent` to the first
+    anchor at `step` of `trial`: it poisons that agent's diagonal block of
+    that trial's full and anchor-only matrices only."""
+    weights = chunk.weights.copy()
+    weights[trial, step, agent, chunk.weights.shape[2]] = np.nan
+    return chunk._replace(weights=weights)
+
+
 def test_recursion_failure_drops_only_its_trial(monkeypatch):
-    # the NaN prior poisons one trial's matrices only
     cfg = small_cfg(num_agents=3, num_steps=4)
     scenarios = [generate_scenario(cfg, (trial,)) for trial in range(4)]
-    scenarios[1] = replace(scenarios[1], priors=((2, 1, np.full((2, 2), np.nan)),))
+    horizons = range(1, cfg.num_steps + 1)
+    chunk = with_nan_weight(scenario_chunk(scenarios), 1, 2, 1)
     monkeypatch.setattr(np.linalg, "eigh", fails_on_nan(np.linalg.eigh))
-    chunk = stacked_spebs(scenarios)
-    assert isinstance(chunk[1], np.linalg.LinAlgError)
+    got = simkit._stacked_spebs(chunk, ALL_MODES, horizons)
+    assert isinstance(got[1], np.linalg.LinAlgError)
     for i in (0, 2, 3):
         [alone] = stacked_spebs([scenarios[i]])
         for mode in ALL_MODES:
-            assert chunk[i][mode.value].tobytes() == alone[mode.value].tobytes()
+            assert got[i][mode.value].tobytes() == alone[mode.value].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -698,18 +707,17 @@ def test_recursion_failure_drops_only_its_trial(monkeypatch):
 @example("recursion", 12, {11: 1})
 def test_a_failing_chunk_gives_each_trial_its_own_result(stage, trials, failing):
     # trial i fails at step failing[i]: at the kernel stage agent 0 stands
-    # on the first anchor, at the recursion stage a NaN prior reaches the
-    # eigensolver
+    # on the first anchor, at the recursion stage a NaN ranging intensity
+    # reaches the eigensolver
     cfg = small_cfg(num_agents=3, num_steps=4)
     faults = [failing.get(i) for i in range(trials)]
-    drawn = simkit._drawn_chunk(cfg, [(trial,) for trial in range(trials)])
-    paths, priors = drawn.paths.copy(), list(drawn.priors)
+    chunk = simkit._drawn_chunk(cfg, [(trial,) for trial in range(trials)])
+    chunk = chunk._replace(paths=chunk.paths.copy())
     for i, step in enumerate(faults):
         if step is not None and stage == "kernel":
-            paths[i, 0, step] = paths[i, cfg.num_agents, step]
+            chunk.paths[i, 0, step] = chunk.paths[i, cfg.num_agents, step]
         elif step is not None:
-            priors[i] = ((0, step, np.full((2, 2), np.nan)),)
-    chunk = simkit._Chunk(paths, drawn.weights, drawn.coeffs, tuple(priors))
+            chunk = with_nan_weight(chunk, i, 0, step)
     horizons = range(1, cfg.num_steps + 1)
     passes = []
     real = simkit.navinfo._spatial_matrices

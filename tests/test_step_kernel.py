@@ -11,7 +11,7 @@ may sum in another order and are held to 1e-12 of the matrix scale.
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from navlim.models import (
     MobilityModel,
@@ -23,6 +23,7 @@ from navlim.navinfo import (
     assemble_position_efim,
     bayesian_efim,
     independent_params_efim,
+    speb,
     spatial_step_matrix,
     temporal_step_blocks,
 )
@@ -30,6 +31,7 @@ from navlim import navinfo, simkit
 from navlim.simkit import ScenarioConfig, generate_scenario
 from oracles import (
     band_matrix,
+    independent_params_efim_with_state_info,
     scatter_mobility,
     scatter_spatial_matrices,
     scenario_chunk,
@@ -139,51 +141,77 @@ def test_assembly_is_bytewise_the_scatter_reference(case):
                 assert blocks[k].tobytes() == velocity[n - 1][rows, rows].tobytes()
 
 
+_INITIAL_PRIOR = MobilityModel(np.array([[1.5, 0.3], [0.3, 0.8]]), np.array([[2.0, 0.1], [0.1, 1.0]]))
 mobility_models = st.sampled_from(
     [
         None,
         MobilityModel(0.7 * np.eye(2)),
         MobilityModel(np.array([[1.5, 0.3], [0.3, 0.8]])),
-        MobilityModel(np.array([[1.5, 0.3], [0.3, 0.8]]), np.array([[2.0, 0.1], [0.1, 1.0]])),
+        _INITIAL_PRIOR,
     ]
 )
 
 
-@st.composite
-def state_infos(draw, na, t):
+# drawn (agent, step, coupling, scale) of per-position information blocks,
+# folded onto a scenario's agents and steps by `position_blocks`
+block_draws = st.lists(
+    st.tuples(
+        st.integers(0, 5), st.integers(0, 5), st.floats(-1.0, 1.0), st.sampled_from([1.0, 1e12])
+    ),
+    max_size=3,
+)
+
+
+def position_blocks(drawn, na, t) -> dict:
     """Per-(agent, step) information blocks, some at pinning scale."""
-    return {
-        (k, n): scale * np.array([[3.0, c], [c, 1.0]])
-        for k, n, c, scale in draw(
-            st.lists(
-                st.tuples(
-                    st.integers(0, na - 1),
-                    st.integers(0, t - 1),
-                    st.floats(-1.0, 1.0),
-                    st.sampled_from([1.0, 1e12]),
-                ),
-                max_size=3,
-            )
-        )
-    }
+    return {(k % na, n % t): scale * np.array([[3.0, c], [c, 1.0]]) for k, n, c, scale in drawn}
+
+
+def with_blocks(scenario, blocks):
+    """The scenario with the blocks appended to its priors."""
+    return replace(scenario, priors=scenario.priors + tuple((k, n, b) for (k, n), b in blocks.items()))
 
 
 @settings(max_examples=50, deadline=None)
-@given(scenarios(), mobility_models, st.data())
-def test_independent_params_efim_is_bytewise_the_scatter_reference(case, mobility, data):
+@given(scenarios(), mobility_models, block_draws)
+def test_independent_params_efim_is_bytewise_the_scatter_reference(case, mobility, drawn):
     scenario, _ = case
     scenario = replace(scenario, velocity_model=None, mobility=mobility)
     na, t = scenario.geometry.num_agents, scenario.geometry.num_steps
-    state_info = data.draw(state_infos(na, t))
+    scenario = with_blocks(scenario, position_blocks(drawn, na, t))
     spatial = scatter_spatial_matrices(scenario, 0, t)
     want = band_matrix(spatial, np.zeros((max(t - 1, 0), *spatial.shape[1:])))
-    for (k, n), blk in state_info.items():
-        rows = slice(2 * (n * na + k), 2 * (n * na + k) + 2)
-        want[rows, rows] += blk
     if mobility is not None:
         scatter_mobility(want, na, mobility)
-    got = independent_params_efim(scenario, state_info).matrix
+    got = independent_params_efim(scenario).matrix
     assert got.tobytes() == want.tobytes()
+
+
+# 3 agents on a 20 m radius graph that drops 8 of 48 agent-node pairs, the
+# last agent pinned at every step
+_PINNED = replace(
+    generate_scenario(ScenarioConfig(num_agents=3, num_anchors=2, num_steps=4, connectivity=20.0, seed=5)),
+    priors=tuple((2, n, 1e12 * np.eye(2)) for n in range(4)),
+)
+
+
+@settings(max_examples=75, deadline=None)
+@given(scenarios(), mobility_models, block_draws)
+@example((_PINNED, 0), _INITIAL_PRIOR, [])
+@example((_PINNED, 0), None, [(0, 1, 0.3, 1e12), (2, 3, -0.5, 1.0), (0, 1, 0.9, 1.0)])
+def test_priors_are_bitwise_the_former_state_info_route(case, mobility, drawn):
+    # per-position blocks appended to the priors give the bits the former
+    # `state_info` argument gave, on the matrix and on every bound
+    scenario, _ = case
+    scenario = replace(scenario, velocity_model=None, mobility=mobility)
+    na, t = scenario.geometry.num_agents, scenario.geometry.num_steps
+    blocks = position_blocks(drawn, na, t)
+    got = independent_params_efim(with_blocks(scenario, blocks))
+    want = independent_params_efim_with_state_info(scenario, blocks)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    for k in range(na):
+        for n in range(t):
+            assert np.float64(speb(got, k, n)).tobytes() == np.float64(speb(want, k, n)).tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -251,17 +279,20 @@ def chunks(draw):
 @settings(max_examples=75, deadline=None)
 @given(chunks())
 def test_chunk_kernel_is_bytewise_the_scatter_reference_per_trial(scenarios):
-    chunk = scenario_chunk(scenarios)
-    full, anchors = navinfo._spatial_matrices(
-        chunk.paths, chunk.weights, priors=chunk.priors, anchors=True
-    )
+    # the chunk carries no priors; a scenario's own matrices add them
+    bare = [replace(scenario, priors=()) for scenario in scenarios]
+    chunk = scenario_chunk(bare)
+    full, anchors = navinfo._spatial_matrices(chunk.paths, chunk.weights, anchors=True)
     velocity = navinfo._temporal_matrices(chunk.paths, chunk.coeffs)
     t = scenarios[0].geometry.num_steps
-    for c, scenario in enumerate(scenarios):
+    for c, scenario in enumerate(bare):
         assert full[c].tobytes() == scatter_spatial_matrices(scenario, 0, t).tobytes()
         want = scatter_spatial_matrices(scenario, 0, t, anchors_only=True)
         assert anchors[c].tobytes() == want.tobytes()
         assert velocity[c].tobytes() == velocity_matrices(scenario, 1, t).tobytes()
+    for scenario in scenarios:
+        want = scatter_spatial_matrices(scenario, 0, t)
+        assert navinfo._scenario_spatial(scenario, 0, t).tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -289,4 +320,3 @@ def test_drawn_chunk_is_the_chunk_of_generated_scenarios(na, nb, t, radius, seed
     built = scenario_chunk([generate_scenario(cfg, e) for e in entropies])
     for field in ("paths", "weights", "coeffs"):
         assert getattr(drawn, field).tobytes() == getattr(built, field).tobytes()
-    assert drawn.priors == built.priors
