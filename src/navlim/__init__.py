@@ -50,7 +50,6 @@ from .navinfo import (
     carry_over_step,
     decompose_axes_coupling,
     decompose_weighted_sum,
-    distributed_carry_over,
     independent_params_efim,
     individual_efims,
     marginal_efim,

@@ -315,23 +315,30 @@ def cmd_ellipse(args) -> int:
     geom = scenario.geometry
     na, t = geom.num_agents, geom.num_steps
     rows = []
-    carry = [np.zeros((2, 2)) for _ in range(na)]
-    s_prev = None
+    carry = np.zeros((na, 2, 2))
     for n in range(t):
-        try:
-            s_n = navinfo.spatial_step_matrix(scenario, n)
+        # overflow surfaces once, as the non-finite check below
+        with np.errstate(all="ignore"):
+            try:
+                s_n = navinfo.spatial_step_matrix(scenario, n)
+                if n > 0:
+                    k_blocks = navinfo.temporal_step_blocks(scenario, n)
+            except GeometryError as exc:
+                raise ConfigError(f"invalid scenario geometry: {exc}")
             if n > 0:
-                k_blocks = navinfo.temporal_step_blocks(scenario, n)
-                carry = navinfo.distributed_carry_over(s_prev, carry, k_blocks)
-        except GeometryError as exc:
-            raise ConfigError(f"invalid scenario geometry: {exc}")
-        after = navinfo.individual_efims(s_n + block_diag(carry))
+                # distributed operation: each agent carries its own
+                # information after the previous step's cooperation, its
+                # correlation with the others dropped, through the network's
+                # carry-over map
+                carry = navinfo.carry_over_step(
+                    np.reshape(k_blocks, (na, 2, 2)), np.reshape(after, (na, 2, 2))
+                )
+            after = navinfo.individual_efims(s_n + block_diag(list(carry)))
         if not (np.isfinite(carry).all() and np.isfinite(after).all()):
             raise np.linalg.LinAlgError(f"non-finite information at step {n}")
         for k in range(na):
             rows.append(_ellipse_row(k, n, "carry_over", carry[k]))
             rows.append(_ellipse_row(k, n, "after_spatial", after[k]))
-        s_prev = s_n
     _make_out_dir(args.out_dir)
     csv_path = os.path.join(args.out_dir, "ellipses.csv")
     header = "agent,step,stage,semi_major_m_inv,semi_minor_m_inv,orientation_rad,degenerate"

@@ -34,9 +34,10 @@ class GeometryError(ValueError):
 
 
 def _check_sigmas(sigma_range: float | None, sigma_bias: float) -> None:
-    if sigma_range is not None and sigma_range <= 0:
+    # negated comparisons, so that NaN fails them
+    if sigma_range is not None and not sigma_range > 0:
         raise ValueError("sigma_range must be positive")
-    if sigma_bias < 0:
+    if not sigma_bias >= 0:
         raise ValueError("sigma_bias must be >= 0")
 
 
@@ -90,7 +91,8 @@ class RangeModel:
 
     Exactly one of `intensity` (m^-2) or `sigma_range` (m, with optional
     additive-bias prior std `sigma_bias`) must be given. `table` overrides the
-    intensity per (agent, peer, step), keyed with agent < peer.
+    intensity per (agent, peer, step), keyed with agent < peer. Intensities
+    must be finite and >= 0.
     """
 
     intensity: float | None = None
@@ -101,9 +103,11 @@ class RangeModel:
     def __post_init__(self):
         if (self.intensity is None) == (self.sigma_range is None):
             raise ValueError("give exactly one of intensity or sigma_range")
-        if self.intensity is not None and self.intensity < 0:
-            raise ValueError("intensity must be >= 0")
+        if self.intensity is not None and not 0 <= self.intensity < math.inf:
+            raise ValueError("intensity must be finite and >= 0")
         _check_sigmas(self.sigma_range, self.sigma_bias)
+        if self.table and not all(0 <= v < math.inf for v in self.table.values()):
+            raise ValueError("table intensities must be finite and >= 0")
 
     def base_intensity(self) -> float:
         if self.intensity is not None:
@@ -129,8 +133,8 @@ class VelocityModel:
 
     `along` acts on the direction of motion, `across` on its orthogonal,
     `couple` ties the two. The 2x2 matrix [[along, couple], [couple, across]]
-    must be PSD, which makes every emitted block PSD. `table` overrides per
-    (agent, step).
+    must be finite and PSD, which makes every emitted block PSD. `table`
+    overrides per (agent, step).
     """
 
     along: float
@@ -159,6 +163,8 @@ class VelocityModel:
 
 
 def _check_intensity_triple(along: float, across: float, couple: float, error=ValueError) -> None:
+    if not all(map(math.isfinite, (along, across, couple))):
+        raise error("velocity intensities must be finite")
     if along < 0 or across < 0 or along * across - couple**2 < -1e-12 * max(
         1.0, along * across
     ):

@@ -11,7 +11,7 @@ matrix.
 """
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,11 +40,13 @@ from .models import (
 # deliberate 1e12 pinning prior must not swallow ordinary m^-2 eigenvalues.
 _SPEB_NULL_FACTOR = 4.0 * np.finfo(float).eps
 
-# Carry-over eigenvalues at or below 32 * dim * eps * max|K| are exact zeros:
-# the carry K - K (S + carry + K)^-1 K is a difference of terms of K's size,
-# so below that floor an uninformed past leaves only round-off, which later
-# steps would read as measured information.
-_CARRY_FLOOR_FACTOR = 32.0 * np.finfo(float).eps
+# Round-off floor of a Schur complement a - b c^-1 b^T, per unit of dimension
+# and of a's scale: it is a difference of terms of a's size, so below
+# 32 * dim * eps times that scale an uninformed part leaves only round-off,
+# which later reads would take as measured information. Carry-over
+# eigenvalues at or below 32 * dim * eps * max|K| are exact zeros, as are
+# dense marginal entries at or below 32 * dim * eps * sqrt(a_ii * a_jj).
+_ROUNDOFF_FLOOR_FACTOR = 32.0 * np.finfo(float).eps
 
 # Smallest eigenvalue, after scaling to unit diagonal, of the time-collapsed
 # EFIM sum_{n,m} J_nm (the summed ranging and prior information: velocity
@@ -459,7 +461,12 @@ def _dense_marginal_efim(j: JointEfim, keep_set: set[tuple[int, int]]) -> JointE
     """Eliminate every coordinate outside `keep_set` from `j` at once: the
     reference the sweep is checked against. The kept coords stay in
     `j.coords` order; a null direction of the dropped block that carries
-    information to the kept ones raises `SingularBlockError`."""
+    information to the kept ones raises `SingularBlockError`. Entries of the
+    result at or below the local round-off floor,
+    _ROUNDOFF_FLOOR_FACTOR * dim * sqrt(a_ii * a_jj) with a the kept block
+    before reduction and dim the joint dimension, are exact zeros: an agent
+    the reduction leaves uninformed would otherwise scale that round-off into
+    coupling."""
     kept = [c in keep_set for c in j.coords]
     coords = tuple(c for c, k in zip(j.coords, kept) if k)
     rows = np.repeat(kept, 2)
@@ -469,7 +476,10 @@ def _dense_marginal_efim(j: JointEfim, keep_set: set[tuple[int, int]]) -> JointE
     b = j.matrix[np.ix_(rows, ~rows)]
     c = j.matrix[np.ix_(~rows, ~rows)]
     reduced = _reduce(a, b, c, b.T, "marginal_efim")
-    return JointEfim(coords, 0.5 * (reduced + reduced.T))
+    reduced = 0.5 * (reduced + reduced.T)
+    scale = np.sqrt(np.abs(np.diag(a)))
+    reduced[np.abs(reduced) <= _ROUNDOFF_FLOOR_FACTOR * len(rows) * np.outer(scale, scale)] = 0.0
+    return JointEfim(coords, reduced)
 
 
 def _tridiagonal_blocks(j: JointEfim) -> tuple[int, np.ndarray, np.ndarray] | None:
@@ -609,7 +619,7 @@ def carry_over_step(
         return out
     w, v = np.linalg.eigh(out)
     scale = np.abs(k).max(axis=(-2, -1), initial=0.0)[..., None]
-    w = np.where(w > _CARRY_FLOOR_FACTOR * w.shape[-1] * scale, w, 0.0)
+    w = np.where(w > _ROUNDOFF_FLOOR_FACTOR * w.shape[-1] * scale, w, 0.0)
     return (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
@@ -627,31 +637,6 @@ def individual_efims(total: np.ndarray) -> list[np.ndarray]:
     return list(
         eliminate_block(copies[:, :2, :2], copies[:, :2, 2:], copies[:, 2:, 2:], copies[:, 2:, :2])
     )
-
-
-def distributed_carry_over(
-    s_prev_full: np.ndarray,
-    carry_prev: Sequence[np.ndarray],
-    k_now: Sequence[np.ndarray],
-) -> list[np.ndarray]:
-    """Per-agent carry-over for distributed operation.
-
-    Each agent first extracts its individual position information after the
-    previous step's spatial cooperation (the inverse of its own block of the
-    network-wide inverse), then runs the scalar carry-over step against it,
-    all agents in one stacked call. Correlation between agents is
-    deliberately dropped; the result is one 2x2 block per agent.
-    """
-    na = len(k_now)
-    if len(carry_prev) != na:
-        raise ValueError("carry_prev and k_now must list the same agents")
-    if any(np.shape(block) != (2, 2) for block in (*carry_prev, *k_now)):
-        raise ValueError("carry_prev and k_now blocks must be 2x2")
-    s_prev_full = np.asarray(s_prev_full, dtype=float)
-    if s_prev_full.shape != (2 * na, 2 * na):
-        raise ValueError("s_prev_full must cover all agents of one step")
-    individual = individual_efims(s_prev_full + block_diag(list(carry_prev)))
-    return list(carry_over_step(np.reshape(k_now, (na, 2, 2)), np.reshape(individual, (na, 2, 2))))
 
 
 def spatial_step_matrix(scenario: Scenario, n: int) -> np.ndarray:

@@ -1,6 +1,12 @@
 import os
 
 import pytest
+from hypothesis import settings
+
+# Every run draws the same examples, so a run's outcome and time do not
+# depend on hypothesis's random seed.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(autouse=True)

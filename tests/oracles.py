@@ -784,8 +784,8 @@ def individual_efims_by_agent(total: np.ndarray) -> list[np.ndarray]:
 
 
 def distributed_carry_over_by_agent(s_prev_full, carry_prev, k_now) -> list[np.ndarray]:
-    """`navinfo.distributed_carry_over` after its input checks, one
-    `carry_over_step` per agent."""
+    """The distributed carry-over, `navinfo.carry_over_step` of each agent's
+    individual EFIM after the previous step, one agent at a time."""
     total = np.asarray(s_prev_full, dtype=float) + block_diag(list(carry_prev))
     return [
         navinfo.carry_over_step(np.asarray(k_now[k], dtype=float), individual)

@@ -269,11 +269,6 @@ def test_svg_of_a_degenerate_sweep_is_well_formed(tmp_path, extra, series):
         assert all(0.0 <= v <= 640.0 for v in coords)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: with no ranging the audit's recursion and dense "
-    "marginalization disagree on which bounds are +inf (exit 3 at horizon 3)",
-)
 @pytest.mark.parametrize("seed", [0, 1, 2, 7])
 def test_a_sweep_without_ranging_reports_every_bound_unbounded(tmp_path, seed):
     args = ["sweep-time", "--trials", "3", "--steps", "1..4", "--agents", "3"]
@@ -340,6 +335,26 @@ def test_ellipse_rows(tmp_path, demo_scenario):
     assert all(
         float(r["semi_major_m_inv"]) >= float(r["semi_minor_m_inv"]) for r in rows
     )
+
+
+def test_ellipse_runs_one_individual_reduction_and_one_carry_step_per_step(
+    tmp_path, monkeypatch, demo_scenario
+):
+    # each step's individual EFIMs are the next step's carry-over input
+    spec = json.loads(demo_scenario.read_text())
+    spec["agents"], spec["T"] = 3, 6
+    demo_scenario.write_text(json.dumps(spec))
+    calls = {"individual_efims": 0, "carry_over_step": 0}
+    for name in calls:
+        real = getattr(navinfo, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(navinfo, name, counted)
+    assert cli.main(["ellipse", "--scenario", str(demo_scenario), "--out-dir", str(tmp_path)]) == 0
+    assert calls == {"individual_efims": 6, "carry_over_step": 5}
 
 
 def test_ellipse_isotropic_circle(tmp_path):
@@ -717,7 +732,6 @@ def test_audit_failure_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "sweep_time.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_ellipse_whose_solve_fails_exits_3_with_one_line(tmp_path, capsys):
     # the ranging blocks overflow to inf, and the eigensolver gives up
     spec = {
@@ -737,7 +751,6 @@ def test_an_ellipse_whose_solve_fails_exits_3_with_one_line(tmp_path, capsys):
     assert not (out / "ellipses.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_non_finite_ellipse_exits_3_with_one_line(tmp_path, capsys, demo_scenario):
     # the ranging blocks overflow to inf, and the eigensolver still converges
     # on the NaN it makes of them: no row may be written

@@ -106,12 +106,33 @@ def test_range_model_validation():
 )
 @pytest.mark.parametrize(
     "sigmas, message",
-    [((0.0, 0.1), "sigma_range must be positive"), ((0.5, -0.1), "sigma_bias must be >= 0")],
-    ids=["range", "bias"],
+    [
+        ((0.0, 0.1), "sigma_range must be positive"),
+        ((0.5, -0.1), "sigma_bias must be >= 0"),
+        ((math.nan, 0.1), "sigma_range must be positive"),
+        ((0.5, math.nan), "sigma_bias must be >= 0"),
+    ],
+    ids=["range", "bias", "nan-range", "nan-bias"],
 )
 def test_sigma_checks(make, sigmas, message):
     with pytest.raises(ValueError, match=message):
         make(*sigmas)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"intensity": math.nan}, "intensity must be finite and >= 0"),
+        ({"intensity": math.inf}, "intensity must be finite and >= 0"),
+        ({"intensity": 5.0, "table": {(0, 2, 1): -50.0}}, "table intensities"),
+        ({"intensity": 5.0, "table": {(0, 2, 1): math.nan}}, "table intensities"),
+        ({"intensity": 5.0, "table": {(0, 2, 1): math.inf}}, "table intensities"),
+    ],
+    ids=["nan", "inf", "negative-entry", "nan-entry", "inf-entry"],
+)
+def test_range_model_rejects_non_finite_or_negative_intensities(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        RangeModel(**kwargs)
 
 
 def test_range_model_table_override():
@@ -184,6 +205,22 @@ def test_velocity_model_psd_validation():
     with pytest.raises(ValueError):
         VelocityModel(-1.0, 1.0)
     VelocityModel(2.0, 2.0, 2.0)  # boundary case is fine
+
+
+@pytest.mark.parametrize(
+    "args, table",
+    [
+        ((math.nan, 1.0), None),
+        ((1.0, 1.0, math.nan), None),
+        ((math.inf, 1.0), None),
+        ((1.0, 1.0), {(0, 1): (1.0, math.nan, 0.0)}),
+        ((1.0, 1.0), {(0, 1): (math.nan, 1.0, 0.0)}),
+    ],
+    ids=["nan-along", "nan-couple", "inf-along", "nan-table-across", "nan-table-along"],
+)
+def test_velocity_model_rejects_non_finite_intensities(args, table):
+    with pytest.raises(ValueError, match="velocity intensities must be finite"):
+        VelocityModel(*args, table=table)
 
 
 def test_velocity_intensities_from_local_info():

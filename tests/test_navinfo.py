@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from navlim import navinfo
-from navlim.blockfim import ChainBlocks, SingularBlockError, block_diag, eliminate_block
+from navlim.blockfim import ChainBlocks, SingularBlockError, _scaled_eigh, block_diag, eliminate_block
 from navlim.geom2d import Eigen2, r_dir
 from navlim.models import (
     MobilityModel,
@@ -27,7 +27,6 @@ from navlim.navinfo import (
     carry_over_step,
     decompose_axes_coupling,
     decompose_weighted_sum,
-    distributed_carry_over,
     independent_params_efim,
     individual_efims,
     marginal_efim,
@@ -36,7 +35,7 @@ from navlim.navinfo import (
     speb_with_rank,
     temporal_step_blocks,
 )
-from navlim.simkit import ScenarioConfig, generate_scenario
+from navlim.simkit import CoopMode, ScenarioConfig, generate_scenario
 from perfbench.workloads import DENSE_BOUND
 from oracles import (
     GaussianCase,
@@ -44,11 +43,13 @@ from oracles import (
     bayesian_efim_by_scatter,
     block_spebs_by_block,
     check_bands_by_stacked_factor,
+    dense_final_spebs,
     dense_position_fim,
     distributed_carry_over_by_agent,
     extend_carries_by_solve,
     individual_efims_by_agent,
     mobility_blocks,
+    null_cutoff,
     pair_blocks,
     random_gaussian_case,
     random_chain,
@@ -56,7 +57,9 @@ from oracles import (
     rel_frobenius,
     scatter_mobility,
     scatter_spatial_matrices,
+    speb_of_rows,
     speb_with_rank_by_rows,
+    trial_spebs,
     velocity_local_info,
     velocity_matrices,
 )
@@ -278,27 +281,22 @@ def _random_spd2(rng, lo=0.1, hi=10.0):
 # distributed carry-over
 
 
+def distributed_step(s_prev, carry_prev, k_now) -> list[np.ndarray]:
+    """The distributed carry-over as `ellipse` runs it: every agent's
+    individual EFIM after the previous step's cooperation, through one
+    stacked `carry_over_step`."""
+    na = len(k_now)
+    individual = individual_efims(s_prev + block_diag(list(carry_prev)))
+    return list(carry_over_step(np.reshape(k_now, (na, 2, 2)), np.reshape(individual, (na, 2, 2))))
+
+
 def test_distributed_single_agent_equals_centralized():
     rng = np.random.default_rng(33)
     k = _random_spd2(rng)
     s = _random_spd2(rng)
     central = carry_over_step(k, s)
-    dist = distributed_carry_over(s, [np.zeros((2, 2))], [k])
+    dist = distributed_step(s, [np.zeros((2, 2))], [k])
     np.testing.assert_allclose(dist[0], central, rtol=1e-10)
-
-
-def test_distributed_carry_over_rejects_mismatched_inputs():
-    k, s = np.eye(2), np.eye(4)
-    with pytest.raises(ValueError, match="must list the same agents"):
-        distributed_carry_over(s, [np.zeros((2, 2))], [k, k])
-    # blocks that fill the right total size but not one agent each
-    with pytest.raises(ValueError, match="blocks must be 2x2"):
-        distributed_carry_over(s, [np.eye(3), np.eye(1)], [k, k])
-    with pytest.raises(ValueError, match="blocks must be 2x2"):
-        distributed_carry_over(s, [np.zeros((2, 2))] * 2, [np.eye(3), np.eye(1)])
-    # a 3-agent step matrix for 2 agents: the check, not a broadcast error
-    with pytest.raises(ValueError, match="must cover all agents of one step"):
-        distributed_carry_over(np.eye(6), [np.zeros((2, 2))] * 2, [k, k])
 
 
 def test_distributed_block_diagonal_equals_centralized():
@@ -307,7 +305,7 @@ def test_distributed_block_diagonal_equals_centralized():
     ss = [_random_spd2(rng) for _ in range(3)]
     s_full = block_diag(ss)
     carries = [np.zeros((2, 2))] * 3
-    dist = distributed_carry_over(s_full, carries, ks)
+    dist = distributed_step(s_full, carries, ks)
     central = carry_over_step(block_diag(ks), s_full, np.zeros((6, 6)))
     for k in range(3):
         np.testing.assert_allclose(
@@ -335,7 +333,7 @@ def test_distributed_carries_less_per_agent_information():
             k_blocks = temporal_step_blocks(scenario, n)
             s_prev = spatial_step_matrix(scenario, n - 1)
             carry_c = carry_over_step(block_diag(k_blocks), s_prev, carry_c)
-            carry_d = distributed_carry_over(s_prev, carry_d, k_blocks)
+            carry_d = distributed_step(s_prev, carry_d, k_blocks)
         for k in range(na):
             central_blk = carry_c[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
             gap = central_blk - carry_d[k]
@@ -403,14 +401,14 @@ def test_stacked_distributed_step_is_the_per_agent_loop_bitwise(step):
     matrix, carries, k_now = step
     total = matrix + block_diag(carries)
     assert _outcome(individual_efims, total) == _outcome(individual_efims_by_agent, total)
-    assert _outcome(distributed_carry_over, matrix, carries, k_now) == _outcome(
+    assert _outcome(distributed_step, matrix, carries, k_now) == _outcome(
         distributed_carry_over_by_agent, matrix, carries, k_now
     )
 
 
 def test_distributed_carry_over_of_no_agents_is_empty():
     assert individual_efims(np.zeros((0, 0))) == []
-    assert distributed_carry_over(np.zeros((0, 0)), [], []) == []
+    assert distributed_step(np.zeros((0, 0)), [], []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -950,9 +948,14 @@ def test_spatial_step_matrix_consistent_with_assembler():
 # block-tridiagonal sweep against the dense path
 
 
-def dense_speb_with_rank(j, agent, step):
-    """The dense bound: one eigendecomposition of the whole matrix."""
-    return speb_with_rank_by_rows(j.matrix, j.rows(agent, step))
+def dense_speb_with_rank(j):
+    """The dense bound of `j` as a function of (agent, step): every read
+    gives the bound and the null count of one eigendecomposition of the
+    whole matrix, made here."""
+    w, v, scale = _scaled_eigh(j.matrix)
+    cutoff = null_cutoff(w)
+    null_count = int((w <= cutoff).sum())
+    return lambda agent, step: (speb_of_rows(w, v, scale, j.rows(agent, step), cutoff), null_count)
 
 
 def assert_bounds_agree(got, want):
@@ -1013,10 +1016,11 @@ def test_sweep_matches_dense_path(case):
             got = marginal_efim(j, keep)
             assert got.coords == want.coords
             assert_bounds_agree(block_spebs(got.matrix), block_spebs(want.matrix))
+        dense = dense_speb_with_rank(j)
         for step in {j.coords[0][1], lo, hi}:
             for k in range(na):
                 value, null_dim = speb_with_rank(j, k, step)
-                want_value, want_null = dense_speb_with_rank(j, k, step)
+                want_value, want_null = dense(k, step)
                 assert_bounds_agree([value], [want_value])
                 assert null_dim == want_null
 
@@ -1045,7 +1049,8 @@ def test_sweep_runs_at_full_size_without_dense_solves(monkeypatch):
     j = assemble_position_efim(generate_scenario(cfg, (0,)))
     last = [(k, 39) for k in range(12)]
     want_final = block_spebs(navinfo._dense_marginal_efim(j, set(last)).matrix)
-    want_mid = [dense_speb_with_rank(j, k, 20) for k in range(12)]
+    dense = dense_speb_with_rank(j)
+    want_mid = [dense(k, 20) for k in range(12)]
 
     def no_dense(*args, **kwargs):
         raise AssertionError("dense marginal EFIM called")
@@ -1063,6 +1068,23 @@ def test_sweep_runs_at_full_size_without_dense_solves(monkeypatch):
     for k in range(12):
         assert speb_with_rank(j, k, 20) == pytest.approx(want_mid[k], rel=1e-9)
     assert max(sizes) == 24
+
+
+def test_the_dense_reference_bounds_an_agent_whose_chain_is_decoupled():
+    # temporal_only at a 5 m radius: every entry linking agent 4 to another
+    # agent is 0.0, so the reduction leaves only round-off between it and
+    # the uninformed agents, which must not be scaled into coupling
+    cfg = ScenarioConfig(num_steps=10, connectivity=5.0)
+    scenario = generate_scenario(cfg, (10,))
+    na, horizon = cfg.num_agents, 5
+    anchor_only = replace(
+        scenario, pairs=tuple(tuple(p for p in step if p[1] >= na) for step in scenario.pairs)
+    )
+    got = dense_final_spebs(anchor_only, horizon)[4]
+    mode = CoopMode.TEMPORAL_ONLY
+    want = trial_spebs(scenario, (mode,))[mode.value][horizon - 1, 4]
+    assert got == pytest.approx(2866.52, abs=5e-3)
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -1100,8 +1122,9 @@ def test_singular_and_unbanded_inputs_keep_the_dense_path(kind):
     j = singular_or_unbanded_efim(kind)
     assert 2 * len(j.coords) > navinfo._SWEEP_MIN_DIM
     assert navinfo._tridiagonal_blocks(j) is None
+    dense = dense_speb_with_rank(j)
     for k, n in j.coords:
-        assert speb_with_rank(j, k, n) == dense_speb_with_rank(j, k, n)
+        assert speb_with_rank(j, k, n) == dense(k, n)
     steps = sorted({n for _, n in j.coords})
     na = len(j.coords) // len(steps)
     keep = {(k, n) for k in range(na) for n in steps[-2:]}
@@ -1238,8 +1261,9 @@ def test_links_that_are_not_negative_definite_fail_the_check_and_read_densely(mo
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     assert j._tridiagonal is None
     assert failed == [(9, 5, 2, 2)]  # the check's one factor of the links' agent blocks
+    dense = dense_speb_with_rank(j)
     for k, n in j.coords:
-        assert speb_with_rank(j, k, n) == dense_speb_with_rank(j, k, n)
+        assert speb_with_rank(j, k, n) == dense(k, n)
 
 
 # velocity and mobility intensities at which a link block is zero, barely
@@ -1361,12 +1385,13 @@ def test_a_failed_cholesky_factor_sends_the_read_to_the_dense_path(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    dense = dense_speb_with_rank(j)
     for n in range(12):
         keep = {(k, n) for k in range(4)}
         got = marginal_efim(j, keep)
         assert got.matrix.tobytes() == navinfo._dense_marginal_efim(j, keep).matrix.tobytes()
         for k in range(4):
-            assert speb_with_rank(j, k, n) == dense_speb_with_rank(j, k, n)
+            assert speb_with_rank(j, k, n) == dense(k, n)
 
 
 @pytest.mark.parametrize("kind", ["anchorless", "single-range", "bayesian-chains"])
@@ -1489,9 +1514,10 @@ def test_a_read_whose_last_schur_complement_is_indefinite_takes_the_dense_path()
     assert j._tridiagonal is not None  # the domain check passes
     got = marginal_efim(j, last)
     assert got.matrix.tobytes() == navinfo._dense_marginal_efim(j, last).matrix.tobytes()
+    dense = dense_speb_with_rank(j)
     for k in range(4):
         value, null_dim = speb_with_rank(j, k, 11)
-        want_value, want_null = dense_speb_with_rank(j, k, 11)
+        want_value, want_null = dense(k, 11)
         assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
         assert null_dim == want_null
 
