@@ -19,14 +19,6 @@ import numpy as np
 
 from . import blockfim
 
-# Displacements below this (meters) count as zero: the step direction is
-# undefined there.
-ZERO_DISPLACEMENT = 1e-12
-
-# Relative distance from the radius below which `within_radius` re-checks a
-# pair with the per-pair norm (row norms agree with it to about 1e-16).
-_RADIUS_TIE = 1e-12
-
 
 class GeometryError(ValueError):
     """Scenario geometry cannot support the requested block (e.g. coincident
@@ -108,6 +100,9 @@ class RangeModel:
         _check_sigmas(self.sigma_range, self.sigma_bias)
         if self.table and not all(0 <= v < math.inf for v in self.table.values()):
             raise ValueError("table intensities must be finite and >= 0")
+        for key in self.table or ():
+            if key[0] >= key[1]:
+                raise ValueError(f"table key {key} must have agent < peer")
 
     def base_intensity(self) -> float:
         if self.intensity is not None:
@@ -165,9 +160,7 @@ class VelocityModel:
 def _check_intensity_triple(along: float, across: float, couple: float, error=ValueError) -> None:
     if not all(map(math.isfinite, (along, across, couple))):
         raise error("velocity intensities must be finite")
-    if along < 0 or across < 0 or along * across - couple**2 < -1e-12 * max(
-        1.0, along * across
-    ):
+    if along < 0 or across < 0 or along * across - couple**2 < -1e-12 * along * across:
         raise error(
             "velocity intensities [[along, couple], [couple, across]] must be PSD"
         )
@@ -256,13 +249,9 @@ class ScenarioGeometry:
 def within_radius(paths: np.ndarray, num_agents: int, radius: float) -> np.ndarray:
     """Whether agent a and node p != a are within the ranging radius, per
     trial and step: shape (trials, T, agents, nodes) for paths (trials,
-    nodes, T, 2), symmetric between agents."""
-    dist = _agent_offsets(paths, num_agents)[2]
-    # These lengths may differ from the per-pair norm in the last bit; pairs
-    # that close to the radius are decided by the latter.
-    inside = dist <= radius
-    for c, n, a, p in np.argwhere(np.abs(dist - radius) <= _RADIUS_TIE * radius):
-        inside[c, n, a, p] = np.linalg.norm(paths[c, p, n] - paths[c, a, n]) <= radius
+    nodes, T, 2), symmetric between agents. A pair's distance is the
+    `_agent_offsets` length that `spatial_block` builds its block from."""
+    inside = _agent_offsets(paths, num_agents)[2] <= radius
     inside[:, :, np.arange(num_agents), np.arange(num_agents)] = False
     return inside
 
@@ -401,7 +390,7 @@ def spatial_block(paths: np.ndarray, weights: np.ndarray, first: int = 0) -> np.
     steps first..first+steps-1, zero where a pair is not measured. Block
     [c, n, a, p], of shape (2, 2), has u the unit vector from agent a to
     node p at step first+n; given equal weights, the blocks of (a, p) and
-    (p, a) are equal bitwise. A measured pair whose nodes coincide raises
+    (p, a) are equal bitwise. A measured pair at zero distance raises
     GeometryError naming the first such pair (k, j), k < j, of the first
     trial that has one, in step order, then pair order; the message does
     not name the trial.
@@ -409,7 +398,7 @@ def spatial_block(paths: np.ndarray, weights: np.ndarray, first: int = 0) -> np.
     na = weights.shape[-2]
     dx, dy, dist = _agent_offsets(paths, na, first, first + weights.shape[1])
     upper = np.arange(paths.shape[1]) > np.arange(na)[:, None]
-    coincide = (weights != 0.0) & (dist <= ZERO_DISPLACEMENT) & upper
+    coincide = (weights != 0.0) & (dist == 0.0) & upper
     if coincide.any():
         at = np.argwhere(coincide)[0]
         raise GeometryError(
@@ -455,7 +444,7 @@ def temporal_block(paths: np.ndarray, coeffs: np.ndarray, first: int = 1) -> np.
         agent_paths = paths[:, :na, first - 1 : first + steps].swapaxes(1, 2)
         disp = (agent_paths[:, 1:] - agent_paths[:, :-1])[turn]
         dist = np.linalg.norm(disp, axis=-1)
-        still = dist <= ZERO_DISPLACEMENT
+        still = dist == 0.0
         if still.any():
             _, n, k = np.argwhere(turn)[np.argmax(still)]
             raise GeometryError(

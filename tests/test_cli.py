@@ -488,6 +488,36 @@ def test_ellipse_outputs_match_their_recorded_digests(tmp_path, capsys, name):
     assert got == want
 
 
+def in_length_unit(spec, k):
+    """Scenario file `spec` with every length (area, anchors, radius and
+    sqrt(step_cov)) multiplied by 2^k."""
+    f = 2.0**k
+    scaled = dict(
+        spec,
+        area=[side * f for side in spec["area"]],
+        anchors=[[x * f, y * f] for x, y in spec["anchors"]],
+        step_cov=(np.asarray(spec.get("step_cov", 1.0)) * f * f).tolist(),
+    )
+    if "connectivity" in spec:
+        scaled["connectivity"] = {"radius": spec["connectivity"]["radius"] * f}
+    return scaled
+
+
+@pytest.mark.parametrize("k", [-498, -100, -40, 40, 100, 498])
+@pytest.mark.parametrize("name", sorted(ELLIPSE_SPECS))
+def test_ellipse_csv_does_not_depend_on_the_length_unit(tmp_path, name, k):
+    """The information ellipses see the geometry only through directions.
+    (The SVG is left out: its margins are in meters.)"""
+    csv = {}
+    for power in (0, k):
+        path = tmp_path / f"s{power}.json"
+        path.write_text(json.dumps(in_length_unit(ELLIPSE_SPECS[name], power)))
+        out = tmp_path / f"out{power}"
+        assert cli.main(["ellipse", "--scenario", str(path), "--out-dir", str(out)]) == 0
+        csv[power] = (out / "ellipses.csv").read_bytes()
+    assert csv[k] == csv[0]
+
+
 def test_scenario_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"area": [10, 10], "bogus": 1}))

@@ -142,6 +142,17 @@ def test_range_model_table_override():
     assert model.intensity_at(0, 1, 0) == 5.0
 
 
+@pytest.mark.parametrize(
+    "key", [(2, 0, 1), (1, 1, 0)], ids=["agent-above-peer", "agent-is-peer"]
+)
+def test_range_model_rejects_a_table_key_whose_agent_is_not_below_its_peer(key):
+    # intensity_at looks up (min, max) keys only, so such a key is never read
+    with pytest.raises(ValueError, match=r"^table key \(%d, %d, %d\) must" % key):
+        RangeModel(intensity=5.0, table={key: 7.0})
+    model = RangeModel(intensity=5.0, table={(0, 2, 1): 7.0})
+    assert model.intensity_at(0, 2, 1) == model.intensity_at(2, 0, 1) == 7.0
+
+
 # ---------------------------------------------------------------------------
 # velocity
 
@@ -205,6 +216,15 @@ def test_velocity_model_psd_validation():
     with pytest.raises(ValueError):
         VelocityModel(-1.0, 1.0)
     VelocityModel(2.0, 2.0, 2.0)  # boundary case is fine
+
+
+def test_velocity_model_psd_slack_is_relative():
+    # [[0, 1e-7], [1e-7, 0]] is indefinite however small its entries
+    with pytest.raises(ValueError, match="must be PSD"):
+        VelocityModel(0.0, 0.0, 1e-7)
+    with pytest.raises(ValueError, match="must be PSD"):
+        VelocityModel(1.0, 1.0, 0.0, table={(0, 1): (1e-8, 1e-8, 2e-8)})
+    VelocityModel(1e-100, 1e-100, 1e-100)  # singular and PSD: fine
 
 
 @pytest.mark.parametrize(

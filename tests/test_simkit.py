@@ -120,6 +120,12 @@ def test_config_takes_the_velocity_models_triple_rule():
         ScenarioConfig(vel_along=1.0, vel_across=1.0, vel_couple=1.001)
 
 
+def test_config_psd_slack_is_relative():
+    # [[0, 1e-7], [1e-7, 0]] is indefinite however small its entries
+    with pytest.raises(ConfigError, match="must be PSD"):
+        ScenarioConfig(vel_along=0.0, vel_across=0.0, vel_couple=1e-7)
+
+
 def test_config_rejects_an_asymmetric_step_cov():
     with pytest.raises(ConfigError, match="symmetric PD 2x2"):
         ScenarioConfig(step_cov=np.array([[1.0, 0.9], [0.0, 1.0]]))
