@@ -58,9 +58,7 @@ def _reduce(
         norms = np.linalg.norm(basis, axis=-2, keepdims=True)
         basis = basis / np.where(norms > 0.0, norms, 1.0)
         fro = (-2, -1)
-        ref = np.maximum(
-            1.0, np.maximum(np.linalg.norm(cross, axis=fro), np.linalg.norm(cross_back, axis=fro))
-        )
+        ref = np.maximum(np.linalg.norm(cross, axis=fro), np.linalg.norm(cross_back, axis=fro))
         leak = np.maximum(
             np.linalg.norm(cross @ basis, axis=fro), np.linalg.norm(_t(basis) @ cross_back, axis=fro)
         )
@@ -195,7 +193,7 @@ def _chain_reduction(chain: ChainBlocks) -> np.ndarray:
             off = nuis[g[n - 1], g[n]]
             b = b - off.T @ running_inv @ off
         w = np.linalg.eigvalsh(b)
-        if w.min() <= PINV_RCOND * max(1.0, w.max()):
+        if w.min() <= PINV_RCOND * w.max():
             raise SingularBlockError(
                 f"nuisance chain block not positive definite at step {n}"
             )

@@ -256,18 +256,24 @@ def within_radius(paths: np.ndarray, num_agents: int, radius: float) -> np.ndarr
     return inside
 
 
+def _length(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sqrt(dx^2 + dy^2), every offset's and step's length; one whose square
+    overflows is taken in units of 2^512, so its bits too scale exactly."""
+    with np.errstate(over="ignore"):
+        dist = np.sqrt(dx * dx + dy * dy)
+        huge = np.isinf(dist)
+        x, y = dx[huge] * 2.0**-512, dy[huge] * 2.0**-512
+        dist[huge] = np.sqrt(x * x + y * y) * 2.0**512
+    return dist
+
+
 def _agent_offsets(paths: np.ndarray, num_agents: int, first: int = 0, stop: int | None = None):
     """Offsets (dx, dy) from every agent to every node at steps first..stop-1
-    and their lengths, each of shape (trials, steps, agents, nodes). A length
-    whose square overflows is recomputed by np.hypot."""
+    and their `_length`s, each of shape (trials, steps, agents, nodes)."""
     x, y = np.moveaxis(paths[:, :, first:stop], -1, 0).swapaxes(2, 3)
     dx = x[:, :, None, :] - x[:, :, :num_agents, None]
     dy = y[:, :, None, :] - y[:, :, :num_agents, None]
-    with np.errstate(over="ignore"):
-        dist = np.sqrt(dx * dx + dy * dy)
-    huge = np.isinf(dist)
-    dist[huge] = np.hypot(dx[huge], dy[huge])
-    return dx, dy, dist
+    return dx, dy, _length(dx, dy)
 
 
 @dataclass(frozen=True)
@@ -443,7 +449,7 @@ def temporal_block(paths: np.ndarray, coeffs: np.ndarray, first: int = 1) -> np.
         na, steps = coeffs.shape[-2], coeffs.shape[1]
         agent_paths = paths[:, :na, first - 1 : first + steps].swapaxes(1, 2)
         disp = (agent_paths[:, 1:] - agent_paths[:, :-1])[turn]
-        dist = np.linalg.norm(disp, axis=-1)
+        dist = _length(disp[:, 0], disp[:, 1])
         still = dist == 0.0
         if still.any():
             _, n, k = np.argwhere(turn)[np.argmax(still)]

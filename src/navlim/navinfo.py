@@ -357,14 +357,15 @@ def independent_params_efim(scenario: Scenario) -> JointEfim:
 @dataclass(frozen=True, eq=False)
 class BayesianEfim:
     """Additive split of the joint EFIM: mobility prior + intra-node
-    (temporal) + inter-node (spatial) parts, all over the same coordinates."""
+    (temporal) + inter-node (spatial) parts, all over the same coordinates;
+    `total` is summed once, and so keeps its bounds."""
 
     coords: tuple[tuple[int, int], ...]
     mobility: np.ndarray
     temporal: np.ndarray
     spatial: np.ndarray
 
-    @property
+    @cached_property
     def total(self) -> JointEfim:
         return JointEfim(self.coords, self.mobility + self.temporal + self.spatial)
 
@@ -761,9 +762,10 @@ def _bounds(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     blocks and each matrix's null-direction count (...): per block, the sum
     of mass_i / w_i over the kept directions i of `_scaled_eigh` (mass_i:
     eigenvector i's weight on the block), +inf where a null direction
-    touches it. Matrices with null directions are grouped by their number
-    k of kept directions; each block's kept terms are summed as a
-    contiguous row of k, which rounds as a sum over those terms alone."""
+    touches it. Null directions come first in `eigh`'s ascending order, so
+    matrices are grouped by their null count c, and each block's kept
+    terms, from c on, are summed as a contiguous row, which rounds as a sum
+    over those terms alone."""
     lead, dim = matrix.shape[:-2], matrix.shape[-1]
     size, na = math.prod(lead), dim // 2
     w, v, scale = _scaled_eigh(matrix.reshape(size, dim, dim))
@@ -775,12 +777,9 @@ def _bounds(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     counts = null.sum(axis=-1)
     singular = np.flatnonzero(counts)
     if singular.size:
-        for k in np.unique(dim - counts[singular]):
-            group = singular[counts[singular] == dim - k]
-            kept = np.nonzero(~null[group])[1].reshape(len(group), 1, k)
-            terms = np.take_along_axis(mass[group], kept, -1)
-            terms /= np.take_along_axis(w[group, None], kept, -1)
-            out[group] = terms.sum(axis=-1)
+        for c in np.unique(counts[singular]):
+            group = singular[counts[singular] == c]
+            out[group] = (mass[group, :, c:] / w[group, None, c:]).sum(axis=-1)
         touched = (null[singular, None, :] & (mass[singular] > NULL_SUPPORT_TOL)).any(axis=-1)
         out[singular] = np.where(touched, math.inf, out[singular])
     return out.reshape(*lead, na), counts.reshape(lead)

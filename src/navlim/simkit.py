@@ -473,9 +473,11 @@ def _run_shares(calls, shares) -> dict:
     return outcomes
 
 
-def _sweep(cfg, points, modes, trials: int, horizons):
-    """Per-trial `_chunk_means` at the sorted `horizons` of each sweep point
-    (config, entropy prefix), in trial order, and the failed-trial count.
+def _sweep(cfg, points, modes, trials: int) -> SpebTable:
+    """The table of sweep points (config, entropy prefix, columns): per
+    point and mode, one row per column (sweep value, horizon), in column
+    order, `_aggregate`d over the point's trials that did not fail, if any,
+    each trial's `_chunk_means` taken at the point's sorted horizons.
 
     Chunks of at most CHUNK_TRIALS and ceil(trials x points / workers) trials
     go costliest (agents x steps x trials) first to the least-loaded of one
@@ -486,13 +488,15 @@ def _sweep(cfg, points, modes, trials: int, horizons):
     """
     check_trials(trials)
     _check_modes(modes)
+    # per point, each horizon's index among its sorted horizons
+    at = [{h: i for i, h in enumerate(sorted({h for _, h in c}))} for _, _, c in points]
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     size = min(CHUNK_TRIALS, -(-trials * max(len(points), 1) // workers))
     chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
     tasks = [(p, chunk) for p in range(len(points)) for chunk in chunks]
     calls = [
-        partial(_chunk_means, points[p][0], [(*points[p][1], t) for t in chunk], modes, horizons)
-        for p, chunk in tasks
+        partial(_chunk_means, points[p][0], [(*points[p][1], t) for t in c], modes, list(at[p]))
+        for p, c in tasks
     ] + [partial(_audit_recursion, cfg)]
     weights = [points[p][0].num_agents * points[p][0].num_steps * len(c) for p, c in tasks] + [0]
     shares, loads = [[] for _ in range(workers)], [0] * workers
@@ -514,15 +518,17 @@ def _sweep(cfg, points, modes, trials: int, horizons):
         )
     if isinstance(outcomes.get(len(tasks)), BaseException):
         raise outcomes[len(tasks)]
-    return results, failed
-
-
-def _mode_means(results, modes):
-    """Per mode: (mode, mean, standard error, trials) per horizon over the trials not failed."""
-    for mode in modes:
-        values = [r[mode.value] for r in results if not isinstance(r, Exception)]
-        if values:
-            yield (mode.value, *_aggregate(values), len(values))
+    table = SpebTable(failed_trials=failed)
+    for (_, _, columns), row, per_point in zip(points, at, results):
+        for mode in modes:
+            values = [r[mode.value] for r in per_point if not isinstance(r, Exception)]
+            if values:
+                mean, err = _aggregate(values)
+                table.rows += [
+                    SpebRow(mode.value, v, float(mean[row[h]]), float(err[row[h]]), len(values))
+                    for v, h in columns
+                ]
+    return table
 
 
 def sweep_time(cfg: ScenarioConfig, steps=None, modes=ALL_MODES, trials: int = 500) -> SpebTable:
@@ -537,16 +543,8 @@ def sweep_time(cfg: ScenarioConfig, steps=None, modes=ALL_MODES, trials: int = 5
     if not step_list or min(step_list) < 1 or max(step_list) > cfg.num_steps:
         raise ConfigError("step counts must fall in 1..num_steps")
     _check_unique("step count", step_list)
-    horizons = sorted(step_list)
-    points = [(cfg, ())] if cfg.num_agents else []
-    per_point, failed = _sweep(cfg, points, modes, trials, horizons)
-    row = {v: i for i, v in enumerate(horizons)}
-    table = SpebTable(failed_trials=failed)
-    for mode, mean, se, n in _mode_means(sum(per_point, []), modes):
-        table.rows += [
-            SpebRow(mode, v, float(mean[row[v]]), float(se[row[v]]), n) for v in step_list
-        ]
-    return table
+    points = [(cfg, (), [(v, v) for v in step_list])] if cfg.num_agents else []
+    return _sweep(cfg, points, modes, trials)
 
 
 def sweep_nodes(cfg: ScenarioConfig, agent_counts, modes=ALL_MODES, trials: int = 500) -> SpebTable:
@@ -556,13 +554,10 @@ def sweep_nodes(cfg: ScenarioConfig, agent_counts, modes=ALL_MODES, trials: int 
     if not counts or min(counts) < 1:
         raise ConfigError("agent counts must be >= 1")
     _check_unique("agent count", counts)
-    points = [(replace(cfg, num_agents=count), (count,)) for count in counts]
-    per_point, failed = _sweep(cfg, points, modes, trials, (cfg.num_steps,))
-    table = SpebTable(failed_trials=failed)
-    for count, results in zip(counts, per_point):
-        for mode, mean, err, n in _mode_means(results, modes):
-            table.rows.append(SpebRow(mode, count, float(mean[0]), float(err[0]), n))
-    return table
+    points = [
+        (replace(cfg, num_agents=count), (count,), [(count, cfg.num_steps)]) for count in counts
+    ]
+    return _sweep(cfg, points, modes, trials)
 
 
 def format_value(x: float) -> str:

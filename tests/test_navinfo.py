@@ -718,6 +718,24 @@ def test_bayesian_zero_cross_collapses_to_independent_params():
     assert not out.total.matrix[:4, 4:].any()
 
 
+def test_a_bayesian_total_is_summed_once_and_bounded_by_one_eigh(monkeypatch):
+    rng = np.random.default_rng(62)
+    intra = {k: ChainBlocks(**random_chain(rng, steps=8, state_dim=2)[0]) for k in range(3)}
+    out = bayesian_efim(3, 8, mobility=MobilityModel(np.eye(2)), intra_chains=intra)
+    assert out.total is out.total
+    sizes = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    bounds = [speb(out.total, k, n) for k, n in out.coords]
+    assert np.isfinite(bounds).all()
+    assert sizes == [48]
+
+
 # ---------------------------------------------------------------------------
 # independent-parameter assembly
 

@@ -20,9 +20,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from navlim import simkit
+from navlim.blockfim import ChainBlocks, SingularBlockError, eliminate_block, eliminate_hmm_chain
 from navlim.models import GeometryError, spatial_block, temporal_block
 from navlim.navinfo import assemble_position_efim, marginal_efim, speb
 from navlim.simkit import ALL_MODES, ScenarioConfig, generate_scenario
+from oracles import random_chain
 
 # A coupled velocity model, so that temporal_block turns every block into
 # the frame of its step displacement.
@@ -174,3 +176,28 @@ def test_coincident_nodes_raise_at_every_length_unit(k):
     coeffs = np.broadcast_to([5.0, 2.0, 1.0], (1, 2, 2, 3))
     with pytest.raises(GeometryError, match=r"agent 0, step 2\)$"):
         temporal_block(paths[None], coeffs)
+
+
+@pytest.mark.parametrize("k", [100, 600, 1000])
+def test_velocity_blocks_do_not_depend_on_the_length_unit(k):
+    # past 2^511 a step's squared length overflows; its direction must not
+    paths = np.random.default_rng(3).uniform(-20.0, 20.0, size=(2, 3, 6, 2))
+    coeffs = np.broadcast_to([5.0, 2.0, 1.0], (2, 5, 3, 3))
+    assert np.array_equal(temporal_block(2.0**k * paths, coeffs), temporal_block(paths, coeffs))
+
+
+@pytest.mark.parametrize("k", [-200, -100, -40, 40, 100, 200])
+def test_chain_reduction_scales_with_the_information_unit(k):
+    blocks = random_chain(np.random.default_rng(13), steps=4, state_dim=2)[0]
+    want = eliminate_hmm_chain(ChainBlocks(**blocks))
+    scaled = {name: tuple(2.0**k * b for b in parts) for name, parts in blocks.items()}
+    for key, block in eliminate_hmm_chain(ChainBlocks(**scaled)).items():
+        assert np.array_equal(block, 2.0**k * want[key]), key
+
+
+@pytest.mark.parametrize("k", [-100, -40, 0, 100])
+def test_a_leak_into_a_null_direction_raises_at_every_information_unit(k):
+    # the nuisance's second direction carries no information but is coupled
+    f = 2.0**k
+    with pytest.raises(SingularBlockError, match="^singular nuisance block in eliminate_block$"):
+        eliminate_block(f * np.array([[2.0]]), f * np.array([[0.0, 1.0]]), f * np.diag([1.0, 0.0]))

@@ -255,9 +255,9 @@ def test_null_path_bounds_keep_their_bits():
 
 @pytest.mark.parametrize("area", [1e160, 1e200])
 def test_offsets_whose_square_overflows_keep_finite_bounds(area):
-    """Agent-node lengths past sqrt(max float) come from np.hypot, so the
-    bounds of a huge area are those of a smaller one (the 1 m walk steps
-    are negligible at both), not +inf."""
+    """Agent-node lengths past sqrt(max float) are taken in units of 2^512,
+    so the bounds of a huge area are those of a smaller one (the 1 m walk
+    steps are negligible at both), not +inf."""
 
     def bounds(side):
         cfg = ScenarioConfig(area=(side, side), num_agents=2, num_steps=3)
